@@ -87,13 +87,22 @@ class LiveRuntime:
 
         self._modules = list(modules)
         self._by_name: dict[str, Microprotocol] = {}
-        self._height: dict[str, int] = {}
+        #: Stack position of each module (0 = top).
+        self._index: dict[str, int] = {}
+        #: Wire header bytes for sends from each module (base + one
+        #: per-module header per descended module, as in the simulator).
+        self._send_header: dict[str, int] = {}
+        config = self.net_config
         depth = len(modules)
         for index, module in enumerate(modules):
             if module.name in self._by_name:
                 raise ProtocolError(f"duplicate module name {module.name!r}")
             self._by_name[module.name] = module
-            self._height[module.name] = depth - 1 - index
+            self._index[module.name] = index
+            self._send_header[module.name] = (
+                config.base_header + config.per_module_header * (depth - index)
+            )
+        self._fd_header = config.base_header + config.per_module_header
 
         self._timers: dict[tuple[str, str], asyncio.TimerHandle] = {}
         self._fd_timers: list[asyncio.TimerHandle] = []
@@ -247,7 +256,6 @@ class LiveRuntime:
         """Send a failure-detector message (routed to the peer FD)."""
         if not self.alive:
             return
-        header = self.net_config.base_header + self.net_config.per_module_header
         self.transport.send(
             NetMessage(
                 kind=kind,
@@ -256,7 +264,7 @@ class LiveRuntime:
                 dst=dst,
                 payload=payload,
                 payload_size=payload_size,
-                header_size=header,
+                header_size=self._fd_header,
             )
         )
 
@@ -317,23 +325,26 @@ class LiveRuntime:
         self._execute_actions(module, actions)
 
     def _execute_actions(self, module: Microprotocol, actions: list[Action]) -> None:
+        # Class-identity dispatch, as in the simulator's runtime: the
+        # action vocabulary is closed (no subclasses exist).
         for action in actions:
             if not self.alive:
                 return
-            if isinstance(action, Send):
+            cls = action.__class__
+            if cls is Send:
                 self._do_send(module, action.dst, action.kind, action.payload, action.payload_size)
-            elif isinstance(action, SendToAll):
+            elif cls is SendToAll:
                 for dst in module.ctx.others:
                     if not self.alive:
                         return
                     self._do_send(module, dst, action.kind, action.payload, action.payload_size)
-            elif isinstance(action, EmitUp):
+            elif cls is EmitUp:
                 self._emit(module, action.event, direction=-1)
-            elif isinstance(action, EmitDown):
+            elif cls is EmitDown:
                 self._emit(module, action.event, direction=+1)
-            elif isinstance(action, StartTimer):
+            elif cls is StartTimer:
                 self._start_timer(module, action)
-            elif isinstance(action, CancelTimer):
+            elif cls is CancelTimer:
                 self._cancel_timer(module, action.name)
             else:
                 raise ProtocolError(
@@ -343,10 +354,6 @@ class LiveRuntime:
     def _do_send(
         self, module: Microprotocol, dst: int, kind: str, payload: Any, payload_size: int
     ) -> None:
-        height = self._height[module.name]
-        header = self.net_config.base_header + self.net_config.per_module_header * (
-            height + 1
-        )
         message = NetMessage(
             kind=kind,
             module=module.name,
@@ -354,7 +361,7 @@ class LiveRuntime:
             dst=dst,
             payload=payload,
             payload_size=payload_size,
-            header_size=header,
+            header_size=self._send_header[module.name],
         )
         if not self._trace.enabled:
             self.transport.send(message)
@@ -369,8 +376,7 @@ class LiveRuntime:
         )
 
     def _emit(self, module: Microprotocol, event: Event, *, direction: int) -> None:
-        index = self._modules.index(module)
-        target_index = index + direction
+        target_index = self._index[module.name] + direction
         if direction < 0 and target_index < 0:
             self._deliver_to_application(event)
             return
@@ -400,18 +406,18 @@ class LiveRuntime:
                 "to the application"
             )
         when = self.now
+        if self._adeliver_listener is not None:
+            self._adeliver_listener(self.pid, event.message, when)
         if self._trace.enabled:
             self._trace.record(
                 when,
                 "span.adeliver",
                 self.pid,
-                ("app", 0.0, event.message.msg_id),
+                ("app", self.now - when, event.message.msg_id),
             )
             self._trace.record(
                 when, "abcast.adeliver", self.pid, event.message.msg_id
             )
-        if self._adeliver_listener is not None:
-            self._adeliver_listener(self.pid, event.message, when)
 
     # ------------------------------------------------------------------
     # Timers

@@ -7,9 +7,13 @@ Fortika testbed.
 
 Topology: every process listens on one TCP port and additionally dials
 one *outgoing* connection per peer, used exclusively for its own sends
-to that peer. Inbound connections are receive-only. A single writer
-task per peer drains a FIFO queue, which makes per-(src, dst) ordering
-structural rather than accidental.
+to that peer. Inbound connections are receive-only. Each peer has one
+FIFO queue and one transmit cursor into it, advanced by one function
+(:meth:`Transport._flush`), which makes per-(src, dst) ordering
+structural rather than accidental: ``send()`` calls it directly while
+the link is up and unfaulted (the frame reaches the socket inside the
+handler that produced it), and the peer's sender task calls it after a
+(re)connect, a released HOLD or a delay sleep.
 
 Framing: each frame is a 4-byte big-endian length prefix followed by
 the body (see :func:`encode_frame` / :class:`FrameDecoder`; the decoder
@@ -22,10 +26,12 @@ Failure handling: a failed dial or a broken connection triggers
 reconnection with exponential backoff (capped). Delivery is exactly-once
 and in-order across reconnects, via a cumulative-ack protocol layered on
 the per-peer stream: the receiver answers every HELLO with the number of
-frames it has delivered from that peer (the *resume point*) and streams
-cumulative acks back as frames arrive; the sender dequeues a frame only
-once acked and, after reconnecting, resumes transmission exactly at the
-receiver's resume point. TCP alone cannot give this — a write into a
+frames it has delivered from that peer (the *resume point*) and sends
+cumulative acks back, at most one per :data:`ACK_INTERVAL`; the sender
+dequeues a frame only once acked and, after reconnecting, resumes
+transmission exactly at the receiver's resume point. Acks only trim the
+retransmit queue (the resume point is the receiver's delivered count,
+never the last ack), so delaying them costs memory, not correctness. TCP alone cannot give this — a write into a
 connection whose peer already vanished "succeeds" into the socket
 buffer — which is why the ack layer exists. An outage therefore delays
 messages rather than dropping or duplicating them, the quasi-reliable
@@ -40,11 +46,12 @@ import os
 import random
 import struct
 from collections import deque
+from itertools import islice
 from typing import Callable
 
 from repro.errors import NetworkError
 from repro.net.message import NetMessage, decode_message, encode_message
-from repro.net.wire import WIRE_FORMAT_VERSION, check_version
+from repro.net.wire import WIRE_FORMAT_VERSION, check_version, encode_text
 
 #: Refuse frames bigger than this (a corrupt length prefix otherwise
 #: asks the decoder to buffer gigabytes).
@@ -54,6 +61,12 @@ _LENGTH = struct.Struct(">I")
 
 #: Cumulative frame counts exchanged by the ack protocol.
 _COUNT = struct.Struct(">Q")
+
+#: A receiver sends at most one cumulative ack per this many seconds on
+#: a connection. Short against the time :attr:`Transport.max_unacked`
+#: frames take to queue up, long against the gap between frames under
+#: load (so one ack covers many).
+ACK_INTERVAL = 0.005
 
 #: Callback invoked with every decoded protocol message.
 MessageHandler = Callable[[NetMessage], None]
@@ -181,6 +194,41 @@ class TransportStats:
         }
 
 
+class _Link:
+    """Outbound state towards one peer."""
+
+    __slots__ = ("queue", "base", "next", "writer", "wake")
+
+    def __init__(self) -> None:
+        #: Frames sent (or waiting to be) and not yet acked, oldest first.
+        self.queue: deque[bytes] = deque()
+        #: Global stream index of ``queue[0]`` — how many frames to this
+        #: peer have been acked (and dequeued) so far.
+        self.base = 0
+        #: Global stream index of the next frame to put on the socket;
+        #: meaningful while ``writer`` is set.
+        self.next = 0
+        #: The connection's writer once the handshake is complete,
+        #: ``None`` while disconnected.
+        self.writer: asyncio.StreamWriter | None = None
+        #: Wakes the sender task: work it must do itself (a frame for a
+        #: link that is down, held or delayed), a released HOLD, a dead
+        #: connection, or shutdown.
+        self.wake = asyncio.Event()
+
+
+class _Inbound:
+    """Receive-side state of one accepted connection."""
+
+    __slots__ = ("writer", "peer", "ack_timer")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.peer: int | None = None
+        #: Armed while frames were delivered that no ack covers yet.
+        self.ack_timer: asyncio.TimerHandle | None = None
+
+
 class Transport:
     """One process's TCP endpoint in a live group.
 
@@ -233,12 +281,18 @@ class Transport:
         #: reseeds the same (seed, pid) rng and MUST still get a nonce
         #: its predecessor never used.
         self.nonce = int.from_bytes(os.urandom(8), "big")
-        self._queues: dict[int, deque[bytes]] = {
-            peer: deque() for peer in addresses if peer != pid
+        self._links: dict[int, _Link] = {
+            peer: _Link() for peer in addresses if peer != pid
         }
-        #: Global stream index of ``_queues[peer][0]`` — how many frames
-        #: to this peer have been acked (and dequeued) so far.
-        self._send_base: dict[int, int] = {peer: 0 for peer in self._queues}
+        #: Serialize-once rule for fan-out (the live twin of the
+        #: simulator's ``first_copy``): the payload most recently encoded
+        #: and its JSON text. Keyed by identity — the strong reference
+        #: keeps the id from being reused — so a ``SendToAll``, or a run
+        #: of ``Send`` actions carrying one payload object, encodes it
+        #: for the first destination only. Payloads are values: nothing
+        #: mutates one after handing it to ``send()``.
+        self._last_payload: object = None
+        self._last_payload_json = "null"
         #: How many frames from each peer were delivered to ``on_message``;
         #: persists across that peer's reconnects (the resume point),
         #: scoped to the peer incarnation in ``_peer_nonce``.
@@ -247,18 +301,17 @@ class Transport:
         for peer, (nonce, count) in (resume_points or {}).items():
             self._peer_nonce[peer] = nonce
             self._delivered[peer] = count
-        self._queue_events: dict[int, asyncio.Event] = {}
         self._server: asyncio.base_events.Server | None = None
         self._sender_tasks: list[asyncio.Task] = []
-        self._inbound_writers: set[asyncio.StreamWriter] = set()
+        self._inbound: set[_Inbound] = set()
         self._closed = False
         #: Peers whose outbound frames are held back (fault injection:
         #: HOLD-mode partition — frames queue up and flow on release).
         self._held: set[int] = set()
         #: Peers whose outbound frames are discarded (DROP-mode).
         self._dropped: set[int] = set()
-        #: Per-peer (extra_delay, jitter) slept before each frame write
-        #: (fault injection: delay spikes).
+        #: Per-peer (extra_delay, jitter) slept before each write to the
+        #: socket (fault injection: delay spikes).
         self._extra_delay: dict[int, tuple[float, float]] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -267,18 +320,20 @@ class Transport:
         """Bind the listening socket and begin dialing every peer."""
         host, port = self._addresses[self.pid]
         self._server = await asyncio.start_server(self._handle_inbound, host, port)
-        for peer in self._queues:
-            self._queue_events[peer] = asyncio.Event()
+        for peer in self._links:
             task = asyncio.create_task(
                 self._sender_loop(peer), name=f"transport.p{self.pid}->p{peer}"
             )
             self._sender_tasks.append(task)
 
     async def close(self) -> None:
-        """Stop dialing, close the server and every open connection."""
+        """Stop dialing, close the server and every open connection.
+
+        A pending cumulative ack is written first, so a graceful
+        shutdown leaves the senders' retransmit queues trimmed to what
+        this endpoint really has not delivered.
+        """
         self._closed = True
-        for event in self._queue_events.values():
-            event.set()
         for task in self._sender_tasks:
             task.cancel()
         await asyncio.gather(*self._sender_tasks, return_exceptions=True)
@@ -287,9 +342,12 @@ class Transport:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._inbound_writers):
-            writer.close()
-        self._inbound_writers.clear()
+        for inbound in list(self._inbound):
+            if inbound.ack_timer is not None:
+                inbound.ack_timer.cancel()
+                self._send_ack(inbound)
+            inbound.writer.close()
+        self._inbound.clear()
 
     @property
     def listen_port(self) -> int:
@@ -301,35 +359,57 @@ class Transport:
     # -- sending -----------------------------------------------------------
 
     def send(self, message: NetMessage) -> None:
-        """Enqueue *message* for its destination (never blocks).
+        """Queue *message* and, link permitting, write it out (never blocks).
 
-        FIFO per destination: the peer's single writer task transmits
-        queued frames strictly in ``send()`` call order.
+        FIFO per destination: frames enter the peer's queue in ``send()``
+        call order and :meth:`_flush` is the only thing that moves the
+        transmit cursor, always forward over that queue. While the link
+        is connected and neither held nor delayed the frame is written
+        to the socket here; otherwise the sender task is woken to do it
+        when the link allows.
         """
         if self._closed:
             return
-        queue = self._queues.get(message.dst)
-        if queue is None:
+        dst = message.dst
+        link = self._links.get(dst)
+        if link is None:
             raise NetworkError(f"message to unknown process: {message}")
-        if message.dst in self._dropped:
+        if dst in self._dropped:
             self.stats.messages_dropped += 1
             return
-        frame = encode_frame(encode_message(message))
-        queue.append(frame)
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += message.wire_size
-        self.stats.payload_bytes_sent += message.payload_size
-        event = self._queue_events.get(message.dst)
-        if event is not None:
-            event.set()
+        payload = message.payload
+        if payload is not self._last_payload:
+            self._last_payload_json = encode_text(payload)
+            self._last_payload = payload
+        link.queue.append(
+            encode_frame(encode_message(message, self._last_payload_json))
+        )
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += message.wire_size
+        stats.payload_bytes_sent += message.payload_size
+        if (
+            link.writer is not None
+            and dst not in self._held
+            and dst not in self._extra_delay
+        ):
+            self._flush(link)
+        else:
+            link.wake.set()
 
-    def pending_to(self, peer: int) -> int:
-        """Frames queued for *peer* but not yet accepted by the kernel."""
-        return len(self._queues[peer])
+    def _flush(self, link: _Link) -> None:
+        """Write every queued frame from the cursor on, in one write."""
+        offset = link.next - link.base
+        queue = link.queue
+        pending = len(queue) - offset
+        if pending <= 0:
+            return
+        link.writer.write(b"".join(islice(queue, offset, None)))
+        link.next += pending
 
     def unacked_to(self, peer: int) -> int:
         """Frames to *peer* not yet acked by its receiver (== queued)."""
-        return len(self._queues[peer])
+        return len(self._links[peer].queue)
 
     @property
     def congested(self) -> bool:
@@ -342,7 +422,8 @@ class Transport:
         """
         if self.max_unacked is None:
             return False
-        return any(len(queue) >= self.max_unacked for queue in self._queues.values())
+        cap = self.max_unacked
+        return any(len(link.queue) >= cap for link in self._links.values())
 
     def delivered_counts(self) -> dict[int, tuple[int, int]]:
         """``peer -> (nonce, delivered count)`` — the WAL resume snapshot."""
@@ -366,9 +447,9 @@ class Transport:
         """Heal a HOLD: resume transmitting queued frames to *peers*."""
         self._held.difference_update(peers)
         for peer in peers:
-            event = self._queue_events.get(peer)
-            if event is not None:
-                event.set()
+            link = self._links.get(peer)
+            if link is not None:
+                link.wake.set()
 
     def drop_links(self, peers: set[int] | frozenset[int]) -> None:
         """Silently discard every new frame to *peers* (DROP mode)."""
@@ -381,7 +462,12 @@ class Transport:
     def set_link_delay(
         self, peers: set[int] | frozenset[int], extra: float, jitter: float = 0.0
     ) -> None:
-        """Sleep ``extra + U(0, jitter)`` before each frame to *peers*."""
+        """Sleep ``extra + U(0, jitter)`` before each write to *peers*.
+
+        Frames queued during one sleep leave together after it, so a
+        spike adds latency to every frame without capping the link's
+        rate at one frame per sleep.
+        """
         for peer in peers:
             self._extra_delay[peer] = (extra, jitter)
 
@@ -393,29 +479,33 @@ class Transport:
     async def drain(self, timeout: float = 5.0, poll: float = 0.01) -> bool:
         """Wait until every send queue is empty (best effort)."""
         deadline = asyncio.get_running_loop().time() + timeout
-        while any(self._queues.values()):
+        while any(link.queue for link in self._links.values()):
             if asyncio.get_running_loop().time() > deadline:
                 return False
             await asyncio.sleep(poll)
         return True
 
-    def _apply_ack(self, peer: int, count: int) -> None:
+    def _apply_ack(self, link: _Link, count: int) -> None:
         """Dequeue every frame the receiver has now delivered."""
-        queue = self._queues[peer]
-        while self._send_base[peer] < count and queue:
+        queue = link.queue
+        while link.base < count and queue:
             queue.popleft()
-            self._send_base[peer] += 1
+            link.base += 1
 
-    async def _ack_loop(self, peer: int, reader: asyncio.StreamReader) -> None:
+    async def _ack_loop(self, link: _Link, reader: asyncio.StreamReader) -> None:
         """Consume cumulative acks until the connection dies."""
         while True:
             data = await reader.readexactly(_COUNT.size)
             (count,) = _COUNT.unpack(data)
-            self._apply_ack(peer, count)
+            self._apply_ack(link, count)
 
     async def _sender_loop(self, peer: int) -> None:
-        queue = self._queues[peer]
-        event = self._queue_events[peer]
+        """Dial *peer*, handshake, and transmit whatever ``send()`` may not.
+
+        While the link is up and unfaulted this task sleeps on
+        ``link.wake``: frames go out through ``send()``'s write-through.
+        """
+        link = self._links[peer]
         backoff = self._initial_backoff
         while not self._closed:
             host, port = self._addresses[peer]
@@ -441,46 +531,39 @@ class Transport:
                 _trace(
                     self.pid,
                     f"connected to p{peer}: resume={resume} "
-                    f"base={self._send_base[peer]} queued={len(queue)}",
+                    f"base={link.base} queued={len(link.queue)}",
                 )
-                self._apply_ack(peer, resume)
+                self._apply_ack(link, resume)
                 # A resume point below our base means the peer endpoint
                 # is fresh (fail-stop processes do not restart; a new
                 # endpoint at the old address starts a new incarnation):
                 # frames already acked by the predecessor are gone, so
                 # transmission continues from the first unacked frame.
-                next_to_send = max(resume, self._send_base[peer])
-                ack_task = asyncio.create_task(self._ack_loop(peer, reader))
+                link.next = max(resume, link.base)
+                ack_task = asyncio.create_task(self._ack_loop(link, reader))
+                ack_task.add_done_callback(lambda _task: link.wake.set())
+                link.writer = writer
                 while not self._closed:
                     if ack_task.done():
                         raise ConnectionResetError("peer closed the connection")
-                    offset = next_to_send - self._send_base[peer]
-                    if peer in self._held or offset >= len(queue):
-                        event.clear()
-                        waiter = asyncio.create_task(event.wait())
-                        try:
-                            await asyncio.wait(
-                                {waiter, ack_task},
-                                return_when=asyncio.FIRST_COMPLETED,
-                            )
-                        finally:
-                            waiter.cancel()
+                    # No await between this test and wait(): a send()
+                    # that needs this task cannot slip in unseen.
+                    link.wake.clear()
+                    if peer in self._held or link.next >= link.base + len(link.queue):
+                        await link.wake.wait()
                         continue
                     pause = self._extra_delay.get(peer)
                     if pause is not None:
                         extra, jitter = pause
                         await asyncio.sleep(extra + self._rng.uniform(0.0, jitter))
-                        # Acks land during the sleep and advance the
-                        # base; the offset computed before it would now
-                        # index past the next frame — transmitting
-                        # queue[stale offset] silently skips frames,
-                        # and a skipped frame is lost forever (the
-                        # stream has no other retransmission path).
-                        offset = next_to_send - self._send_base[peer]
-                        if offset >= len(queue):
+                        if peer in self._held:
                             continue
-                    writer.write(queue[offset])
-                    next_to_send += 1
+                    # Acks that landed during a sleep moved the base;
+                    # _flush indexes from the cursor, never from an
+                    # offset computed before an await (a stale offset
+                    # skips frames, and a skipped frame is lost forever:
+                    # the stream has no other retransmission path).
+                    self._flush(link)
                     await writer.drain()
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
                 self.stats.reconnects += 1
@@ -489,55 +572,73 @@ class Transport:
                     self._rng, self._initial_backoff, backoff, self._max_backoff
                 )
             finally:
+                link.writer = None
                 if ack_task is not None:
                     ack_task.cancel()
                 writer.close()
 
     # -- receiving ---------------------------------------------------------
 
+    def _send_ack(self, inbound: _Inbound) -> None:
+        """Write the cumulative ack for *inbound*'s peer (timer callback)."""
+        inbound.ack_timer = None
+        inbound.writer.write(_COUNT.pack(self._delivered[inbound.peer]))
+
     async def _handle_inbound(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._inbound_writers.add(writer)
+        inbound = _Inbound(writer)
+        self._inbound.add(inbound)
         decoder = FrameDecoder()
-        peer: int | None = None
+        loop = asyncio.get_running_loop()
         try:
             while not self._closed:
                 data = await reader.read(64 * 1024)
                 if not data:
                     return
-                progressed = False
                 for frame in decoder.feed(data):
+                    peer = inbound.peer
                     if peer is None:
                         peer, nonce = parse_hello(frame)
+                        known = self._peer_nonce.get(peer) == nonce
                         _trace(
                             self.pid,
                             f"inbound hello from p{peer}: nonce "
-                            f"{'match' if self._peer_nonce.get(peer) == nonce else 'NEW'}"
-                            f", resume={self._delivered.get(peer, 0) if self._peer_nonce.get(peer) == nonce else 0}",
+                            f"{'match' if known else 'NEW'}, "
+                            f"resume={self._delivered.get(peer, 0) if known else 0}",
                         )
-                        if self._peer_nonce.get(peer) != nonce:
+                        if not known:
                             # New peer incarnation (first contact, or a
                             # crash-recovered restart): its stream
                             # starts over at frame zero. The recovered
                             # stack layer dedups re-sent messages.
                             self._peer_nonce[peer] = nonce
                             self._delivered[peer] = 0
+                        inbound.peer = peer
                         # Resume point: how many of this incarnation's
                         # frames were already delivered (over any
                         # connection).
-                        writer.write(_COUNT.pack(self._delivered.get(peer, 0)))
+                        writer.write(_COUNT.pack(self._delivered[peer]))
+                        await writer.drain()
                         continue
-                    self._delivered[peer] = self._delivered.get(peer, 0) + 1
+                    message = decode_message(frame)
+                    self._delivered[peer] += 1
                     self.stats.messages_received += 1
-                    progressed = True
-                    self._on_message(decode_message(frame))
-                if progressed:
-                    # One cumulative ack per read chunk, not per frame.
-                    writer.write(_COUNT.pack(self._delivered[peer]))
-                await writer.drain()
+                    self._on_message(message)
+                    if inbound.ack_timer is None:
+                        inbound.ack_timer = loop.call_later(
+                            ACK_INTERVAL, self._send_ack, inbound
+                        )
+        except NetworkError as exc:
+            # A frame that does not parse: drop the connection. The peer
+            # redials and resumes at the delivered count, i.e. at the
+            # offending frame, so line corruption heals and a sender
+            # that really emits garbage stays loudly disconnected.
+            _trace(self.pid, f"closing inbound connection: {exc}")
         except (ConnectionError, OSError):
-            return
+            pass
         finally:
-            self._inbound_writers.discard(writer)
+            if inbound.ack_timer is not None:
+                inbound.ack_timer.cancel()
+            self._inbound.discard(inbound)
             writer.close()

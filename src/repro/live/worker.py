@@ -479,13 +479,19 @@ class Worker:
                 random.Random(int(spec.get("seed", 1)) * 1000 + self.pid + 501),
             )
 
-        def gap() -> float:
-            assert self.runtime is not None
-            if sampler is not None:
-                return sampler.gap(self.runtime.now)
-            return interval
+        # Absolute deadlines, as the simulator's ArrivalSchedule: the
+        # next arrival is due one gap after the previous one was *due*,
+        # not after its handler returned, so the offered rate is the
+        # spec's whatever a tick costs. After a stall the overdue ticks
+        # fire back to back and meet a full flow-control window, which
+        # counts them as blocked attempts; none enters the stack.
+        if sampler is not None:
+            due = max(self.runtime.now, sampler.first_delay())
+        else:
+            due = max(self.runtime.now, rng.random() * interval)
 
         def tick() -> None:
+            nonlocal due
             assert self.runtime is not None and self.sender is not None
             if self.runtime.now > stop_at or not self.runtime.alive:
                 return
@@ -497,13 +503,10 @@ class Worker:
                 self._backpressure_stalls += 1
             else:
                 self.sender.offer()
-            loop.call_later(gap(), tick)
+            due += sampler.gap(due) if sampler is not None else interval
+            loop.call_later(due - self.runtime.now, tick)
 
-        if sampler is not None:
-            first_delay = max(0.0, sampler.first_delay() - self.runtime.now)
-        else:
-            first_delay = max(0.0, rng.random() * interval - self.runtime.now)
-        loop.call_later(first_delay, tick)
+        loop.call_later(due - self.runtime.now, tick)
 
     def _start_workload(self) -> None:
         """Arrivals + warm-up snapshot; runs at start, or after rejoin."""

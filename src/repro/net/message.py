@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import NetworkError
-from repro.net.wire import WIRE_FORMAT_VERSION, check_version, decode_value, encode_value
+from repro.net.wire import WIRE_FORMAT_VERSION, check_version, decode_value, encode_text
 
 _MSG_COUNTER = itertools.count()
 
@@ -73,35 +73,37 @@ class NetMessage:
         )
 
 
-def encode_message(message: NetMessage) -> bytes:
+def encode_message(message: NetMessage, payload_json: str | None = None) -> bytes:
     """Serialize *message* for the live transport (versioned, no pickle).
 
     ``uid`` travels too: it is only unique per sending process, but the
     receiving side uses it for tracing, never as a global key.
+    *payload_json*, when given, must be ``encode_text(message.payload)``:
+    a sender addressing one payload to several destinations serializes
+    it once and splices the same text into every envelope.
     """
-    document = {
-        "v": WIRE_FORMAT_VERSION,
-        "kind": message.kind,
-        "module": message.module,
-        "src": message.src,
-        "dst": message.dst,
-        "payload": encode_value(message.payload),
-        "payload_size": message.payload_size,
-        "header_size": message.header_size,
-        "uid": message.uid,
-    }
-    return json.dumps(document, separators=(",", ":")).encode("utf-8")
+    if payload_json is None:
+        payload_json = encode_text(message.payload)
+    # Hand-assembled envelope, byte-identical to dumping the equivalent
+    # dict with compact separators (pinned by a golden test).
+    return (
+        f'{{"v":{WIRE_FORMAT_VERSION},"kind":{json.dumps(message.kind)},'
+        f'"module":{json.dumps(message.module)},"src":{message.src},'
+        f'"dst":{message.dst},"payload":{payload_json},'
+        f'"payload_size":{message.payload_size},'
+        f'"header_size":{message.header_size},"uid":{message.uid}}}'
+    ).encode("utf-8")
 
 
 def decode_message(data: bytes) -> NetMessage:
     """Inverse of :func:`encode_message`.
 
-    Raises :class:`~repro.errors.NetworkError` on malformed input or a
-    wire-format version this build does not speak.
+    Raises :class:`~repro.errors.NetworkError` — and nothing else — on
+    malformed input or a wire-format version this build does not speak.
     """
     try:
         document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise NetworkError(f"malformed wire message: {exc}") from exc
     if not isinstance(document, dict):
         raise NetworkError(f"malformed wire message: {document!r}")
@@ -119,3 +121,5 @@ def decode_message(data: bytes) -> NetMessage:
         )
     except KeyError as exc:
         raise NetworkError(f"wire message missing field {exc}") from exc
+    except TypeError as exc:  # e.g. a size that does not compare to 0
+        raise NetworkError(f"malformed wire message: {exc}") from exc

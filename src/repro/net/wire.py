@@ -21,7 +21,9 @@ version instead of guessing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields, is_dataclass
+from math import isfinite
 from typing import Any, TypeVar
 
 from repro.errors import NetworkError
@@ -36,15 +38,18 @@ _T = TypeVar("_T")
 _CONTAINER_TAGS = frozenset({"tuple", "list", "dict", "frozenset", "bytes"})
 
 _BY_TAG: dict[str, type] = {}
-_BY_TYPE: dict[type, str] = {}
+#: Registered class -> (wire tag, text head, per-field ``("name":, name)``
+#: pairs), resolved once at registration so encoding never reflects on
+#: the class again. Head and keys are the constant pieces of the class's
+#: JSON text (see :func:`encode_text`).
+_SCHEMAS: dict[type, tuple[str, str, tuple[tuple[str, str], ...]]] = {}
 _payloads_loaded = False
 
+#: Exact scalar classes; subclasses (enums, ...) take the isinstance path.
+_SCALARS = frozenset({bool, int, float, str})
 
-def _field_names(cls: type) -> tuple[str, ...]:
-    """Wire field names of a registered payload class."""
-    if is_dataclass(cls):
-        return tuple(f.name for f in fields(cls))
-    return cls._fields  # NamedTuple
+#: Compact JSON text of one encoded structure.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def wire_payload(cls: type[_T]) -> type[_T]:
@@ -66,7 +71,12 @@ def wire_payload(cls: type[_T]) -> type[_T]:
     if registered is not None and registered is not cls:
         raise TypeError(f"duplicate wire payload tag {tag!r}")
     _BY_TAG[tag] = cls
-    _BY_TYPE[cls] = tag
+    if is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls))
+    else:
+        names = cls._fields  # NamedTuple
+    head = f'{{"$t":{_dumps(tag)},"f":{{'
+    _SCHEMAS[cls] = (tag, head, tuple((_dumps(n) + ":", n) for n in names))
     return cls
 
 
@@ -99,67 +109,114 @@ def _ensure_payloads() -> None:
 def encode_value(value: Any) -> Any:
     """Encode *value* into a JSON-serializable structure."""
     _ensure_payloads()
-    if value is None or isinstance(value, (bool, int, float, str)):
+    return _encode(value)
+
+
+def _encode(value: Any) -> Any:
+    cls = value.__class__
+    if value is None or cls in _SCALARS:
         return value
     # Registered payloads take precedence over the container branches:
     # NamedTuple payloads (e.g. MessageId) are tuples too, and must
     # round-trip as their registered type, not as a bare tuple.
-    tag = _BY_TYPE.get(type(value))
-    if tag is not None:
-        return {
-            "$t": tag,
-            "f": {
-                name: encode_value(getattr(value, name))
-                for name in _field_names(type(value))
-            },
-        }
+    schema = _SCHEMAS.get(cls)
+    if schema is not None:
+        tag, __, pairs = schema
+        return {"$t": tag, "f": {name: _encode(getattr(value, name)) for __, name in pairs}}
+    if isinstance(value, (bool, int, float, str)):
+        return value
     if isinstance(value, bytes):
         return {"$t": "bytes", "hex": value.hex()}
     if isinstance(value, tuple):
-        return {"$t": "tuple", "items": [encode_value(v) for v in value]}
+        return {"$t": "tuple", "items": [_encode(v) for v in value]}
     if isinstance(value, list):
-        return {"$t": "list", "items": [encode_value(v) for v in value]}
+        return {"$t": "list", "items": [_encode(v) for v in value]}
     if isinstance(value, frozenset):
-        items = sorted((encode_value(v) for v in value), key=repr)
+        items = sorted((_encode(v) for v in value), key=repr)
         return {"$t": "frozenset", "items": items}
     if isinstance(value, dict):
         return {
             "$t": "dict",
-            "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
+            "items": [[_encode(k), _encode(v)] for k, v in value.items()],
         }
     raise NetworkError(
-        f"cannot serialize unregistered payload type {type(value).__name__!r}; "
+        f"cannot serialize unregistered payload type {cls.__name__!r}; "
         "register it with @repro.net.wire.wire_payload"
     )
 
 
-def decode_value(encoded: Any) -> Any:
-    """Decode a structure produced by :func:`encode_value`."""
+def encode_text(value: Any) -> str:
+    """The compact JSON text of ``encode_value(value)``, as it travels.
+
+    What protocol messages are made of — registered payloads, ints,
+    finite floats, ``None`` and plain tuples — is written straight from
+    the precomputed schema pieces, without building the intermediate
+    structure; anything else takes the structural encoder. Both paths
+    yield the same text (property-tested).
+    """
     _ensure_payloads()
-    if encoded is None or isinstance(encoded, (bool, int, float, str)):
+    return _text(value)
+
+
+def _text(value: Any) -> str:
+    cls = value.__class__
+    if cls is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    schema = _SCHEMAS.get(cls)
+    if schema is not None:
+        __, head, pairs = schema
+        return (
+            head
+            + ",".join([key + _text(getattr(value, name)) for key, name in pairs])
+            + "}}"
+        )
+    if cls is float and isfinite(value):
+        return repr(value)
+    if cls is tuple:
+        return '{"$t":"tuple","items":[' + ",".join([_text(v) for v in value]) + "]}"
+    return _dumps(_encode(value))
+
+
+def decode_value(encoded: Any) -> Any:
+    """Decode a structure produced by :func:`encode_value`.
+
+    Anything else — wrong shapes, bad hex, unhashable keys, nesting
+    deeper than the interpreter's stack — raises
+    :class:`~repro.errors.NetworkError`, never a bare built-in error.
+    """
+    _ensure_payloads()
+    try:
+        return _decode(encoded)
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise NetworkError(f"malformed wire value: {exc!r}") from exc
+
+
+def _decode(encoded: Any) -> Any:
+    if encoded is None or encoded.__class__ in _SCALARS:
         return encoded
     if isinstance(encoded, list):  # only produced inside container tags
-        return [decode_value(v) for v in encoded]
+        return [_decode(v) for v in encoded]
     if not isinstance(encoded, dict):
+        if isinstance(encoded, (bool, int, float, str)):
+            return encoded
         raise NetworkError(f"malformed wire value: {encoded!r}")
     tag = encoded.get("$t")
+    cls = _BY_TAG.get(tag)
+    if cls is not None:
+        return cls(**{name: _decode(v) for name, v in encoded["f"].items()})
     if tag == "bytes":
         return bytes.fromhex(encoded["hex"])
     if tag == "tuple":
-        return tuple(decode_value(v) for v in encoded["items"])
+        return tuple([_decode(v) for v in encoded["items"]])
     if tag == "list":
-        return [decode_value(v) for v in encoded["items"]]
+        return [_decode(v) for v in encoded["items"]]
     if tag == "frozenset":
-        return frozenset(decode_value(v) for v in encoded["items"])
+        return frozenset([_decode(v) for v in encoded["items"]])
     if tag == "dict":
-        return {decode_value(k): decode_value(v) for k, v in encoded["items"]}
-    cls = _BY_TAG.get(tag)
-    if cls is None:
-        raise NetworkError(f"unknown wire payload tag {tag!r}")
-    try:
-        return cls(**{name: decode_value(v) for name, v in encoded["f"].items()})
-    except (KeyError, TypeError) as exc:
-        raise NetworkError(f"malformed {tag!r} payload: {exc}") from exc
+        return {_decode(k): _decode(v) for k, v in encoded["items"]}
+    raise NetworkError(f"unknown wire payload tag {tag!r}")
 
 
 def check_version(version: Any) -> None:

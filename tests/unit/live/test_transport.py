@@ -5,18 +5,21 @@ each test owns its loop and closes every transport it opened.
 """
 
 import asyncio
+import json
 import random
 import socket
 import struct
 
+from repro.live import transport as transport_module
 from repro.live.transport import (
     FrameDecoder,
     Transport,
     encode_frame,
+    hello_frame,
     next_backoff,
     parse_hello,
 )
-from repro.net.message import NetMessage
+from repro.net.message import NetMessage, encode_message
 
 
 def message(src: int, dst: int, seq: int) -> NetMessage:
@@ -112,7 +115,7 @@ class TestReconnect:
                 for seq in range(5):
                     a.send(message(0, 1, seq))
                 await asyncio.sleep(0.05)  # several failed dials
-                assert a.pending_to(1) == 5
+                assert a.unacked_to(1) == 5
                 b = Transport(1, addresses, received[1].append)
                 await b.start()
                 try:
@@ -389,7 +392,7 @@ class TestFaultHooks:
                     a.send(message(0, 1, seq))
                 await asyncio.sleep(0.05)
                 assert received[1] == []  # held, not lost
-                assert a.pending_to(1) == 3
+                assert a.unacked_to(1) == 3
                 a.release_links({1})
                 await wait_for(lambda: len(received[1]) == 3)
             finally:
@@ -439,6 +442,290 @@ class TestFaultHooks:
                 await wait_for(lambda: not a.congested)
             finally:
                 await a.close()
+                await b.close()
+
+        asyncio.run(run())
+
+
+async def started_pair(received, **kwargs):
+    """A connected pair: returns once a frame has crossed 0 -> 1."""
+    addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+    a = Transport(0, addresses, received[0].append, **kwargs)
+    b = Transport(1, addresses, received[1].append)
+    await a.start()
+    await b.start()
+    a.send(message(0, 1, -1))
+    await wait_for(lambda: received[1])
+    received[1].clear()
+    return a, b
+
+
+def queued_documents(transport, peer):
+    """The JSON documents sitting in *transport*'s queue for *peer*."""
+    decoder = FrameDecoder()
+    frames = decoder.feed(b"".join(transport._links[peer].queue))
+    return [json.loads(frame) for frame in frames]
+
+
+def payload_bytes(frame_document_bytes: bytes) -> bytes:
+    start = frame_document_bytes.index(b'"payload":') + len(b'"payload":')
+    return frame_document_bytes[start : frame_document_bytes.index(b',"payload_size"')]
+
+
+class TestWriteThrough:
+    def test_frame_is_on_the_socket_when_send_returns(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                link = a._links[1]
+                a.send(message(0, 1, 0))
+                # No await since send(): the sender task cannot have run.
+                assert link.next == link.base + len(link.queue)
+                await wait_for(lambda: received[1])
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(run())
+
+    def test_order_when_sends_interleave_with_a_held_backlog(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                a.hold_links({1})
+                for seq in range(3):
+                    a.send(message(0, 1, seq))
+                await asyncio.sleep(0.02)
+                assert received[1] == []
+                a.release_links({1})
+                # Written through at once, ahead of the sender task's
+                # wake-up: the backlog must still go first.
+                for seq in range(3, 6):
+                    a.send(message(0, 1, seq))
+                await wait_for(lambda: len(received[1]) == 6)
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == list(range(6))
+
+        asyncio.run(run())
+
+    def test_order_when_sends_interleave_with_a_delayed_backlog(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                a.set_link_delay({1}, 0.05)
+                for seq in range(3):
+                    a.send(message(0, 1, seq))
+                await asyncio.sleep(0.01)  # the sender task is mid-sleep
+                assert received[1] == []
+                a.clear_link_delay({1})
+                for seq in range(3, 6):
+                    a.send(message(0, 1, seq))
+                await wait_for(lambda: len(received[1]) == 6)
+                await asyncio.sleep(0.08)  # the sleep ends: nothing is resent
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == list(range(6))
+
+        asyncio.run(run())
+
+    def test_frames_queued_during_one_delay_sleep_leave_together(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                a.set_link_delay({1}, 0.03)
+                for seq in range(20):
+                    a.send(message(0, 1, seq))
+                # 20 sleeps in series would take 0.6 s.
+                await wait_for(lambda: len(received[1]) == 20, timeout=0.4)
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == list(range(20))
+
+        asyncio.run(run())
+
+
+class TestCoalescedAcks:
+    def test_back_to_back_frames_share_acks_and_the_queue_still_drains(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            acks = []
+            apply_ack = a._apply_ack
+
+            def counting(link, count):
+                acks.append(count)
+                apply_ack(link, count)
+
+            a._apply_ack = counting
+            total = 300
+            try:
+                for seq in range(total):
+                    a.send(message(0, 1, seq))
+                    if seq % 10 == 9:
+                        await asyncio.sleep(0)
+                await wait_for(lambda: len(received[1]) == total)
+                # No further traffic: the trailing ack must still come.
+                await wait_for(lambda: a.unacked_to(1) == 0, timeout=1.0)
+            finally:
+                await a.close()
+                await b.close()
+            assert acks == sorted(acks)
+            assert acks[-1] == total + 1  # cumulative, counting the probe frame
+            assert len(acks) < total / 5
+
+        asyncio.run(run())
+
+    def test_close_flushes_a_pending_ack(self, monkeypatch):
+        # The ack timer cannot fire on its own within this test.
+        monkeypatch.setattr(transport_module, "ACK_INTERVAL", 60.0)
+
+        async def run():
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            a, b = make_pair(addresses, received)
+            await a.start()
+            await b.start()
+            try:
+                a.send(message(0, 1, 0))
+                await wait_for(lambda: received[1])
+                assert a.unacked_to(1) == 1
+                await b.close()
+                await wait_for(lambda: a.unacked_to(1) == 0)
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(run())
+
+
+class TestEncodeOnce:
+    def fan_out(self, payload, uid_base):
+        return [
+            NetMessage(
+                kind="DIFFUSE",
+                module="abcast",
+                src=0,
+                dst=dst,
+                payload=payload,
+                payload_size=8,
+                header_size=4,
+                uid=uid_base + dst,
+            )
+            for dst in (1, 2)
+        ]
+
+    def unstarted(self, monkeypatch):
+        """A three-process endpoint that only queues, plus an encode counter."""
+        calls = []
+        encode_text = transport_module.encode_text
+
+        def counting(value):
+            calls.append(value)
+            return encode_text(value)
+
+        monkeypatch.setattr(transport_module, "encode_text", counting)
+        addresses = {pid: ("127.0.0.1", 1) for pid in range(3)}
+        return Transport(0, addresses, lambda m: None), calls
+
+    def test_send_to_all_encodes_its_payload_once(self, monkeypatch):
+        transport, calls = self.unstarted(monkeypatch)
+        payload = ("one payload", 1.5, None)
+        for m in self.fan_out(payload, uid_base=100):
+            transport.send(m)
+        assert len(calls) == 1
+        frames = [transport._links[dst].queue[0] for dst in (1, 2)]
+        assert payload_bytes(frames[0]) == payload_bytes(frames[1])
+        documents = [queued_documents(transport, dst)[0] for dst in (1, 2)]
+        assert [d["dst"] for d in documents] == [1, 2]
+        assert [d["uid"] for d in documents] == [101, 102]
+        for m, frame in zip(self.fan_out(payload, uid_base=100), frames):
+            assert frame == encode_frame(encode_message(m))
+
+    def test_different_payloads_in_a_row_never_share_an_entry(self, monkeypatch):
+        transport, calls = self.unstarted(monkeypatch)
+        first, second = ("a", 1), ("a", 2)
+        equal_twin = tuple(["a", 1])  # equal to `first`, another object
+        assert equal_twin == first and equal_twin is not first
+        for payload in (first, second, first, equal_twin):
+            transport.send(self.fan_out(payload, uid_base=0)[0])
+        assert [d["payload"]["items"] for d in queued_documents(transport, 1)] == [
+            ["a", 1], ["a", 2], ["a", 1], ["a", 1],
+        ]
+        assert len(calls) == 4  # identity, not equality; one entry, not a map
+
+    def test_a_recycled_object_id_cannot_alias_the_cached_payload(self, monkeypatch):
+        transport, __ = self.unstarted(monkeypatch)
+        for seq in range(200):
+            # Each payload dies right after send(); were the cache keyed
+            # by a bare id(), a successor could inherit its entry.
+            transport.send(self.fan_out([seq], uid_base=0)[0])
+        assert [d["payload"]["items"] for d in queued_documents(transport, 1)] == [
+            [seq] for seq in range(200)
+        ]
+
+
+class TestMalformedInbound:
+    def test_garbage_frame_closes_the_connection_and_the_stream_resumes(self):
+        async def run():
+            port = free_port()
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", port)}
+            received = []
+            b = Transport(1, addresses, received.append)
+            await b.start()
+
+            async def dial(frames):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_frame(hello_frame(0, nonce=7)))
+                (resume,) = struct.unpack(">Q", await reader.readexactly(8))
+                for frame in frames:
+                    writer.write(encode_frame(frame))
+                await writer.drain()
+                return resume, reader, writer
+
+            good = [encode_message(message(0, 1, seq)) for seq in range(3)]
+            bad = good[1].replace(b'"payload":1', b'"payload":{"$t":"bytes","hex":"zz"}')
+            assert bad != good[1]
+            try:
+                resume, reader, writer = await dial([good[0], bad, good[2]])
+                assert resume == 0
+                # The receiver hangs up at the bad frame (acks may precede EOF).
+                assert (await asyncio.wait_for(reader.read(), 5.0))[-8:] in (
+                    b"", struct.pack(">Q", 1),
+                )
+                writer.close()
+                assert [m.payload for m in received] == [0]
+                # A redial resumes at the delivered count: the offending
+                # frame's slot, nothing after it was consumed.
+                resume, reader, writer = await dial(good[1:])
+                assert resume == 1
+                await wait_for(lambda: len(received) == 3)
+                writer.close()
+            finally:
+                await b.close()
+            assert [m.payload for m in received] == [0, 1, 2]
+
+        asyncio.run(run())
+
+    def test_garbage_hello_closes_the_connection(self):
+        async def run():
+            port = free_port()
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", port)}
+            b = Transport(1, addresses, lambda m: None)
+            await b.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_frame(b'{"v": 1, "hello": "zero"}'))
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+            finally:
                 await b.close()
 
         asyncio.run(run())

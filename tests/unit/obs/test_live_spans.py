@@ -108,6 +108,28 @@ class TestConformance:
         assert pid_s == pid_d == 0
         assert t_deliver >= t_submit
 
+    def test_adeliver_span_times_the_application_upcall(self):
+        ticks = iter(range(100))
+        trace = TraceRecorder()
+        upper = Upper(ModuleContext(pid=0, n=3, suspects=lambda: frozenset()))
+        runtime = LiveRuntime(
+            0, 3, [upper], FakeTransport(), trace=trace,
+            clock=lambda: float(next(ticks)),
+        )
+        seen = []
+        # One clock reading inside the listener: the upcall "takes" 2.
+        runtime.set_adeliver_listener(
+            lambda pid, message, when: seen.append((when, runtime.now))
+        )
+        message = AppMessage(MessageId(0, 0), 512, 0.0)
+        runtime._execute_actions(upper, [EmitUp(AdeliverIndication(message))])
+        [span] = [s for s in spans_from_trace(trace) if s.name == "adeliver"]
+        [(when, __)] = seen
+        assert span.start == when
+        assert span.duration == 2.0
+        [(marker_time, __, __)] = adelivers(trace)
+        assert marker_time == when
+
     def test_worker_serialization_round_trips(self):
         # The worker ships spans as [time, category, process, detail]
         # JSON rows; the orchestrator must rebuild identical spans.
