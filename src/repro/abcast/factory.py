@@ -6,7 +6,7 @@ Two entry points:
   their own :class:`~repro.stack.module.ModuleContext` (unit tests, the
   nemesis broken-stack fixtures);
 * :func:`build_process` — modules plus a hosting runtime, built against
-  the :class:`~repro.stack.interface.RuntimeProtocol` contract so the
+  the :class:`~repro.stack.runtime.StackRuntime` interpreter so the
   same wiring serves the simulator's
   :class:`~repro.stack.runtime.ProcessRuntime` and the live
   :class:`~repro.live.runtime.LiveRuntime`.
@@ -33,13 +33,13 @@ from repro.config import ConsensusVariant, StackConfig, StackKind
 from repro.consensus.chandra_toueg import TextbookConsensus
 from repro.consensus.optimized import OptimizedConsensus
 from repro.errors import ConfigurationError
-from repro.stack.interface import RuntimeProtocol
 from repro.stack.module import Microprotocol, ModuleContext
+from repro.stack.runtime import StackRuntime
 
 #: Builds a runtime around a finished module list. The factory runs
 #: after the modules exist because every runtime implementation takes
 #: its stack at construction time.
-RuntimeFactory = Callable[[list[Microprotocol]], RuntimeProtocol]
+RuntimeFactory = Callable[[list[Microprotocol]], StackRuntime]
 
 #: Signature of :func:`build_stack`, for pluggable replacements.
 StackFactory = Callable[..., "list[Microprotocol]"]
@@ -144,7 +144,7 @@ def build_process(
     *,
     max_batch: int | None = None,
     stack_factory: StackFactory | None = None,
-) -> RuntimeProtocol:
+) -> StackRuntime:
     """Build one process: its module stack hosted on a runtime.
 
     The module context's ``suspects`` query must reach the runtime's
@@ -165,7 +165,7 @@ def build_process(
             stacks through this).
     """
     make_stack = stack_factory if stack_factory is not None else build_stack
-    holder: list[RuntimeProtocol] = []
+    holder: list[StackRuntime] = []
 
     def suspects() -> frozenset[int]:
         return holder[0].suspects() if holder else frozenset()

@@ -104,6 +104,15 @@ class SequencerAtomicBroadcast(Microprotocol):
             )
         return []
 
+    def resume_at(self, next_instance: int, delivered: set) -> None:
+        """Refuse crash recovery: a reborn process cannot learn which
+        global sequence numbers the sequencer already handed out, and
+        restarting at 0 would silently re-number delivered messages."""
+        raise ProtocolError(
+            f"stack module {self.name!r} does not support crash recovery "
+            "(fixed-sequencer atomic broadcast is good-runs-only)"
+        )
+
     # -- protocol ------------------------------------------------------------
 
     def _sequence(self, message: AppMessage) -> list[Action]:

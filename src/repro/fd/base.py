@@ -7,7 +7,7 @@ current output through their :class:`~repro.stack.module.ModuleContext`
 and are notified of changes via ``handle_suspicion``.
 
 A detector is attached to exactly one
-:class:`~repro.stack.runtime.ProcessRuntime`; it uses the runtime for
+:class:`~repro.stack.runtime.StackRuntime`; it uses the runtime for
 timers (:meth:`fd_schedule`) and, for the heartbeat implementation, real
 network messages (:meth:`fd_send`).
 """
@@ -20,30 +20,30 @@ from repro.errors import ProtocolError
 from repro.net.message import NetMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.stack.interface import RuntimeProtocol
+    from repro.stack.runtime import StackRuntime
 
 
 class FailureDetector:
     """Base failure detector: maintains and publishes a suspect set.
 
     Detectors talk to their process exclusively through the
-    :class:`~repro.stack.interface.RuntimeProtocol` surface (``now``,
+    :class:`~repro.stack.runtime.StackRuntime` surface (``now``,
     ``n``, ``fd_send``, ``fd_schedule``, ``on_suspicion_change``), so the
     same detector runs unchanged on the simulated and the live runtime.
     """
 
     def __init__(self) -> None:
         self._suspects: frozenset[int] = frozenset()
-        self._runtime: "RuntimeProtocol | None" = None
+        self._runtime: "StackRuntime | None" = None
 
     @property
-    def runtime(self) -> "RuntimeProtocol":
+    def runtime(self) -> "StackRuntime":
         """The runtime this detector is attached to."""
         if self._runtime is None:
             raise ProtocolError("failure detector is not attached to a runtime")
         return self._runtime
 
-    def attach(self, runtime: "RuntimeProtocol") -> None:
+    def attach(self, runtime: "StackRuntime") -> None:
         """Bind this detector to its process runtime (called by the runtime)."""
         self._runtime = runtime
 

@@ -10,8 +10,8 @@ testbed methodology:
 * :mod:`repro.live.transport` — length-prefixed framing over asyncio TCP
   with per-peer FIFO streams and reconnect-with-backoff;
 * :mod:`repro.live.runtime` — :class:`~repro.live.runtime.LiveRuntime`,
-  the wall-clock implementation of the
-  :class:`~repro.stack.interface.RuntimeProtocol` contract;
+  the wall-clock backend of the stack interpreter
+  (:class:`~repro.stack.runtime.StackRuntime`);
 * :mod:`repro.live.worker` — one protocol process (spawned as
   ``python -m repro.live.worker``);
 * :mod:`repro.live.deploy` — the orchestrator: spawns workers, drives

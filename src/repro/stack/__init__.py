@@ -2,10 +2,11 @@
 
 Protocol modules (:class:`~repro.stack.module.Microprotocol`) are pure
 state machines exchanging typed events; the per-process
-:class:`~repro.stack.runtime.ProcessRuntime` composes them into a stack
-and charges the CPU for every dispatch, boundary crossing and send —
-the mechanical cost of modularity the paper attributes to frameworks
-like Cactus.
+:class:`~repro.stack.runtime.StackRuntime` composes them into a stack
+and interprets their actions. Its simulated backend,
+:class:`~repro.stack.runtime.ProcessRuntime`, charges the CPU for every
+dispatch, boundary crossing and send — the mechanical cost of modularity
+the paper attributes to frameworks like Cactus.
 """
 
 from repro.stack.actions import (
@@ -30,7 +31,7 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import Microprotocol, ModuleContext
-from repro.stack.runtime import AdeliverListener, ProcessRuntime
+from repro.stack.runtime import AdeliverListener, ProcessRuntime, StackRuntime
 
 __all__ = [
     "PER_MESSAGE_OVERHEAD",
@@ -51,6 +52,7 @@ __all__ = [
     "RdeliverIndication",
     "Send",
     "SendToAll",
+    "StackRuntime",
     "StartTimer",
     "batch_wire_size",
     "message_wire_size",

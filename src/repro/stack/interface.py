@@ -1,29 +1,13 @@
-"""The runtime contract protocol modules (and their plumbing) rely on.
+"""Types shared by the stack interpreter, its backends and their callers.
 
-A *runtime* hosts one process's microprotocol stack: it routes network
-messages to modules by name, executes the actions handlers return, arms
-named timers, carries the failure-detector attachment and implements
-crash semantics. Two implementations exist:
-
-* :class:`~repro.stack.runtime.ProcessRuntime` — the discrete-event
-  simulation runtime, where timers live on the simulated kernel and every
-  operation charges modelled CPU time;
-* :class:`~repro.live.runtime.LiveRuntime` — the wall-clock runtime,
-  where timers live on the asyncio event loop and messages travel over
-  real TCP connections.
-
-Protocol modules never see the runtime directly (they only return
-:class:`~repro.stack.actions.Action` lists), but the workload generator,
-the failure detectors and the stack factory do; they are written against
-this :class:`RuntimeProtocol` so the same code drives both runtimes.
+The interpreter itself is :class:`repro.stack.runtime.StackRuntime`;
+this module only names the two callback shapes that cross its boundary.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
-from repro.stack.events import Event
-from repro.stack.module import Microprotocol
 from repro.types import AppMessage
 
 #: Listener signature for application-level deliveries:
@@ -32,7 +16,7 @@ AdeliverListener = Callable[[int, AppMessage, float], None]
 
 
 class TimerHandle(Protocol):
-    """A cancellable handle returned by :meth:`RuntimeProtocol.fd_schedule`.
+    """A cancellable handle, as returned by ``StackRuntime.fd_schedule``.
 
     Satisfied by the simulator's
     :class:`~repro.sim.eventq.ScheduledEvent` and by asyncio's
@@ -41,75 +25,4 @@ class TimerHandle(Protocol):
 
     def cancel(self) -> None:
         """Disarm the timer; a no-op if it already fired."""
-        ...  # pragma: no cover - protocol stub
-
-
-@runtime_checkable
-class RuntimeProtocol(Protocol):
-    """Everything a per-process runtime must provide.
-
-    The time base differs between implementations — simulated seconds on
-    the kernel versus wall-clock seconds since the run epoch — but the
-    *semantics* are identical: ``now`` is monotonic within a process,
-    timer delays are in the same unit as ``now``, and timestamps of
-    different processes are comparable (exactly in the simulator,
-    approximately in a live deployment).
-    """
-
-    pid: int
-    alive: bool
-
-    @property
-    def n(self) -> int:
-        """Group size."""
-        ...  # pragma: no cover - protocol stub
-
-    @property
-    def now(self) -> float:
-        """Current time in this runtime's time base (seconds)."""
-        ...  # pragma: no cover - protocol stub
-
-    @property
-    def modules(self) -> tuple[Microprotocol, ...]:
-        """The stack, top to bottom."""
-        ...  # pragma: no cover - protocol stub
-
-    def module(self, name: str) -> Microprotocol:
-        """Look up a module by routing name."""
-        ...  # pragma: no cover - protocol stub
-
-    def set_adeliver_listener(self, listener: AdeliverListener) -> None:
-        """Register the application callback for adelivered messages."""
-        ...  # pragma: no cover - protocol stub
-
-    def attach_failure_detector(self, fd: Any) -> None:
-        """Attach a failure detector (see :mod:`repro.fd`)."""
-        ...  # pragma: no cover - protocol stub
-
-    def start(self) -> None:
-        """Start the failure detector and every module (top to bottom)."""
-        ...  # pragma: no cover - protocol stub
-
-    def inject(self, event: Event) -> None:
-        """Deliver *event* from the application to the top module."""
-        ...  # pragma: no cover - protocol stub
-
-    def crash(self) -> None:
-        """Stop this process permanently (fail-stop model)."""
-        ...  # pragma: no cover - protocol stub
-
-    def suspects(self) -> frozenset[int]:
-        """Current failure-detector output."""
-        ...  # pragma: no cover - protocol stub
-
-    def on_suspicion_change(self, suspects: frozenset[int]) -> None:
-        """FD callback: propagate a new suspect set to every module."""
-        ...  # pragma: no cover - protocol stub
-
-    def fd_send(self, dst: int, kind: str, payload: Any, payload_size: int) -> None:
-        """Send a failure-detector message (routed to the peer FD)."""
-        ...  # pragma: no cover - protocol stub
-
-    def fd_schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        """Schedule an FD-internal callback; suppressed after a crash."""
         ...  # pragma: no cover - protocol stub

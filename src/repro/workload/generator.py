@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError
 from repro.flowcontrol.window import BacklogWindow
 from repro.sim.kernel import Kernel
 from repro.stack.events import AbcastRequest
-from repro.stack.interface import RuntimeProtocol
+from repro.stack.runtime import StackRuntime
 from repro.types import AppMessage, MessageId, SimTime
 
 #: Called when a message is accepted into the stack (for metrics).
@@ -124,7 +124,7 @@ class FlowControlledSender:
 
     def __init__(
         self,
-        runtime: RuntimeProtocol,
+        runtime: StackRuntime,
         window: BacklogWindow,
         message_size: int,
         *,

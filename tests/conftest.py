@@ -9,7 +9,8 @@ import pytest
 from repro.config import RunConfig, StackConfig, StackKind, WorkloadConfig
 from repro.net.message import NetMessage
 from repro.stack.actions import Action, EmitDown, EmitUp, Send, SendToAll
-from repro.stack.module import ModuleContext
+from repro.stack.events import Event
+from repro.stack.module import Microprotocol, ModuleContext
 from repro.types import AppMessage, Batch, MessageId
 
 _uid = itertools.count()
@@ -52,6 +53,62 @@ def net_message(
         payload_size=payload_size,
         header_size=0,
     )
+
+
+class Probe(Event):
+    """A typed event used to ping modules up/down a test stack."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+
+
+class Recorder(Microprotocol):
+    """A scriptable module that records stimuli and replays actions.
+
+    Every handler logs its stimulus and returns (then clears)
+    ``next_actions``, so a test scripts one step ahead of each stimulus.
+    """
+
+    name = "recorder"
+
+    def __init__(self, ctx: ModuleContext, name: str | None = None) -> None:
+        super().__init__(ctx)
+        if name:
+            self.name = name
+        self.log: list[tuple] = []
+        self.next_actions: list[Action] = []
+
+    def _pop_actions(self) -> list[Action]:
+        actions, self.next_actions = self.next_actions, []
+        return actions
+
+    def handle_event(self, event):
+        self.log.append(("event", event))
+        return self._pop_actions()
+
+    def handle_message(self, message):
+        self.log.append(("message", message.kind, message.src))
+        return self._pop_actions()
+
+    def handle_timer(self, name, payload):
+        self.log.append(("timer", name, payload))
+        return self._pop_actions()
+
+    def handle_suspicion(self, suspects):
+        self.log.append(("suspicion", suspects))
+        return self._pop_actions()
+
+
+class FakeTransport:
+    """Stands in for the live TCP transport: captures sends."""
+
+    def __init__(self) -> None:
+        self.sent: list[NetMessage] = []
+
+    def send(self, message: NetMessage) -> None:
+        self.sent.append(message)
 
 
 def sends(actions: list[Action]) -> list[Send]:

@@ -22,6 +22,7 @@ from repro.metrics.ordering import OrderingChecker
 ALL_COMBINATIONS = list(itertools.product((False, True), repeat=3))
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @pytest.mark.parametrize("combine,piggyback,cheap", ALL_COMBINATIONS)
 def test_every_optimization_subset_survives_coordinator_crash(
     combine, piggyback, cheap

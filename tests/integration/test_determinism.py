@@ -57,6 +57,7 @@ def test_different_seeds_differ(kind):
     assert a.metrics.latency_mean != b.metrics.latency_mean
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 def test_determinism_holds_under_faults():
     config = config_for(StackKind.MODULAR).with_changes(
         faultload=FaultloadConfig(crashes=(CrashEvent(0.3, 0),)),

@@ -31,6 +31,7 @@ def load_example(name: str):
     return module
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @pytest.mark.parametrize("name", QUICK_EXAMPLES)
 def test_example_runs_and_produces_output(name, capsys):
     module = load_example(name)
@@ -52,6 +53,7 @@ def test_kv_store_replicas_converge(capsys):
     assert "identical contents" in out
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 def test_fault_demo_verifies_safety(capsys):
     load_example("fault_injection_demo").main()
     out = capsys.readouterr().out

@@ -50,6 +50,7 @@ def run_checked(config, seed=1, drain=2.0):
     return sim, result, checker
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @pytest.mark.parametrize("kind", STACKS)
 def test_coordinator_crash_does_not_stop_delivery(kind):
     """p0 coordinates every instance's round 1; crashing it forces the
@@ -76,6 +77,7 @@ def test_non_coordinator_crash_is_benign(kind):
     assert len(checker.sequence(0)) > 200
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @pytest.mark.parametrize("kind", STACKS)
 def test_two_crashes_in_a_group_of_seven(kind):
     config = faulty_config(
@@ -118,6 +120,7 @@ def test_modular_sender_crash_mid_diffusion_preserves_uniform_agreement():
     assert len(checker.sequence(0)) > 20
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @pytest.mark.parametrize("kind", STACKS)
 def test_crash_detected_by_heartbeat_detector(kind):
     config = faulty_config(kind, crashes=[CrashEvent(0.7, 0)]).with_changes(
@@ -132,6 +135,7 @@ def test_crash_detected_by_heartbeat_detector(kind):
     assert len(checker.sequence(1)) > 100
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @pytest.mark.parametrize("kind", STACKS)
 def test_wrong_suspicion_of_live_coordinator_is_safe(kind):
     """◇S detectors may be wrong; suspecting the live p0 forces round

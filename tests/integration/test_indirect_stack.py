@@ -77,6 +77,7 @@ def test_halves_modular_data_volume():
     assert 0.4 < ratio < 0.6
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 def test_coordinator_crash_is_tolerated():
     config = indirect_config(
         failure_detector=FailureDetectorConfig(

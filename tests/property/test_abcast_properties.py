@@ -9,6 +9,7 @@ the abcast contract under every generated scenario.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,7 @@ def test_monolithic_contract_under_random_schedules(
     assert must_deliver <= set(reference)
 
 
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
 @settings(max_examples=10, deadline=None)
 @given(
     kind=st.sampled_from([StackKind.MODULAR, StackKind.MONOLITHIC]),

@@ -1,55 +1,21 @@
-"""LiveRuntime: routing, timers, crash semantics, contract conformance."""
+"""The live backend: wall-clock epoch, `on_crash`, FD timer hygiene.
+
+What `LiveRuntime` shares with the simulated backend (routing, action
+execution, timers, crash, FD plumbing) is in
+`tests/unit/stack/test_runtime_contract.py`.
+"""
 
 import asyncio
+import time
 
-import pytest
-
-from repro.errors import ProtocolError
 from repro.live.runtime import LiveRuntime
-from repro.net.message import NetMessage
-from repro.stack.actions import CancelTimer, EmitUp, Send, SendToAll, StartTimer
-from repro.stack.events import AdeliverIndication, Event
-from repro.stack.interface import RuntimeProtocol
-from repro.stack.module import Microprotocol, ModuleContext
-from repro.types import AppMessage, MessageId
+from repro.stack.actions import StartTimer
+
+from tests.conftest import FakeTransport, Probe, Recorder, make_ctx
 
 
-class FakeTransport:
-    """Captures sends instead of opening sockets."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, message):
-        self.sent.append(message)
-
-
-class Recorder(Microprotocol):
-    """Programmable module: replays canned actions, logs stimuli."""
-
-    name = "recorder"
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.log = []
-        self.on_timer_actions = []
-
-    def handle_event(self, event):
-        self.log.append(("event", type(event).__name__))
-        return []
-
-    def handle_message(self, message):
-        self.log.append(("message", message.kind))
-        return []
-
-    def handle_timer(self, name, payload):
-        self.log.append(("timer", name, payload))
-        return list(self.on_timer_actions)
-
-
-def make_runtime(n=3, crashes=None):
-    ctx = ModuleContext(pid=0, n=n, suspects=lambda: frozenset())
-    module = Recorder(ctx)
+def make_runtime(n=3, crashes=None, **kwargs):
+    module = Recorder(make_ctx(pid=0, n=n))
     transport = FakeTransport()
     runtime = LiveRuntime(
         0,
@@ -57,148 +23,67 @@ def make_runtime(n=3, crashes=None):
         [module],
         transport,
         on_crash=((lambda: crashes.append(1)) if crashes is not None else None),
+        **kwargs,
     )
     return runtime, module, transport
 
 
-class TestConformance:
-    def test_live_runtime_satisfies_the_contract(self):
-        runtime, __, __t = make_runtime()
-        assert isinstance(runtime, RuntimeProtocol)
-
-    def test_process_runtime_satisfies_the_contract(self):
-        from repro.config import RunConfig
-        from repro.experiments.runner import Simulation
-
-        sim = Simulation(RunConfig(n=3, duration=0.1))
-        assert isinstance(sim.runtimes[0], RuntimeProtocol)
-
-
-class TestRouting:
-    def message(self, module="recorder", kind="ping"):
-        return NetMessage(
-            kind=kind, module=module, src=1, dst=0, payload=None,
-            payload_size=0, header_size=4,
-        )
-
-    def test_network_message_reaches_module(self):
-        runtime, module, __ = make_runtime()
-        runtime.on_network_message(self.message())
-        assert module.log == [("message", "ping")]
-
-    def test_unknown_module_rejected(self):
-        runtime, __, __t = make_runtime()
-        with pytest.raises(ProtocolError):
-            runtime.on_network_message(self.message(module="nonexistent"))
-
-    def test_send_uses_cactus_header_stacking(self):
-        runtime, module, transport = make_runtime()
-        runtime._execute_actions(module, [Send(dst=2, kind="x", payload=1, payload_size=8)])
-        [sent] = transport.sent
-        net = runtime.net_config
-        assert sent.header_size == net.base_header + net.per_module_header
-        assert sent.dst == 2 and sent.src == 0
-
-    def test_send_to_all_targets_every_other_process(self):
-        runtime, module, transport = make_runtime(n=4)
-        runtime._execute_actions(module, [SendToAll(kind="x", payload=1, payload_size=8)])
-        assert sorted(m.dst for m in transport.sent) == [1, 2, 3]
-
-    def test_adeliver_reaches_listener(self):
-        runtime, module, __ = make_runtime()
-        seen = []
-        runtime.set_adeliver_listener(lambda pid, m, t: seen.append((pid, m)))
-        message = AppMessage(MessageId(1, 0), 8, 0.0)
-        runtime._execute_actions(module, [EmitUp(AdeliverIndication(message))])
-        assert seen == [(0, message)]
-
-
-class TestTimers:
-    def test_timer_fires_on_the_loop(self):
-        async def run():
-            runtime, module, __ = make_runtime()
-            runtime._execute_actions(
-                module, [StartTimer(name="tick", delay=0.01, payload="p")]
-            )
-            await asyncio.sleep(0.05)
-            assert ("timer", "tick", "p") in module.log
-
-        asyncio.run(run())
-
-    def test_cancel_prevents_firing(self):
-        async def run():
-            runtime, module, __ = make_runtime()
-            runtime._execute_actions(
-                module, [StartTimer(name="tick", delay=0.01, payload=None)]
-            )
-            runtime._execute_actions(module, [CancelTimer(name="tick")])
-            await asyncio.sleep(0.05)
-            assert module.log == []
-
-        asyncio.run(run())
-
-    def test_rearm_supersedes_earlier_timer(self):
-        async def run():
-            runtime, module, __ = make_runtime()
-            runtime._execute_actions(
-                module, [StartTimer(name="tick", delay=0.01, payload="old")]
-            )
-            runtime._execute_actions(
-                module, [StartTimer(name="tick", delay=0.02, payload="new")]
-            )
-            await asyncio.sleep(0.06)
-            assert module.log == [("timer", "tick", "new")]
-
-        asyncio.run(run())
-
-    def test_fd_schedule_suppressed_after_crash(self):
-        async def run():
-            crashes = []
-            runtime, __, __t = make_runtime(crashes=crashes)
-            fired = []
-            runtime.fd_schedule(0.01, lambda: fired.append(1))
-            runtime.crash()
-            await asyncio.sleep(0.05)
-            assert fired == []
-            assert len(crashes) == 1
-
-        asyncio.run(run())
-
-
 class TestCrash:
-    def test_crash_invokes_observer_and_stops_routing(self):
+    def test_crash_invokes_the_observer_exactly_once(self):
         crashes = []
-        runtime, module, transport = make_runtime(crashes=crashes)
+        runtime, module, __ = make_runtime(crashes=crashes)
+        runtime.crash()
         runtime.crash()
         assert len(crashes) == 1
         assert not runtime.alive
-        runtime.on_network_message(
-            NetMessage(
-                kind="late", module="recorder", src=1, dst=0, payload=None,
-                payload_size=0, header_size=4,
-            )
-        )
-        assert module.log == []
-        runtime.inject(Event())
-        assert module.log == []
 
-    def test_crash_cancels_pending_timers(self):
+    def test_crash_without_an_observer_is_allowed(self):
+        runtime, __, __t = make_runtime()
+        runtime.crash()
+        assert not runtime.alive
+
+    def test_crash_cancels_pending_protocol_and_fd_timers(self):
         async def run():
-            runtime, module, __ = make_runtime(crashes=[])
-            runtime._execute_actions(
-                module, [StartTimer(name="tick", delay=0.01, payload=None)]
-            )
+            crashes = []
+            runtime, module, __ = make_runtime(crashes=crashes)
+            module.next_actions = [StartTimer("tick", 0.01)]
+            runtime.inject(Probe("go"))
+            fired = []
+            handle = runtime.fd_schedule(0.01, lambda: fired.append(1))
             runtime.crash()
+            assert handle.cancelled() and runtime._fd_timers == []
             await asyncio.sleep(0.05)
-            assert module.log == []
+            assert fired == [] and len(module.log) == 1
+
+        asyncio.run(run())
+
+    def test_fired_fd_timers_are_pruned_not_accumulated(self):
+        async def run():
+            runtime, __, __t = make_runtime()
+            for __i in range(64):
+                runtime.fd_schedule(0.0, lambda: None)
+            await asyncio.sleep(0.01)
+            runtime.fd_schedule(10.0, lambda: None)
+            assert len(runtime._fd_timers) == 1
+            runtime.crash()
 
         asyncio.run(run())
 
 
-class TestEpoch:
+class TestClock:
     def test_now_is_relative_to_epoch(self):
-        import time
-
         runtime, __, __t = make_runtime()
         runtime.set_epoch(time.monotonic() - 100.0)
         assert runtime.now >= 100.0
+
+    def test_adeliver_and_timers_use_the_injected_clock_and_loop(self):
+        loop = asyncio.new_event_loop()
+        try:
+            runtime, module, __ = make_runtime(clock=lambda: 42.0, loop=loop)
+            assert runtime.loop is loop and runtime.now == 42.0
+            module.next_actions = [StartTimer("tick", 0.0, payload="p")]
+            runtime.inject(Probe("go"))
+            loop.run_until_complete(asyncio.sleep(0.01))
+            assert ("timer", "tick", "p") in module.log
+        finally:
+            loop.close()

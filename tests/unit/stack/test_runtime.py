@@ -1,67 +1,19 @@
-"""Unit tests for the per-process runtime: costs, routing, timers, crash."""
+"""The simulated backend: modelled cost, attribution and the network.
+
+What `ProcessRuntime` shares with the live backend (routing, action
+execution, timers, crash, FD plumbing) is in `test_runtime_contract.py`.
+"""
 
 import pytest
 
 from repro.config import CpuCosts, NetworkConfig
-from repro.errors import ProtocolError
 from repro.net.network import Network
 from repro.sim.kernel import Kernel
-from repro.stack.actions import (
-    CancelTimer,
-    EmitDown,
-    EmitUp,
-    Send,
-    SendToAll,
-    StartTimer,
-)
-from repro.stack.events import AdeliverIndication, Event
-from repro.stack.module import Microprotocol
+from repro.stack.actions import EmitDown, EmitUp, Send, StartTimer
+from repro.stack.events import AdeliverIndication
 from repro.stack.runtime import ProcessRuntime
 
-from tests.conftest import app_message, make_ctx
-
-
-class Probe(Event):
-    """A typed event used to ping modules up/down the test stack."""
-
-    __slots__ = ("tag",)
-
-    def __init__(self, tag: str) -> None:
-        self.tag = tag
-
-
-class Recorder(Microprotocol):
-    """A scriptable module that records stimuli and replays actions."""
-
-    name = "recorder"
-
-    def __init__(self, ctx, name=None):
-        super().__init__(ctx)
-        if name:
-            self.name = name
-        self.log = []
-        self.next_actions = []
-
-    def _pop_actions(self):
-        actions, self.next_actions = self.next_actions, []
-        return actions
-
-    def handle_event(self, event):
-        self.log.append(("event", event))
-        return self._pop_actions()
-
-    def handle_message(self, message):
-        self.log.append(("message", message.kind, message.src))
-        return self._pop_actions()
-
-    def handle_timer(self, name, payload):
-        self.log.append(("timer", name, payload))
-        return self._pop_actions()
-
-    def handle_suspicion(self, suspects):
-        self.log.append(("suspicion", suspects))
-        return self._pop_actions()
-
+from tests.conftest import Probe, Recorder, app_message, make_ctx
 
 FAST_NET = NetworkConfig(bandwidth=1e12, propagation=1e-6)
 
@@ -112,16 +64,6 @@ def test_send_is_routed_to_same_named_module():
     assert ("message", "PING", 0) in top(b).log
 
 
-def test_send_to_all_reaches_everyone_but_self():
-    kernel, network, runtimes = build_pair(n=3)
-    top(runtimes[0]).next_actions = [SendToAll("PING", None, 1)]
-    runtimes[0].inject(Probe("go"))
-    kernel.run()
-    assert ("message", "PING", 0) in top(runtimes[1]).log
-    assert ("message", "PING", 0) in top(runtimes[2]).log
-    assert all(entry[0] != "message" for entry in top(runtimes[0]).log)
-
-
 def test_send_charges_cpu_before_transmit():
     kernel, network, (a, b) = build_pair()
     top(a).next_actions = [Send(1, "PING", None, 0)]
@@ -134,171 +76,60 @@ def test_send_charges_cpu_before_transmit():
     assert kernel.now == pytest.approx(1e-6 + 100e-6 + 1e-6 + 100e-6 + 1e-6, rel=0.1)
 
 
-def test_emit_up_from_top_delivers_to_application():
-    kernel, network, (a, b) = build_pair()
-    received = []
-    a.set_adeliver_listener(lambda pid, m, t: received.append((pid, m, t)))
-    message = app_message()
-    top(a).next_actions = [EmitUp(AdeliverIndication(message))]
-    a.inject(Probe("go"))
-    kernel.run()
-    assert received and received[0][0] == 0
-    assert received[0][1] is message
-
-
-def test_emit_up_of_wrong_event_type_is_a_protocol_error():
-    kernel, network, (a, b) = build_pair()
-    top(a).next_actions = [EmitUp(Probe("bad"))]
-    with pytest.raises(ProtocolError):
-        a.inject(Probe("go"))
-
-
-def test_emit_down_routes_to_module_below():
+def test_every_charge_is_attributed_to_a_layer():
     kernel, network, (a, b) = build_pair(modules_per_stack=2)
-    probe = Probe("down")
-    top(a).next_actions = [EmitDown(probe)]
+    a.set_adeliver_listener(lambda pid, m, t: None)
+    top(a).next_actions = [EmitDown(Probe("down"))]
+    bottom(a).next_actions = [Send(1, "PING", None, 0)]
     a.inject(Probe("go"))
-    assert ("event", probe) in bottom(a).log
-
-
-def test_emit_down_from_bottom_is_a_protocol_error():
-    kernel, network, (a, b) = build_pair(modules_per_stack=1)
-    top(a).next_actions = [EmitDown(Probe("oops"))]
-    with pytest.raises(ProtocolError):
-        a.inject(Probe("go"))
-
-
-def test_headers_grow_with_module_height():
-    kernel, network, (a, b) = build_pair(modules_per_stack=2)
-    sizes = []
-    original = network.transmit
-
-    def spy(message, depart):
-        sizes.append((message.module, message.header_size))
-        original(message, depart)
-
-    network.transmit = spy
-    top(a).next_actions = [Send(1, "HI", None, 0)]  # height 1
-    bottom(a).next_actions = [Send(1, "LO", None, 0)]  # height 0
-    a.inject(Probe("go"))
-    a._run_handler(bottom(a), lambda: bottom(a)._pop_actions() or [Send(1, "LO", None, 0)])
-    kernel.run()
-    by_module = dict(sizes)
-    base, per_mod = FAST_NET.base_header, FAST_NET.per_module_header
-    assert by_module["m0"] == base + 2 * per_mod
-    assert by_module["m1"] == base + per_mod
-
-
-def test_timer_fires_with_payload():
-    kernel, network, (a, b) = build_pair()
-    top(a).next_actions = [StartTimer("tick", 0.5, payload="data")]
-    a.inject(Probe("go"))
-    kernel.run()
-    assert ("timer", "tick", "data") in top(a).log
-    assert kernel.now >= 0.5
-
-
-def test_timer_rearm_replaces_previous():
-    kernel, network, (a, b) = build_pair()
-    top(a).next_actions = [StartTimer("tick", 0.5, payload="old")]
-    a.inject(Probe("go"))
-    top(a).next_actions = [StartTimer("tick", 1.0, payload="new")]
+    top(a).next_actions = [EmitUp(AdeliverIndication(app_message()))]
     a.inject(Probe("again"))
+    # m0: two injects; m1: one dispatch + one send at height 0;
+    # boundary: the one EmitDown; app: the one adeliver.
+    assert a.layer_busy == pytest.approx(
+        {"m0": 2e-6, "m1": 1e-6 + 100e-6, "fd": 0.0, "app": 1e-6}
+    )
+    assert a.boundary_busy == pytest.approx(10e-6)
+    assert a.boundary_crossings == 1
+    assert a.cpu.busy_time == pytest.approx(
+        sum(a.layer_busy.values()) + a.boundary_busy
+    )
     kernel.run()
-    fired = [e for e in top(a).log if e[0] == "timer"]
-    assert fired == [("timer", "tick", "new")]
+    # The arrival at height 0 of the peer crosses nothing.
+    assert b.layer_busy["m1"] == pytest.approx(100e-6 + 1e-6)
+    assert b.boundary_crossings == 0
 
 
-def test_cancelled_timer_never_fires():
+def test_timer_starts_when_the_arming_handlers_work_ends():
     kernel, network, (a, b) = build_pair()
-    top(a).next_actions = [StartTimer("tick", 0.5)]
+    top(a).next_actions = [Send(1, "PING", None, 0), StartTimer("tick", 0.5)]
     a.inject(Probe("go"))
-    top(a).next_actions = [CancelTimer("tick")]
-    a.inject(Probe("again"))
     kernel.run()
-    assert all(e[0] != "timer" for e in top(a).log)
-
-
-def test_cancel_unknown_timer_is_noop():
-    kernel, network, (a, b) = build_pair()
-    top(a).next_actions = [CancelTimer("ghost")]
-    a.inject(Probe("go"))  # must not raise
-
-
-def test_crashed_process_stops_handling():
-    kernel, network, (a, b) = build_pair()
-    a.crash()
-    a.inject(Probe("go"))
-    assert top(a).log == []
-    assert not a.alive
-
-
-def test_crash_prevents_timer_firing():
-    kernel, network, (a, b) = build_pair()
-    top(a).next_actions = [StartTimer("tick", 0.5)]
-    a.inject(Probe("go"))
-    kernel.schedule(0.1, a.crash)
-    kernel.run()
-    assert all(e[0] != "timer" for e in top(a).log)
-
-
-def test_crash_after_sends_interrupts_a_broadcast():
-    kernel, network, runtimes = build_pair(n=4)
-    runtimes[0].crash_after_sends(2)
-    top(runtimes[0]).next_actions = [SendToAll("PING", None, 1)]
-    runtimes[0].inject(Probe("go"))
-    kernel.run()
-    receivers = [
-        pid
-        for pid in (1, 2, 3)
-        if ("message", "PING", 0) in top(runtimes[pid]).log
-    ]
-    assert len(receivers) == 2  # third send never happened
-    assert not runtimes[0].alive
+    assert ("timer", "tick", None) in top(a).log
+    # The handler is the run's last event: the inject dispatch and the
+    # send precede the 0.5 s, one dispatch follows it.
+    assert kernel.now == pytest.approx(1e-6 + 100e-6 + 0.5 + 1e-6, abs=1e-9)
 
 
 def test_crashed_destination_does_not_receive():
     kernel, network, (a, b) = build_pair()
     b.crash()
+    assert b.crashed_at == 0.0
     top(a).next_actions = [Send(1, "PING", None, 1)]
     a.inject(Probe("go"))
     kernel.run()
     assert top(b).log == []
 
 
-def test_messages_to_unknown_module_raise():
+def test_crash_between_arrival_and_execution_drops_the_message():
     kernel, network, (a, b) = build_pair()
-    # Bypass module naming by sending from a renamed module.
-    top(a).name = "other"
-    a._by_name["other"] = top(a)
-    a._height["other"] = 0
-    top(a).next_actions = [Send(1, "PING", None, 1)]
+    top(a).next_actions = [Send(1, "PING", None, 0)]
     a.inject(Probe("go"))
-    with pytest.raises(ProtocolError):
-        kernel.run()
-
-
-def test_duplicate_module_names_rejected():
-    kernel = Kernel()
-    network = Network(kernel, 2, FAST_NET)
-    ctx = make_ctx(pid=0, n=2)
-    with pytest.raises(ProtocolError):
-        ProcessRuntime(
-            0,
-            [Recorder(ctx, name="dup"), Recorder(ctx, name="dup")],
-            kernel=kernel, network=network,
-            costs=SIMPLE_COSTS, net_config=FAST_NET,
-        )
-
-
-def test_empty_stack_rejected():
-    kernel = Kernel()
-    network = Network(kernel, 2, FAST_NET)
-    with pytest.raises(ProtocolError):
-        ProcessRuntime(
-            0, [], kernel=kernel, network=network,
-            costs=SIMPLE_COSTS, net_config=FAST_NET,
-        )
+    # The frame arrives just after 101 µs and p1 handles it 101 µs of
+    # CPU later; crash p1 in between.
+    kernel.schedule(150e-6, b.crash)
+    kernel.run()
+    assert top(b).log == []
 
 
 def test_serialize_once_for_broadcasts():
@@ -318,8 +149,3 @@ def test_serialize_once_for_broadcasts():
     # Only the first copy pays serialization: ~1000µs once, not twice.
     wire = 1000 + FAST_NET.base_header + FAST_NET.per_module_header
     assert a.cpu.busy_time == pytest.approx(wire * 1e-6, rel=1e-6)
-
-
-def test_suspects_empty_without_fd():
-    kernel, network, (a, b) = build_pair()
-    assert a.suspects() == frozenset()
