@@ -7,13 +7,18 @@ Fortika testbed.
 
 Topology: every process listens on one TCP port and additionally dials
 one *outgoing* connection per peer, used exclusively for its own sends
-to that peer. Inbound connections are receive-only. Each peer has one
-FIFO queue and one transmit cursor into it, advanced by one function
-(:meth:`Transport._flush`), which makes per-(src, dst) ordering
-structural rather than accidental: ``send()`` calls it directly while
-the link is up and unfaulted (the frame reaches the socket inside the
-handler that produced it), and the peer's sender task calls it after a
-(re)connect, a released HOLD or a delay sleep.
+to that peer. Inbound connections are receive-only. Both ends of a
+connection are one :class:`asyncio.BufferedProtocol` class
+(:class:`_Connection`): the event loop reads the socket straight into
+the connection's own preallocated buffer, and frames (inbound end) or
+cumulative acks (outbound end) are parsed and acted on inside that read
+callback. Each peer has one FIFO queue and one transmit cursor into it,
+advanced by one function (:meth:`Transport._flush`), which makes
+per-(src, dst) ordering structural rather than accidental: ``send()``
+calls it directly while the link is up and unfaulted (the frame reaches
+the socket inside the handler that produced it), and the peer's sender
+task calls it after a (re)connect, a released HOLD, a delay sleep or a
+write buffer that drained.
 
 Framing: each frame is a 4-byte big-endian length prefix followed by
 the body (see :func:`encode_frame` / :class:`FrameDecoder`; the decoder
@@ -31,11 +36,12 @@ cumulative acks back, at most one per :data:`ACK_INTERVAL`; the sender
 dequeues a frame only once acked and, after reconnecting, resumes
 transmission exactly at the receiver's resume point. Acks only trim the
 retransmit queue (the resume point is the receiver's delivered count,
-never the last ack), so delaying them costs memory, not correctness. TCP alone cannot give this — a write into a
-connection whose peer already vanished "succeeds" into the socket
-buffer — which is why the ack layer exists. An outage therefore delays
-messages rather than dropping or duplicating them, the quasi-reliable
-FIFO channel the protocol stacks assume.
+never the last ack), so delaying them costs memory, not correctness.
+TCP alone cannot give this — a write into a connection whose peer
+already vanished "succeeds" into the socket buffer — which is why the
+ack layer exists. An outage therefore delays messages rather than
+dropping or duplicating them, the quasi-reliable FIFO channel the
+protocol stacks assume.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import os
 import random
 import struct
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Callable
 
@@ -67,6 +74,16 @@ _COUNT = struct.Struct(">Q")
 #: frames take to queue up, long against the gap between frames under
 #: load (so one ack covers many).
 ACK_INTERVAL = 0.005
+
+#: Bytes of receive buffer the accepting end of a connection
+#: preallocates. One fill holds a few hundred protocol frames; a frame
+#: that does not fit is given a buffer of exactly its size for as long
+#: as it is in flight.
+RECV_BUFFER = 64 * 1024
+
+#: The same for the dialing end, which only ever reads cumulative counts
+#: (at most one per :data:`ACK_INTERVAL`).
+COUNT_BUFFER = 64 * _COUNT.size
 
 #: Callback invoked with every decoded protocol message.
 MessageHandler = Callable[[NetMessage], None]
@@ -110,6 +127,33 @@ def encode_frame(body: bytes) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def _scan_frames(
+    view: memoryview, end: int, max_frame: int
+) -> tuple[list[bytes], int, int]:
+    """Split ``view[:end]`` into the complete frames it starts with.
+
+    Returns ``(frames, consumed, need)``: the frame bodies in order, how
+    many bytes they and their prefixes took, and the total size (prefix
+    included) of the incomplete frame that follows — 0 while not even
+    its length prefix is complete.
+    """
+    frames: list[bytes] = []
+    cursor = 0
+    need = 0
+    prefix = _LENGTH.size
+    while end - cursor >= prefix:
+        (length,) = _LENGTH.unpack_from(view, cursor)
+        if length > max_frame:
+            raise NetworkError(f"incoming frame of {length} bytes exceeds {max_frame}")
+        stop = cursor + prefix + length
+        if stop > end:
+            need = prefix + length
+            break
+        frames.append(bytes(view[cursor + prefix : stop]))
+        cursor = stop
+    return frames, cursor, need
+
+
 class FrameDecoder:
     """Incremental frame parser tolerant of split and coalesced reads.
 
@@ -122,21 +166,15 @@ class FrameDecoder:
         self._buffer = bytearray()
         self._max_frame = max_frame
 
-    def feed(self, data: bytes) -> list[bytes]:
+    def feed(self, data: bytes | bytearray | memoryview) -> list[bytes]:
         """Absorb *data*; return every frame it completed, in order."""
-        self._buffer.extend(data)
-        frames: list[bytes] = []
-        while len(self._buffer) >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self._max_frame:
-                raise NetworkError(
-                    f"incoming frame of {length} bytes exceeds {self._max_frame}"
-                )
-            if len(self._buffer) < _LENGTH.size + length:
-                break
-            start = _LENGTH.size
-            frames.append(bytes(self._buffer[start : start + length]))
-            del self._buffer[: start + length]
+        buffer = self._buffer
+        buffer += data
+        # The view must be gone before the bytearray is resized.
+        with memoryview(buffer) as view:
+            frames, consumed, __ = _scan_frames(view, len(buffer), self._max_frame)
+        if consumed:
+            del buffer[:consumed]
         return frames
 
     @property
@@ -197,7 +235,7 @@ class TransportStats:
 class _Link:
     """Outbound state towards one peer."""
 
-    __slots__ = ("queue", "base", "next", "writer", "wake")
+    __slots__ = ("queue", "base", "next", "writer", "paused", "wake")
 
     def __init__(self) -> None:
         #: Frames sent (or waiting to be) and not yet acked, oldest first.
@@ -208,25 +246,153 @@ class _Link:
         #: Global stream index of the next frame to put on the socket;
         #: meaningful while ``writer`` is set.
         self.next = 0
-        #: The connection's writer once the handshake is complete,
+        #: The connection's transport once the handshake is complete,
         #: ``None`` while disconnected.
-        self.writer: asyncio.StreamWriter | None = None
+        self.writer: asyncio.WriteTransport | None = None
+        #: True between the connection's ``pause_writing`` and
+        #: ``resume_writing``: the socket buffer is above its high-water
+        #: mark, so frames stay in ``queue`` instead of piling up there.
+        self.paused = False
         #: Wakes the sender task: work it must do itself (a frame for a
-        #: link that is down, held or delayed), a released HOLD, a dead
-        #: connection, or shutdown.
+        #: link that is down, held, delayed or paused), a released HOLD,
+        #: a drained write buffer, a dead connection, or shutdown.
         self.wake = asyncio.Event()
 
 
-class _Inbound:
-    """Receive-side state of one accepted connection."""
+class _Connection(asyncio.BufferedProtocol):
+    """One TCP connection between two transports, seen from either end.
 
-    __slots__ = ("writer", "peer", "ack_timer")
+    The dialing end (*link* given) writes a HELLO and then frames, and
+    reads cumulative frame counts: the first is the receiver's resume
+    point, handed to the sender task through :attr:`resume`; the rest
+    are acks. The accepting end (no *link*) reads the HELLO and then
+    frames, and writes those counts.
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    Buffer ownership: the connection owns its receive buffer. The event
+    loop fills the view :meth:`get_buffer` returned and reports through
+    :meth:`buffer_updated`, which acts on everything complete before it
+    returns, hands out copies only (``bytes`` frames, ``int`` counts)
+    and moves the unparsed remainder to the front — once per fill.
+    Nothing outside this class ever holds a view into the buffer, so it
+    may be compacted or replaced between fills.
+    """
+
+    def __init__(self, owner: Transport, link: _Link | None = None) -> None:
+        self._owner = owner
+        self._link = link
+        self._loop = asyncio.get_running_loop()
+        self._size = RECV_BUFFER if link is None else COUNT_BUFFER
+        self._view = memoryview(bytearray(self._size))
+        #: Bytes at the front of the buffer not parsed yet.
+        self._filled = 0
+        if link is None:
+            self._parse = self._read_frames
+        else:
+            self._parse = self._read_counts
+            #: Resolves to the receiver's resume point, or fails with a
+            #: ``ConnectionResetError`` if the connection dies first.
+            self.resume: asyncio.Future[int] = self._loop.create_future()
+        self.transport: asyncio.Transport | None = None
+        #: Accepting end: the dialing pid once its HELLO was read.
         self.peer: int | None = None
-        #: Armed while frames were delivered that no ack covers yet.
+        #: Accepting end: armed while frames were delivered that no ack
+        #: covers yet.
         self.ack_timer: asyncio.TimerHandle | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self._link is None:
+            self._owner._inbound.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        link = self._link
+        if link is None:
+            if self.ack_timer is not None:
+                self.ack_timer.cancel()
+            self._owner._inbound.discard(self)
+            return
+        if not self.resume.done():
+            self.resume.set_exception(
+                ConnectionResetError("peer closed the connection")
+            )
+        # Disconnected now, not when the sender task gets to run: send()
+        # must stop writing through to a dead socket.
+        if link.writer is self.transport:
+            link.writer = None
+        link.wake.set()
+
+    def pause_writing(self) -> None:
+        if self._link is not None:
+            self._link.paused = True
+
+    def resume_writing(self) -> None:
+        link = self._link
+        if link is not None:
+            link.paused = False
+            link.wake.set()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._filled :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        end = self._filled + nbytes
+        try:
+            consumed, need = self._parse(end)
+        except NetworkError as exc:
+            # Bytes that do not parse: drop the connection. The peer
+            # redials and resumes at the delivered count, i.e. at the
+            # offending frame, so line corruption heals and a sender
+            # that really emits garbage stays loudly disconnected.
+            _trace(self._owner.pid, f"closing connection: {exc}")
+            self.transport.close()
+            return
+        rest = end - consumed
+        size = max(need, self._size)
+        if size != len(self._view):
+            # A frame larger than the buffer is on its way (or has just
+            # been consumed): move to a buffer of its size (or back).
+            view = memoryview(bytearray(size))
+            view[:rest] = self._view[consumed:end]
+            self._view = view
+        elif consumed and rest:
+            self._view[:rest] = self._view[consumed:end]
+        self._filled = rest
+
+    def _read_counts(self, end: int) -> tuple[int, int]:
+        """Dialing end: take every complete cumulative count."""
+        consumed = end - end % _COUNT.size
+        for offset in range(0, consumed, _COUNT.size):
+            (count,) = _COUNT.unpack_from(self._view, offset)
+            if self.resume.done():
+                self._owner._apply_ack(self._link, count)
+            else:
+                self.resume.set_result(count)
+        return consumed, 0
+
+    def _read_frames(self, end: int) -> tuple[int, int]:
+        """Accepting end: deliver every complete frame."""
+        frames, consumed, need = _scan_frames(self._view, end, MAX_FRAME_SIZE)
+        owner = self._owner
+        for frame in frames:
+            peer = self.peer
+            if peer is None:
+                self.peer = peer = owner._greet(frame)
+                # Resume point: how many of this incarnation's frames
+                # were already delivered (over any connection).
+                self.transport.write(_COUNT.pack(owner._delivered[peer]))
+                continue
+            message = decode_message(frame)
+            owner._delivered[peer] += 1
+            owner.stats.messages_received += 1
+            owner._on_message(message)
+            if self.ack_timer is None:
+                self.ack_timer = self._loop.call_later(ACK_INTERVAL, self.send_ack)
+        return consumed, need
+
+    def send_ack(self) -> None:
+        """Write the cumulative ack for this connection's peer."""
+        self.ack_timer = None
+        self.transport.write(_COUNT.pack(self._owner._delivered[self.peer]))
 
 
 class Transport:
@@ -303,7 +469,7 @@ class Transport:
             self._delivered[peer] = count
         self._server: asyncio.base_events.Server | None = None
         self._sender_tasks: list[asyncio.Task] = []
-        self._inbound: set[_Inbound] = set()
+        self._inbound: set[_Connection] = set()
         self._closed = False
         #: Peers whose outbound frames are held back (fault injection:
         #: HOLD-mode partition — frames queue up and flow on release).
@@ -319,7 +485,9 @@ class Transport:
     async def start(self) -> None:
         """Bind the listening socket and begin dialing every peer."""
         host, port = self._addresses[self.pid]
-        self._server = await asyncio.start_server(self._handle_inbound, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_Connection, self), host, port
+        )
         for peer in self._links:
             task = asyncio.create_task(
                 self._sender_loop(peer), name=f"transport.p{self.pid}->p{peer}"
@@ -345,8 +513,8 @@ class Transport:
         for inbound in list(self._inbound):
             if inbound.ack_timer is not None:
                 inbound.ack_timer.cancel()
-                self._send_ack(inbound)
-            inbound.writer.close()
+                inbound.send_ack()
+            inbound.transport.close()
         self._inbound.clear()
 
     @property
@@ -364,9 +532,9 @@ class Transport:
         FIFO per destination: frames enter the peer's queue in ``send()``
         call order and :meth:`_flush` is the only thing that moves the
         transmit cursor, always forward over that queue. While the link
-        is connected and neither held nor delayed the frame is written
-        to the socket here; otherwise the sender task is woken to do it
-        when the link allows.
+        is connected and neither held, delayed nor paused by the event
+        loop's write back-pressure, the frame is written to the socket
+        here; otherwise the sender task does it when the link allows.
         """
         if self._closed:
             return
@@ -398,7 +566,14 @@ class Transport:
             link.wake.set()
 
     def _flush(self, link: _Link) -> None:
-        """Write every queued frame from the cursor on, in one write."""
+        """Write every queued frame from the cursor on, in one write.
+
+        Not while the socket buffer is above its high-water mark: the
+        connection's ``resume_writing`` wakes the sender task, which
+        flushes what accumulated in the meantime, in queue order.
+        """
+        if link.paused:
+            return
         offset = link.next - link.base
         queue = link.queue
         pending = len(queue) - offset
@@ -492,13 +667,6 @@ class Transport:
             queue.popleft()
             link.base += 1
 
-    async def _ack_loop(self, link: _Link, reader: asyncio.StreamReader) -> None:
-        """Consume cumulative acks until the connection dies."""
-        while True:
-            data = await reader.readexactly(_COUNT.size)
-            (count,) = _COUNT.unpack(data)
-            self._apply_ack(link, count)
-
     async def _sender_loop(self, peer: int) -> None:
         """Dial *peer*, handshake, and transmit whatever ``send()`` may not.
 
@@ -506,11 +674,14 @@ class Transport:
         ``link.wake``: frames go out through ``send()``'s write-through.
         """
         link = self._links[peer]
+        loop = asyncio.get_running_loop()
         backoff = self._initial_backoff
         while not self._closed:
             host, port = self._addresses[peer]
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                writer, connection = await loop.create_connection(
+                    partial(_Connection, self, link), host, port
+                )
             except OSError:
                 await asyncio.sleep(backoff)
                 backoff = next_backoff(
@@ -518,16 +689,14 @@ class Transport:
                 )
                 continue
             backoff = self._initial_backoff
-            ack_task: asyncio.Task | None = None
             try:
                 writer.write(encode_frame(hello_frame(self.pid, self.nonce)))
-                await writer.drain()
                 # The receiver opens with its resume point: how many of
                 # our frames it has delivered. Anything below it was
                 # received even if the ack got lost with the previous
                 # connection; transmission restarts exactly there, so
                 # the stream is exactly-once and in-order end to end.
-                (resume,) = _COUNT.unpack(await reader.readexactly(_COUNT.size))
+                resume = await connection.resume
                 _trace(
                     self.pid,
                     f"connected to p{peer}: resume={resume} "
@@ -540,23 +709,28 @@ class Transport:
                 # frames already acked by the predecessor are gone, so
                 # transmission continues from the first unacked frame.
                 link.next = max(resume, link.base)
-                ack_task = asyncio.create_task(self._ack_loop(link, reader))
-                ack_task.add_done_callback(lambda _task: link.wake.set())
                 link.writer = writer
                 while not self._closed:
-                    if ack_task.done():
+                    if writer.is_closing():
                         raise ConnectionResetError("peer closed the connection")
                     # No await between this test and wait(): a send()
                     # that needs this task cannot slip in unseen.
                     link.wake.clear()
-                    if peer in self._held or link.next >= link.base + len(link.queue):
+                    if (
+                        peer in self._held
+                        or link.paused
+                        or link.next >= link.base + len(link.queue)
+                    ):
                         await link.wake.wait()
                         continue
                     pause = self._extra_delay.get(peer)
                     if pause is not None:
                         extra, jitter = pause
                         await asyncio.sleep(extra + self._rng.uniform(0.0, jitter))
-                        if peer in self._held:
+                        # The link may have been held, or the connection
+                        # lost (link.writer is None then), meanwhile:
+                        # back to the tests at the top of the loop.
+                        if peer in self._held or writer.is_closing():
                             continue
                     # Acks that landed during a sleep moved the base;
                     # _flush indexes from the cursor, never from an
@@ -564,8 +738,7 @@ class Transport:
                     # skips frames, and a skipped frame is lost forever:
                     # the stream has no other retransmission path).
                     self._flush(link)
-                    await writer.drain()
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            except (ConnectionError, OSError):
                 self.stats.reconnects += 1
                 await asyncio.sleep(backoff)
                 backoff = next_backoff(
@@ -573,72 +746,28 @@ class Transport:
                 )
             finally:
                 link.writer = None
-                if ack_task is not None:
-                    ack_task.cancel()
+                link.paused = False
                 writer.close()
 
     # -- receiving ---------------------------------------------------------
 
-    def _send_ack(self, inbound: _Inbound) -> None:
-        """Write the cumulative ack for *inbound*'s peer (timer callback)."""
-        inbound.ack_timer = None
-        inbound.writer.write(_COUNT.pack(self._delivered[inbound.peer]))
+    def _greet(self, frame: bytes) -> int:
+        """Take an inbound HELLO; returns the dialing pid.
 
-    async def _handle_inbound(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        inbound = _Inbound(writer)
-        self._inbound.add(inbound)
-        decoder = FrameDecoder()
-        loop = asyncio.get_running_loop()
-        try:
-            while not self._closed:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    return
-                for frame in decoder.feed(data):
-                    peer = inbound.peer
-                    if peer is None:
-                        peer, nonce = parse_hello(frame)
-                        known = self._peer_nonce.get(peer) == nonce
-                        _trace(
-                            self.pid,
-                            f"inbound hello from p{peer}: nonce "
-                            f"{'match' if known else 'NEW'}, "
-                            f"resume={self._delivered.get(peer, 0) if known else 0}",
-                        )
-                        if not known:
-                            # New peer incarnation (first contact, or a
-                            # crash-recovered restart): its stream
-                            # starts over at frame zero. The recovered
-                            # stack layer dedups re-sent messages.
-                            self._peer_nonce[peer] = nonce
-                            self._delivered[peer] = 0
-                        inbound.peer = peer
-                        # Resume point: how many of this incarnation's
-                        # frames were already delivered (over any
-                        # connection).
-                        writer.write(_COUNT.pack(self._delivered[peer]))
-                        await writer.drain()
-                        continue
-                    message = decode_message(frame)
-                    self._delivered[peer] += 1
-                    self.stats.messages_received += 1
-                    self._on_message(message)
-                    if inbound.ack_timer is None:
-                        inbound.ack_timer = loop.call_later(
-                            ACK_INTERVAL, self._send_ack, inbound
-                        )
-        except NetworkError as exc:
-            # A frame that does not parse: drop the connection. The peer
-            # redials and resumes at the delivered count, i.e. at the
-            # offending frame, so line corruption heals and a sender
-            # that really emits garbage stays loudly disconnected.
-            _trace(self.pid, f"closing inbound connection: {exc}")
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            if inbound.ack_timer is not None:
-                inbound.ack_timer.cancel()
-            self._inbound.discard(inbound)
-            writer.close()
+        Leaves ``_delivered[pid]`` at that incarnation's resume point.
+        """
+        peer, nonce = parse_hello(frame)
+        known = self._peer_nonce.get(peer) == nonce
+        _trace(
+            self.pid,
+            f"inbound hello from p{peer}: nonce "
+            f"{'match' if known else 'NEW'}, "
+            f"resume={self._delivered.get(peer, 0) if known else 0}",
+        )
+        if not known:
+            # New peer incarnation (first contact, or a crash-recovered
+            # restart): its stream starts over at frame zero. The
+            # recovered stack layer dedups re-sent messages.
+            self._peer_nonce[peer] = nonce
+            self._delivered[peer] = 0
+        return peer

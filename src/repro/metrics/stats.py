@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.errors import MetricsError
 
 
@@ -57,7 +55,14 @@ def mean_confidence_interval(
     as a measured zero-variance result. The half-width is always a
     finite number — even when the mean itself is NaN (a placeholder for
     "no samples"), the width degrades to 0.0 rather than NaN.
+
+    Only the multi-observation case needs the Student-t quantile, and
+    scipy is imported there and nowhere else: a process that never
+    summarizes an ensemble (one simulation, a live worker, the CLI's
+    ``--help``) does not pay for loading numpy and scipy.
     """
+    if not 0.0 < confidence < 1.0:
+        raise MetricsError(f"confidence must lie strictly in (0, 1): {confidence}")
     if not values:
         raise MetricsError("confidence interval of empty sequence")
     count = len(values)
@@ -66,6 +71,8 @@ def mean_confidence_interval(
         return ConfidenceInterval(centre, 0.0, confidence, count)
     variance = sum((v - centre) ** 2 for v in values) / (count - 1)
     std_error = math.sqrt(variance / count)
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf((1 + confidence) / 2, df=count - 1))
     return ConfidenceInterval(centre, t_value * std_error, confidence, count)
 

@@ -12,7 +12,7 @@ that feed it events by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ProtocolError
@@ -30,21 +30,24 @@ class ModuleContext:
         n: Group size.
         suspects: Zero-argument callable returning the current output of
             this process's failure detector.
+        others: All process ids except this process, ascending; derived
+            from ``pid`` and ``n`` once (every ``SendToAll`` reads it).
     """
 
     pid: int
     n: int
     suspects: Callable[[], frozenset[int]]
+    others: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "others", tuple(p for p in range(self.n) if p != self.pid)
+        )
 
     @property
     def majority(self) -> int:
         """Smallest majority of the group: ⌊n/2⌋ + 1."""
         return self.n // 2 + 1
-
-    @property
-    def others(self) -> tuple[int, ...]:
-        """All process ids except this process."""
-        return tuple(p for p in range(self.n) if p != self.pid)
 
     def is_suspected(self, process: int) -> bool:
         """Whether this process's FD currently suspects *process*."""

@@ -38,6 +38,31 @@ class TestFrameDecoder:
         assert decoder.pending_bytes == 3
         assert decoder.feed(encode_frame(b"partial")[3:]) == [b"partial"]
 
+    def test_twelve_frames_and_a_half_in_one_read(self):
+        decoder = FrameDecoder()
+        bodies = [f"frame-{i}".encode() * (i + 1) for i in range(13)]
+        stream = b"".join(encode_frame(body) for body in bodies)
+        half = len(stream) - (4 + len(bodies[-1])) // 2
+        assert decoder.feed(stream[:half]) == bodies[:12]
+        assert decoder.pending_bytes == half - sum(4 + len(b) for b in bodies[:12])
+        assert decoder.feed(stream[half:]) == bodies[12:]
+        assert decoder.pending_bytes == 0
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_any_bytes_like_is_accepted_and_frames_are_bytes(self, kind):
+        decoder = FrameDecoder()
+        stream = encode_frame(b"first") + encode_frame(b"second")
+        source = bytearray(stream)
+        view = memoryview(source)
+        frames = decoder.feed(kind(view[:7]))
+        # The caller may reuse its buffer at once: what is pending, and
+        # every frame handed out, is a copy.
+        source[:7] = bytes(7)
+        frames += decoder.feed(kind(view[7:]))
+        source[7:] = bytes(len(source) - 7)
+        assert frames == [b"first", b"second"]
+        assert all(type(frame) is bytes for frame in frames)
+
     def test_interleaving_preserves_order(self):
         decoder = FrameDecoder()
         bodies = [f"frame-{i}".encode() for i in range(50)]

@@ -729,3 +729,356 @@ class TestMalformedInbound:
                 await b.close()
 
         asyncio.run(run())
+
+
+class RecordingSocket:
+    """Stands in for the event loop's socket transport under a connection."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.closed = False
+
+    def write(self, data):
+        self.written += data
+
+    def close(self):
+        self.closed = True
+
+
+def accepted_connection(received, pid=1):
+    """An accepting-end connection of an unstarted endpoint, HELLO done."""
+    addresses = {0: ("127.0.0.1", 1), pid: ("127.0.0.1", 1)}
+    owner = Transport(pid, addresses, received.append)
+    connection = transport_module._Connection(owner)
+    connection.connection_made(RecordingSocket())
+    fill(connection, encode_frame(hello_frame(0, nonce=9)))
+    assert connection.transport.written == struct.pack(">Q", 0)
+    del connection.transport.written[:]
+    return owner, connection
+
+
+def fill(connection, data, at_most=None):
+    """Deliver *data* the way the event loop does: into the connection's
+    own buffer, at most *at_most* bytes (default: what fits) per fill."""
+    view = memoryview(data)
+    fills = 0
+    while len(view):
+        room = connection.get_buffer(-1)
+        assert len(room) > 0, "a connection must always offer room"
+        count = min(len(room), len(view), at_most or len(view))
+        room[:count] = view[:count]
+        del room
+        connection.buffer_updated(count)
+        view = view[count:]
+        fills += 1
+    return fills
+
+
+def framed(seq, payload=None):
+    """The wire frame of message *seq* from 0 to 1 (it carries *seq*
+    unless another payload is given)."""
+    m = message(0, 1, seq)
+    if payload is not None:
+        m.payload = payload
+    return encode_frame(encode_message(m))
+
+
+class TestReceivePath:
+    def test_a_frame_split_across_two_fills_is_delivered_once_whole(self):
+        async def run():
+            received = []
+            owner, connection = accepted_connection(received)
+            frame = framed(7)
+            for cut in (1, 3, 4, 5, len(frame) - 1):  # inside prefix, at its end, in the body
+                fill(connection, frame[:cut])
+                assert received == []
+                fill(connection, frame[cut:])
+                assert [m.payload for m in received] == [7]
+                received.clear()
+            assert owner.delivered_counts()[0] == (9, 5)
+            connection.connection_lost(None)
+
+        asyncio.run(run())
+
+    def test_twelve_frames_and_a_half_in_one_fill(self):
+        async def run():
+            received = []
+            owner, connection = accepted_connection(received)
+            stream = b"".join(framed(seq) for seq in range(13))
+            half = len(stream) - len(framed(12)) // 2
+            assert fill(connection, stream[:half]) == 1
+            assert [m.payload for m in received] == list(range(12))
+            assert owner.stats.messages_received == 12
+            assert fill(connection, stream[half:]) == 1
+            assert [m.payload for m in received] == list(range(13))
+            connection.connection_lost(None)
+
+        asyncio.run(run())
+
+    def test_a_frame_larger_than_the_buffer_assembles_and_the_buffer_shrinks_back(self):
+        async def run():
+            received = []
+            owner, connection = accepted_connection(received)
+            big = "x" * (3 * transport_module.RECV_BUFFER + 11)
+            stream = framed(0) + framed(1, big) + framed(2) + framed(3)
+            # Socket-sized reads: the big frame spans many fills.
+            assert fill(connection, stream, at_most=50_000) > 4
+            assert [m.payload for m in received] == [0, big, 2, 3]
+            assert len(connection.get_buffer(-1)) == transport_module.RECV_BUFFER
+            connection.connection_lost(None)
+
+        asyncio.run(run())
+
+    def test_the_largest_legal_prefix_is_accepted_and_one_more_is_not(self):
+        async def run():
+            received = []
+            owner, connection = accepted_connection(received)
+            limit = transport_module.MAX_FRAME_SIZE
+            fill(connection, struct.pack(">I", limit))
+            assert not connection.transport.closed
+            assert len(connection.get_buffer(-1)) == limit  # room for the body
+            connection.connection_lost(None)
+
+            owner, connection = accepted_connection(received)
+            fill(connection, framed(0) + struct.pack(">I", limit + 1) + framed(1))
+            assert connection.transport.closed
+            # Not even the frame before the bad prefix in the same fill
+            # was counted: the peer resumes there and resends it.
+            assert received == []
+            assert owner.delivered_counts()[0] == (9, 0)
+            connection.connection_lost(None)
+
+        asyncio.run(run())
+
+    def test_acks_arriving_in_pieces_and_in_bulk(self):
+        async def run():
+            addresses = {0: ("127.0.0.1", 1), 1: ("127.0.0.1", 1)}
+            owner = Transport(0, addresses, lambda m: None)
+            for seq in range(10):
+                owner.send(message(0, 1, seq))
+            link = owner._links[1]
+            connection = transport_module._Connection(owner, link)
+            connection.connection_made(RecordingSocket())
+            counts = b"".join(struct.pack(">Q", c) for c in (2, 3, 5, 9))
+            fill(connection, counts[:5])  # the resume point, torn
+            assert not connection.resume.done()
+            fill(connection, counts[5:19])  # its rest, one ack, a torn ack
+            assert connection.resume.result() == 2
+            assert (link.base, owner.unacked_to(1)) == (3, 7)
+            fill(connection, counts[19:])
+            assert (link.base, owner.unacked_to(1)) == (9, 1)
+            # The dialing end's buffer is sized for counts, not frames;
+            # more acks than it holds, torn at its edge, take more fills.
+            size = transport_module.COUNT_BUFFER
+            assert len(connection.get_buffer(-1)) == size
+            bulk = struct.pack(">Q", 10) * 100
+            fill(connection, bulk[:3])
+            assert len(connection.get_buffer(-1)) == size - 3
+            assert fill(connection, bulk[3:]) > 1
+            assert (link.base, owner.unacked_to(1)) == (10, 0)
+            assert len(connection.get_buffer(-1)) == size
+            connection.connection_lost(None)
+
+        asyncio.run(run())
+
+    def test_oversized_frame_and_oversized_prefix_over_real_sockets(self):
+        async def run():
+            port = free_port()
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", port)}
+            received = []
+            b = Transport(1, addresses, received.append)
+            await b.start()
+            big = "y" * (5 * transport_module.RECV_BUFFER)
+
+            async def dial(*chunks):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_frame(hello_frame(0, nonce=7)))
+                (resume,) = struct.unpack(">Q", await reader.readexactly(8))
+                writer.write(b"".join(chunks))
+                await writer.drain()
+                return resume, reader, writer
+
+            try:
+                resume, reader, writer = await dial(
+                    framed(0), framed(1, big),
+                    struct.pack(">I", transport_module.MAX_FRAME_SIZE + 1),
+                    framed(2),
+                )
+                assert resume == 0
+                # Hung up at the bad prefix (acks may precede the EOF).
+                tail = await asyncio.wait_for(reader.read(), 5.0)
+                assert len(tail) % 8 == 0
+                writer.close()
+                # Frames in the fill that held the bad prefix were not
+                # counted; how many that is depends on the read sizes.
+                delivered = len(received)
+                assert [m.payload for m in received] == [0, big][:delivered]
+                resume, reader, writer = await dial(
+                    *[framed(0), framed(1, big), framed(2)][delivered:]
+                )
+                assert resume == delivered
+                await wait_for(lambda: len(received) == 3)
+                writer.close()
+            finally:
+                await b.close()
+            assert [m.payload for m in received] == [0, big, 2]
+
+        asyncio.run(run())
+
+
+class TestBackPressure:
+    def test_pause_writing_stops_the_cursor_and_resume_keeps_the_order(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                link = a._links[1]
+                connection = link.writer.get_protocol()
+                connection.pause_writing()
+                for seq in range(3):
+                    a.send(message(0, 1, seq))
+                assert link.next == link.base + len(link.queue) - 3
+                await asyncio.sleep(0.03)  # the sender task may not flush either
+                assert received[1] == []
+                assert link.next == link.base + len(link.queue) - 3
+                connection.resume_writing()
+                # Written through ahead of the sender task's wake-up:
+                # the backlog must still go first.
+                for seq in range(3, 6):
+                    a.send(message(0, 1, seq))
+                assert link.next == link.base + len(link.queue)
+                await wait_for(lambda: len(received[1]) == 6)
+                await asyncio.sleep(0.03)  # the woken task resends nothing
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == list(range(6))
+
+        asyncio.run(run())
+
+    def test_a_burst_beyond_the_socket_buffer_is_paced_by_the_event_loop(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                link = a._links[1]
+                link.writer.set_write_buffer_limits(high=64 * 1024)
+                blob = "z" * 200_000
+                total = 60  # 12 MB: more than a localhost socket buffer takes
+                for seq in range(total):
+                    a.send(
+                        NetMessage(
+                            kind="test", module="abcast", src=0, dst=1,
+                            payload=(seq, blob), payload_size=len(blob),
+                            header_size=4,
+                        )
+                    )
+                # No await since the first send: the event loop asked the
+                # link to stop, and the rest stayed in the queue.
+                assert link.paused
+                assert link.next < link.base + len(link.queue)
+                assert link.writer.get_write_buffer_size() < 2 * 1024 * 1024
+                await wait_for(lambda: len(received[1]) == total, timeout=20.0)
+                assert not link.paused
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload[0] for m in received[1]] == list(range(total))
+            assert all(m.payload[1] == blob for m in received[1])
+
+        asyncio.run(run())
+
+
+class TestConnectionLostWhileSenderIsSuspended:
+    """``connection_lost`` disconnects the link at once (``writer = None``),
+    whatever the sender task is awaiting; the task must come back,
+    redial, and resume at the delivered count."""
+
+    @staticmethod
+    async def restart_peer_and_expect(a, addresses, received, expected):
+        sender = a._sender_tasks[0]
+        assert not sender.done(), sender
+        b2 = Transport(1, addresses, received[1].append)
+        await b2.start()
+        try:
+            await wait_for(lambda: len(received[1]) >= len(expected))
+            await asyncio.sleep(0.03)  # nothing is delivered twice
+        finally:
+            await b2.close()
+        assert not sender.done(), sender
+        assert [m.payload for m in received[1]] == expected
+
+    def test_during_the_link_delay_sleep(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received, initial_backoff=0.01, max_backoff=0.05)
+            try:
+                a.set_link_delay({1}, 0.1)
+                a.send(message(0, 1, 0))
+                await asyncio.sleep(0.02)  # the sender task is mid-sleep
+                await b.close()
+                await wait_for(lambda: a._links[1].writer is None)
+                await asyncio.sleep(0.15)  # the sleep ends on a dead link
+                await self.restart_peer_and_expect(a, a._addresses, received, [0])
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(run())
+
+    def test_while_paused_by_write_back_pressure(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received, initial_backoff=0.01, max_backoff=0.05)
+            try:
+                link = a._links[1]
+                link.writer.get_protocol().pause_writing()
+                for seq in range(3):
+                    a.send(message(0, 1, seq))
+                await asyncio.sleep(0.02)  # the sender task waits for resume
+                await b.close()
+                await wait_for(lambda: link.writer is None)
+                a.send(message(0, 1, 3))  # queued, not written to a dead socket
+                await self.restart_peer_and_expect(
+                    a, a._addresses, received, [0, 1, 2, 3]
+                )
+                assert not link.paused
+            finally:
+                await a.close()
+                await b.close()
+
+        asyncio.run(run())
+
+    def test_while_waiting_for_the_resume_point(self):
+        async def run():
+            # A listener that accepts and hangs up without answering the
+            # HELLO, then a real peer at the same address.
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            hung_up = asyncio.Event()
+
+            class HangUp(asyncio.Protocol):
+                def data_received(self, data):
+                    self.transport.close()
+                    hung_up.set()
+
+                def connection_made(self, transport):
+                    self.transport = transport
+
+            mute = await asyncio.get_running_loop().create_server(
+                HangUp, *addresses[1]
+            )
+            a = Transport(
+                0, addresses, received[0].append, initial_backoff=0.01, max_backoff=0.05
+            )
+            await a.start()
+            try:
+                a.send(message(0, 1, 0))
+                await asyncio.wait_for(hung_up.wait(), 5.0)
+                mute.close()
+                await mute.wait_closed()
+                await self.restart_peer_and_expect(a, addresses, received, [0])
+            finally:
+                await a.close()
+
+        asyncio.run(run())

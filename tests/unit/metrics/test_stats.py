@@ -1,5 +1,7 @@
 """Unit tests for the statistics helpers."""
 
+import math
+
 import pytest
 
 from repro.errors import MetricsError
@@ -93,3 +95,44 @@ def test_stationarity_rejects_drift():
 def test_stationarity_with_insufficient_data_passes():
     assert is_stationary([], [1.0])
     assert is_stationary([1.0], [])
+
+
+@pytest.mark.parametrize("confidence", [1.25, 1.0, 0.0, -0.5, float("nan")])
+def test_confidence_outside_the_open_unit_interval_is_refused(confidence):
+    # t.ppf(1.125) is NaN and t.ppf(1.0) is inf: the half-width would
+    # stop being "always a finite number". Refused before anything else,
+    # even for the inputs that would have returned early, naming the value.
+    for values in ([1.0, 2.0], [5.0], []):
+        with pytest.raises(MetricsError, match=f"confidence.*{confidence}"):
+            mean_confidence_interval(values, confidence=confidence)
+
+
+#: Student-t 0.975 quantiles as ``float.hex``, taken from scipy at the
+#: commit before the import moved into the function: the half-width is
+#: this times the standard error, so equal bits here and below mean the
+#: lazy import changed no published interval.
+T_975 = {
+    1: "0x1.96993aacc4d1ep+3",
+    2: "0x1.135ea98e146b9p+2",
+    9: "0x1.218e5dac50b23p+1",
+    29: "0x1.05ca15bce286fp+1",
+}
+
+
+@pytest.mark.parametrize("df", sorted(T_975))
+def test_t_quantile_bits_are_pinned(df):
+    values = [float(i) for i in range(df + 1)]
+    centre = sum(values) / len(values)
+    variance = sum((v - centre) ** 2 for v in values) / df
+    std_error = math.sqrt(variance / len(values))
+    half_width = mean_confidence_interval(values).half_width
+    assert half_width == float.fromhex(T_975[df]) * std_error
+
+
+def test_half_width_bits_are_pinned():
+    assert mean_confidence_interval([1.0, 2.0]).half_width.hex() == (
+        "0x1.96993aacc4d1ep+2"
+    )
+    assert mean_confidence_interval([1.0, 2.0, 4.0]).half_width.hex() == (
+        "0x1.e5b4e597a0951p+1"
+    )

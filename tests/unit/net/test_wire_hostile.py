@@ -305,3 +305,38 @@ class TestFuzz:
                     assert len(frame) <= 64
         except NetworkError:
             pass
+
+    @given(
+        st.lists(st.binary(max_size=40), max_size=8),
+        st.binary(max_size=6),
+        st.lists(st.integers(1, 23), min_size=1, max_size=12),
+        st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    def test_chunked_bytes_like_feeds_equal_the_one_shot_parse(
+        self, bodies, torn_tail, cuts, kind
+    ):
+        # The tail is cut from a frame with a 41-byte body: a valid prefix
+        # plus at most two body bytes, so it never completes.
+        stream = b"".join(encode_frame(body) for body in bodies) + (
+            encode_frame(b"t" * 41)[: len(torn_tail)]
+        )
+        one_shot = FrameDecoder()
+        assert one_shot.feed(stream) == bodies
+        assert one_shot.pending_bytes == len(torn_tail)
+
+        decoder = FrameDecoder()
+        frames, start, fed = [], 0, 0
+        for step in cuts * (len(stream) // len(cuts) + 1):
+            if start >= len(stream):
+                break
+            chunk = stream[start : start + step]
+            start += step
+            completed = decoder.feed(kind(chunk))
+            frames.extend(completed)
+            fed += len(chunk)
+            # Exact after every compaction: all that was fed, minus every
+            # frame handed out with its prefix.
+            assert decoder.pending_bytes == fed - sum(4 + len(f) for f in frames)
+        assert frames == bodies
+        assert all(type(frame) is bytes for frame in frames)
+        assert decoder.pending_bytes == len(torn_tail)
