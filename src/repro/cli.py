@@ -97,34 +97,21 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments.ablation import ablation_table, run_ablation
 from repro.experiments.export import write_sweep_csv, write_sweeps_json
 from repro.experiments.figures import (
-    FAST_LOADS,
-    FAST_SEEDS,
-    FAST_SIZES,
+    FIGURES,
+    SWEEPS,
     FigureReport,
     all_figures,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
+    figure,
     latency_distribution,
+    paper_sweep,
 )
-from repro.experiments.report import format_table, sweep_table
-from repro.experiments.sweeps import (
-    DEFAULT_SEEDS,
-    PAPER_LOADS,
-    PAPER_SIZES,
-    run_load_sweep,
-    run_size_sweep,
-)
+from repro.experiments.report import TABLE_QUANTITIES, format_table, sweep_table
 from repro.experiments.tables import analytical_table, validation_table
 from repro.nemesis import swarm as nemesis_swarm
 from repro.nemesis.schedule import SCENARIOS, resolve_faultload
 
 COMMANDS = (
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
+    *FIGURES,
     "figures",
     "sweep",
     "analysis",
@@ -513,32 +500,11 @@ def _run_nemesis(args: argparse.Namespace) -> int:
 
 
 def _live_summary(result: dict, observability: dict | None = None) -> str:
+    from repro.live.compare import result_rows
     from repro.obs.telemetry import telemetry_rows
 
-    metrics = result["metrics"]
     config = result["config"]
-    latency = metrics["latency_mean"]
-    rows = [
-        ["throughput (msgs/s)", f"{metrics['throughput']:.1f}"],
-        ["offered rate (msgs/s)", f"{metrics['offered_rate']:.1f}"],
-        [
-            "early latency mean (ms)",
-            f"{latency * 1e3:.2f}" if latency is not None else "n/a",
-        ],
-        ["latency samples", str(metrics["latency_count"])],
-        ["consensus instances", str(result["instances_decided"])],
-        ["net messages sent", str(result["network"].get("messages_sent", 0))],
-        ["blocked attempts", str(metrics["blocked_attempts"])],
-    ]
-    p999 = metrics.get("latency_p999")
-    if p999 is not None:
-        rows.insert(3, ["latency p999 (ms)", f"{p999 * 1e3:.2f}"])
-    if metrics.get("active_clients"):
-        rows.append(["active logical clients", str(metrics["active_clients"])])
-    if metrics.get("boundary_crossings"):
-        rows.append(
-            ["boundary crossings", str(metrics["boundary_crossings"])]
-        )
+    rows = result_rows(result, table="summary")
     if observability is not None:
         rows.extend(telemetry_rows(observability.get("telemetry", {})))
         if observability.get("trace_dropped"):
@@ -668,10 +634,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def _resolved_seeds(args: argparse.Namespace) -> tuple[int, ...]:
-    if args.seeds:
-        return tuple(range(1, args.seeds + 1))
-    return FAST_SEEDS if args.fast else DEFAULT_SEEDS
+def _seeds(args: argparse.Namespace) -> tuple[int, ...] | None:
+    """``--seeds N`` as the seeds 1..N; ``None`` leaves each command's default."""
+    return tuple(range(1, args.seeds + 1)) if args.seeds else None
 
 
 def _sweep_stacks(args: argparse.Namespace) -> tuple[StackKind, ...] | None:
@@ -724,53 +689,36 @@ def _population_base(args: argparse.Namespace) -> RunConfig | None:
     return RunConfig(workload=WorkloadConfig(population=population))
 
 
+def _grid(args: argparse.Namespace) -> dict:
+    """The grid options shared by the sweep and figure commands."""
+    return dict(
+        fast=args.fast, seeds=_seeds(args), jobs=args.jobs, stacks=_sweep_stacks(args)
+    )
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     """Run the load and size sweeps without the figure rendering."""
-    seeds = _resolved_seeds(args)
-    stacks = _sweep_stacks(args)
-    stack_kwargs = {} if stacks is None else {"stacks": stacks}
+    grid = _grid(args)
     base = _population_base(args)
-    if base is not None:
-        stack_kwargs["base"] = base
-    load_sweep = run_load_sweep(
-        loads=FAST_LOADS if args.fast else PAPER_LOADS,
-        seeds=seeds,
-        jobs=args.jobs,
-        **stack_kwargs,
-    )
-    size_sweep = run_size_sweep(
-        sizes=FAST_SIZES if args.fast else PAPER_SIZES,
-        seeds=seeds,
-        jobs=args.jobs,
-        **stack_kwargs,
-    )
+    sweeps = {p: paper_sweep(p, base=base, **grid) for p in SWEEPS}
     if args.json_out is not None:
-        write_sweeps_json(
-            {"offered_load": load_sweep, "message_size": size_sweep},
-            args.json_out,
-        )
-        print(f"[json] wrote {args.json_out}")
+        _export_json(sweeps, args.json_out)
         return 0
-    print("load sweep: early latency (ms) by offered load (msgs/s)")
-    print(sweep_table(load_sweep, "latency", x_label="load"))
-    print()
-    print("load sweep: delivery latency p50 (ms) by offered load (msgs/s)")
-    print(sweep_table(load_sweep, "latency_p50", x_label="load"))
-    print()
-    print("load sweep: delivery latency p99 (ms) by offered load (msgs/s)")
-    print(sweep_table(load_sweep, "latency_p99", x_label="load"))
-    print()
-    print("load sweep: delivery latency p999 (ms) by offered load (msgs/s)")
-    print(sweep_table(load_sweep, "latency_p999", x_label="load"))
-    print()
-    print("load sweep: throughput (msgs/s) by offered load (msgs/s)")
-    print(sweep_table(load_sweep, "throughput", x_label="load"))
-    print()
-    print("size sweep: early latency (ms) by message size (bytes)")
-    print(sweep_table(size_sweep, "latency", x_label="size"))
-    print()
-    print("size sweep: throughput (msgs/s) by message size (bytes)")
-    print(sweep_table(size_sweep, "throughput", x_label="size"))
+    # The load sweep prints every interval quantity, the size sweep the
+    # two the paper plots against size (Figs. 9 and 11).
+    blocks = [("offered_load", quantity) for quantity in TABLE_QUANTITIES]
+    blocks += [
+        (parameter, quantity)
+        for parameter, quantity, *_ in FIGURES.values()
+        if parameter == "message_size"
+    ]
+    texts = []
+    for parameter, quantity in blocks:
+        *_, x_label, axis = SWEEPS[parameter]
+        caption, _, _ = TABLE_QUANTITIES[quantity]
+        table = sweep_table(sweeps[parameter], quantity, x_label=x_label)
+        texts.append(f"{x_label} sweep: {caption} by {axis}\n{table}")
+    print("\n\n".join(texts))
     return 0
 
 
@@ -786,12 +734,14 @@ def _run_latencydist(args: argparse.Namespace) -> int:
     population = _population(args) or ClientPopulationConfig()
     base = RunConfig(workload=WorkloadConfig(population=population))
     stack = stack_from_label(args.stack)
-    sweep = run_load_sweep(
+    sweep = paper_sweep(
+        "offered_load",
+        fast=args.fast,
+        seeds=_seeds(args),
         loads=(args.load,),
         message_size=args.size,
         group_sizes=(args.n,),
         stacks=(stack.kind,),
-        seeds=_resolved_seeds(args),
         base=base,
         jobs=args.jobs,
     )
@@ -808,16 +758,12 @@ def _run_latencydist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _export_json(sweeps: dict, path: Path | None) -> None:
-    if path is None:
-        return
+def _export_json(sweeps: dict, path: Path) -> None:
     write_sweeps_json(sweeps, path)
     print(f"[json] wrote {path}")
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    seeds = tuple(range(1, args.seeds + 1)) if args.seeds else None
-
     def emit(text: object) -> None:
         print(text)
         print()
@@ -833,33 +779,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_sweep(args)
     if command == "latencydist":
         return _run_latencydist(args)
-    if command in ("figure8", "figure9", "figure10", "figure11"):
-        figure_fn = {
-            "figure8": figure8,
-            "figure9": figure9,
-            "figure10": figure10,
-            "figure11": figure11,
-        }[command]
-        report = figure_fn(
-            fast=args.fast, seeds=seeds, jobs=args.jobs, stacks=_sweep_stacks(args)
-        )
-        emit(report)
-        _maybe_export(report, args.csv)
-        if args.json_out is not None:
-            _export_json({report.sweep.parameter: report.sweep}, args.json_out)
-    if command in ("figures", "all"):
-        reports = all_figures(
-            fast=args.fast, seeds=seeds, jobs=args.jobs, stacks=_sweep_stacks(args)
-        )
+    if command in FIGURES or command in ("figures", "all"):
+        if command in FIGURES:
+            reports = [figure(command, **_grid(args))]
+        else:
+            reports = all_figures(**_grid(args))
         for report in reports:
             emit(report)
             _maybe_export(report, args.csv)
         if args.json_out is not None:
             _export_json(
-                {
-                    reports[0].sweep.parameter: reports[0].sweep,
-                    reports[1].sweep.parameter: reports[1].sweep,
-                },
+                {report.sweep.parameter: report.sweep for report in reports},
                 args.json_out,
             )
     if command in ("predict", "all"):

@@ -3,13 +3,15 @@
 Submodules:
 
 * :mod:`~repro.experiments.runner` — assemble and run one simulation;
-* :mod:`~repro.experiments.sweeps` — multi-seed parameter sweeps;
-* :mod:`~repro.experiments.figures` — regenerate the paper's Figs. 8-11;
+* :mod:`~repro.experiments.sweeps` — multi-seed parameter sweeps, and
+  ``POINT_QUANTITIES``, the one table of what a sweep point reports;
+* :mod:`~repro.experiments.figures` — the paper's Figs. 8-11 as a
+  four-row table and one driver;
 * :mod:`~repro.experiments.tables` — the §5.2 analytical tables plus
   simulator validation;
 * :mod:`~repro.experiments.ablation` — per-optimization ablation (§4);
 * :mod:`~repro.experiments.report` — text-table rendering;
-* :mod:`~repro.experiments.export` — CSV export;
+* :mod:`~repro.experiments.export` — CSV and canonical-JSON export;
 * :mod:`~repro.experiments.msc` — message-sequence charts from traces;
 * :mod:`~repro.experiments.calibration` — fit the cost model to
   measured operating points.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.config import StackKind
 from repro.errors import MetricsError
-from repro.experiments.sweeps import PointSummary, SweepResult
+from repro.experiments.sweeps import SweepResult
 
 
 def _series_values(
@@ -29,15 +29,9 @@ def _series_values(
     series = sweep.series(n, stack)
     if not series:
         raise MetricsError(f"sweep has no series for n={n}, {stack.value}")
-
-    def value(point: PointSummary) -> float:
-        if metric == "latency":
-            return point.latency.mean
-        if metric == "throughput":
-            return point.throughput.mean
+    if metric not in ("latency", "throughput"):
         raise MetricsError(f"unknown metric {metric!r}")
-
-    return [(point.x, value(point)) for point in series]
+    return [(point.x, getattr(point, metric).mean) for point in series]
 
 
 def saturation_knee(

@@ -2,9 +2,10 @@
 
 For users who want to re-plot the figures with their own tooling: every
 sweep (and therefore every figure) can be dumped as a tidy CSV with one
-row per (group size, stack, x) point, carrying means and 95 % CI
-half-widths for both metrics. ``python -m repro figures --csv DIR``
-writes one file per figure.
+row per (group size, stack, x) point, carrying every quantity of
+:data:`~repro.experiments.sweeps.POINT_QUANTITIES` — neither export
+names a quantity itself. ``python -m repro figures --csv DIR`` writes
+one file per figure.
 
 The JSON export is *canonical*: keys sorted, fixed separators, NaNs
 mapped to ``null``, one trailing newline. Two runs of the same sweep
@@ -16,43 +17,24 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Any
 
 from repro.experiments.runner import RunResult
-from repro.experiments.sweeps import PointSummary, SweepResult
+from repro.experiments.sweeps import POINT_QUANTITIES, PointSummary, SweepResult
 from repro.metrics.stats import ConfidenceInterval
 
-#: Column order of the exported CSV.
-CSV_FIELDS = (
-    "parameter",
-    "x",
-    "n",
-    "stack",
-    "latency_mean_s",
-    "latency_ci95_s",
-    "latency_p50_s",
-    "latency_p99_s",
-    "latency_p999_s",
-    "throughput_mean",
-    "throughput_ci95",
-    "messages_per_consensus",
-    "stationary",
-    "seeds",
-    #: The ensemble's merged latency histogram, as space-separated
-    #: ``bucket:count`` pairs (see LatencyHistogram.bucket_bounds for
-    #: the bucket → seconds mapping).
-    "histogram",
-    #: Fraction of attributed CPU time spent crossing module
-    #: boundaries (see :mod:`repro.obs.attribution`); empty when no
-    #: run attributed.
-    "modularity_overhead",
-    #: Boundary crossings over the ensemble's measurement windows.
-    "boundary_crossings",
-    #: Network messages per protocol kind over the ensemble's
-    #: measurement windows, as space-separated ``kind:count`` pairs.
-    "messages_by_kind",
+#: Column order of the exported CSV: the point's key, then the column(s)
+#: of every row of :data:`~repro.experiments.sweeps.POINT_QUANTITIES`.
+CSV_FIELDS = ("parameter", "x", "n", "stack") + tuple(
+    column for _, _, _, columns, *_ in POINT_QUANTITIES for column in columns
 )
+
+#: The one :class:`~repro.metrics.collector.RunMetrics` field the
+#: canonical JSON leaves out (it predates the field, and the goldens pin
+#: its bytes); ``repro.live.results`` reports it.
+_RUN_METRICS_OMITTED = ("backpressure_stalls",)
 
 
 def write_sweep_csv(sweep: SweepResult, destination: IO[str] | str | Path) -> int:
@@ -67,85 +49,47 @@ def write_sweep_csv(sweep: SweepResult, destination: IO[str] | str | Path) -> in
             return write_sweep_csv(sweep, handle)
     writer = csv.writer(destination)
     writer.writerow(CSV_FIELDS)
-    rows = 0
-    def fmt(value: float) -> str:
-        return "" if value != value else f"{value:.9f}"
-
-    for point in sorted(sweep.points, key=lambda p: (p.n, p.stack.value, p.x)):
-        writer.writerow(
-            [
-                sweep.parameter,
-                point.x,
-                point.n,
-                point.stack.value,
-                fmt(point.latency.mean),
-                f"{point.latency.half_width:.9f}",
-                fmt(point.latency_p50.mean),
-                fmt(point.latency_p99.mean),
-                fmt(point.latency_p999.mean)
-                if point.latency_p999 is not None
-                else "",
-                f"{point.throughput.mean:.3f}",
-                f"{point.throughput.half_width:.3f}",
-                ""
-                if point.delivered_per_consensus is None
-                else f"{point.delivered_per_consensus:.3f}",
-                int(point.stationary),
-                point.latency.count,
-                " ".join(f"{b}:{c}" for b, c in point.histogram),
-                ""
-                if point.modularity_overhead is None
-                else f"{point.modularity_overhead:.6f}",
-                point.boundary_crossings,
-                " ".join(f"{k}:{c}" for k, c in point.messages_by_kind),
-            ]
-        )
-        rows += 1
-    return rows
+    ordered = sorted(sweep.points, key=lambda p: (p.n, p.stack.value, p.x))
+    for point in ordered:
+        row = [sweep.parameter, point.x, point.n, point.stack.value]
+        for field, _, _, columns, cell, _ in POINT_QUANTITIES:
+            value = getattr(point, field)
+            if isinstance(value, ConfidenceInterval):
+                parts = (value.mean, value.half_width)[: len(columns)]
+            else:
+                parts = (value,)
+            # No value (no seed had one, or a NaN mean): every cell of
+            # the quantity is blank, the half-width included.
+            absent = parts[0] is None or parts[0] != parts[0]
+            row.extend("" if absent else cell(part) for part in parts)
+        writer.writerow(row)
+    return len(ordered)
 
 
 # -- canonical JSON ---------------------------------------------------------
 
 
-def _finite(value: float | None) -> float | None:
+def _finite(value: Any) -> Any:
     """NaN/None → None (canonical JSON must not contain bare ``NaN``)."""
     if value is None or value != value:
         return None
     return value
 
 
-def _ci_to_dict(ci: ConfidenceInterval) -> dict[str, Any]:
+def _finite_fields(record: Any, omit: tuple[str, ...] = ()) -> dict[str, Any]:
+    """A dataclass as a dict of its finite field values."""
     return {
-        "mean": _finite(ci.mean),
-        "half_width": _finite(ci.half_width),
-        "confidence": ci.confidence,
-        "count": ci.count,
+        name: _finite(value)
+        for name, value in asdict(record).items()
+        if name not in omit
     }
 
 
 def run_to_dict(run: RunResult) -> dict[str, Any]:
     """Plain-dict form of one run (full per-seed fidelity)."""
-    metrics = run.metrics
     return {
         "seed": run.seed,
-        "metrics": {
-            "latency_mean": _finite(metrics.latency_mean),
-            "latency_p50": _finite(metrics.latency_p50),
-            "latency_p95": _finite(metrics.latency_p95),
-            "latency_p99": _finite(metrics.latency_p99),
-            "latency_p999": _finite(metrics.latency_p999),
-            "latency_count": metrics.latency_count,
-            "latency_histogram": [list(pair) for pair in metrics.latency_histogram],
-            "throughput": metrics.throughput,
-            "offered_rate": metrics.offered_rate,
-            "blocked_attempts": metrics.blocked_attempts,
-            "stationary": metrics.stationary,
-            "active_clients": metrics.active_clients,
-            "layer_busy": [[name, seconds] for name, seconds in metrics.layer_busy],
-            "boundary_time": metrics.boundary_time,
-            "boundary_crossings": metrics.boundary_crossings,
-            "modularity_overhead": _finite(metrics.modularity_overhead),
-        },
+        "metrics": _finite_fields(run.metrics, omit=_RUN_METRICS_OMITTED),
         "network": {key: run.network[key] for key in sorted(run.network)},
         "cpu_utilization": list(run.cpu_utilization),
         "instances_decided": run.instances_decided,
@@ -153,27 +97,24 @@ def run_to_dict(run: RunResult) -> dict[str, Any]:
     }
 
 
+def _plain(value: Any) -> Any:
+    """One point quantity as JSON-ready data."""
+    if isinstance(value, ConfidenceInterval):
+        return _finite_fields(value)
+    if isinstance(value, tuple):  # (key, count) pairs, or the runs
+        return [
+            run_to_dict(item) if isinstance(item, RunResult) else list(item)
+            for item in value
+        ]
+    return _finite(value)
+
+
 def point_to_dict(point: PointSummary) -> dict[str, Any]:
     """Plain-dict form of one sweep point, including its raw runs."""
-    return {
-        "n": point.n,
-        "stack": point.stack.value,
-        "x": point.x,
-        "latency": _ci_to_dict(point.latency),
-        "latency_p50": _ci_to_dict(point.latency_p50),
-        "latency_p99": _ci_to_dict(point.latency_p99),
-        "latency_p999": _ci_to_dict(point.latency_p999)
-        if point.latency_p999 is not None
-        else None,
-        "histogram": [list(pair) for pair in point.histogram],
-        "throughput": _ci_to_dict(point.throughput),
-        "delivered_per_consensus": _finite(point.delivered_per_consensus),
-        "stationary": point.stationary,
-        "modularity_overhead": _finite(point.modularity_overhead),
-        "boundary_crossings": point.boundary_crossings,
-        "messages_by_kind": [[kind, count] for kind, count in point.messages_by_kind],
-        "runs": [run_to_dict(run) for run in point.runs],
-    }
+    document = {"n": point.n, "stack": point.stack.value, "x": point.x}
+    for field, *_ in POINT_QUANTITIES:
+        document[field] = _plain(getattr(point, field))
+    return document
 
 
 def sweep_to_dict(sweep: SweepResult) -> dict[str, Any]:

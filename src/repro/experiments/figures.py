@@ -1,9 +1,13 @@
 """Reproduction drivers for the paper's four evaluation figures.
 
-Each ``figure*`` function runs the relevant sweep (or reuses one passed
-in — Figs. 8/10 share the load sweep and Figs. 9/11 share the size
-sweep, exactly as in the paper) and returns the figure as a text table
-plus headline gap lines.
+The evaluation is a 2 × 2 — two sweeps (offered load, message size) ×
+two quantities (early latency, throughput) — and is written down as
+such: :data:`SWEEPS` names the two sweeps and their grids,
+:data:`FIGURES` the four (sweep, quantity) pairs, and :func:`figure`
+renders any of them as a text table plus headline gap lines, running
+the sweep or reusing one passed in (Figs. 8/10 share the load sweep and
+Figs. 9/11 the size sweep, exactly as in the paper).
+``figure8`` … ``figure11`` are :func:`figure` bound to a row.
 
 * **Figure 8** — early latency vs offered load, message size 16384 B.
 * **Figure 9** — early latency vs message size, offered load 2000 msg/s.
@@ -14,6 +18,7 @@ plus headline gap lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.config import StackKind
 from repro.experiments.report import gap_summary, histogram_table, sweep_table
@@ -31,23 +36,29 @@ FAST_LOADS = (500, 1000, 2000, 4000, 7000)
 FAST_SIZES = (64, 1024, 4096, 16384, 32768)
 FAST_SEEDS = (1,)
 
+#: The paper's two sweeps by swept parameter: the runner, the keyword
+#: and the full and ``--fast`` grids of its swept values, the header of
+#: the x column, and the axis label of table captions.
+SWEEPS = {
+    "offered_load": (run_load_sweep, "loads", PAPER_LOADS, FAST_LOADS,
+                     "load", "offered load (msgs/s)"),
+    "message_size": (run_size_sweep, "sizes", PAPER_SIZES, FAST_SIZES,
+                     "size", "message size (bytes)"),
+}
 
-def _group_sizes(sweep: SweepResult) -> tuple[int, ...]:
-    """Group sizes actually present in a sweep (headline gaps adapt)."""
-    return tuple(sorted({p.n for p in sweep.points}))
-
-
-def _gap_headlines(sweep: SweepResult, metric: str, xs) -> tuple[str, ...]:
-    """The paper's modular-vs-monolithic headline gaps — skipped when a
-    custom stack selection omits either of the two paper stacks."""
-    present = {p.stack for p in sweep.points}
-    if not {StackKind.MODULAR, StackKind.MONOLITHIC} <= present:
-        return ()
-    return tuple(
-        gap_summary(sweep, metric, x, n)
-        for n in _group_sizes(sweep)
-        for x in xs
-    )
+#: The paper's four figures: the sweep, the plotted quantity (an interval
+#: row of :data:`~repro.experiments.sweeps.POINT_QUANTITIES`), which x
+#: values get a modular-vs-monolithic headline gap line, and the title.
+FIGURES = {
+    "figure8": ("offered_load", "latency", (max,),
+                "early latency (ms) vs offered load (msgs/s), size=16384"),
+    "figure9": ("message_size", "latency", (min, max),
+                "early latency (ms) vs message size (bytes), load=2000 msgs/s"),
+    "figure10": ("offered_load", "throughput", (max,),
+                 "throughput (msgs/s) vs offered load (msgs/s), size=16384"),
+    "figure11": ("message_size", "throughput", (min, max),
+                 "throughput (msgs/s) vs message size (bytes), load=2000 msgs/s"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,116 +77,57 @@ class FigureReport:
         return "\n".join(lines)
 
 
-def _load_sweep(
-    fast: bool,
-    seeds: tuple[int, ...] | None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
+def paper_sweep(
+    parameter: str,
+    *,
+    fast: bool = False,
+    seeds: tuple[int, ...] | None = None,
+    **options,
 ) -> SweepResult:
-    kwargs = {} if stacks is None else {"stacks": stacks}
-    return run_load_sweep(
-        loads=FAST_LOADS if fast else PAPER_LOADS,
-        seeds=seeds or (FAST_SEEDS if fast else DEFAULT_SEEDS),
-        jobs=jobs,
-        **kwargs,
-    )
+    """Run one of :data:`SWEEPS` with the paper's defaults.
+
+    The swept values default to the sweep's full or (*fast*) reduced
+    grid and *seeds* to the three-seed ensemble, one seed when *fast*;
+    *options* are the runner's own (``jobs``, ``stacks``, ``base``, …).
+    """
+    run, keyword, full, reduced, _, _ = SWEEPS[parameter]
+    options.setdefault(keyword, reduced if fast else full)
+    return run(seeds=seeds or (FAST_SEEDS if fast else DEFAULT_SEEDS), **options)
 
 
-def _size_sweep(
-    fast: bool,
-    seeds: tuple[int, ...] | None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
-) -> SweepResult:
-    kwargs = {} if stacks is None else {"stacks": stacks}
-    return run_size_sweep(
-        sizes=FAST_SIZES if fast else PAPER_SIZES,
-        seeds=seeds or (FAST_SEEDS if fast else DEFAULT_SEEDS),
-        jobs=jobs,
-        **kwargs,
-    )
+def figure(name: str, sweep: SweepResult | None = None, **grid) -> FigureReport:
+    """Regenerate the figure *name* of :data:`FIGURES`.
 
-
-def figure8(
-    sweep: SweepResult | None = None,
-    *,
-    fast: bool = False,
-    seeds: tuple[int, ...] | None = None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
-) -> FigureReport:
-    """Early latency vs offered load (abcast messages of 16384 bytes)."""
-    sweep = sweep or _load_sweep(fast, seeds, jobs, stacks)
-    high_load = max(p.x for p in sweep.points)
+    Runs the figure's sweep — *grid* is ``fast``, ``seeds``, ``jobs`` and
+    ``stacks``, see :func:`paper_sweep` — unless *sweep*, its result, is
+    passed in. The headline gaps are the paper's modular-vs-monolithic
+    ones, for each group size present — skipped when a custom stack
+    selection omits either of the two paper stacks.
+    """
+    parameter, quantity, headline_xs, title = FIGURES[name]
+    _, _, _, _, x_label, _ = SWEEPS[parameter]
+    sweep = sweep or paper_sweep(parameter, **grid)
+    headlines: tuple[str, ...] = ()
+    if {StackKind.MODULAR, StackKind.MONOLITHIC} <= {p.stack for p in sweep.points}:
+        xs = [pick(p.x for p in sweep.points) for pick in headline_xs]
+        headlines = tuple(
+            gap_summary(sweep, quantity, x, n)
+            for n in sorted({p.n for p in sweep.points})
+            for x in xs
+        )
     return FigureReport(
-        figure="Figure 8",
-        title="early latency (ms) vs offered load (msgs/s), size=16384",
+        figure=name.replace("figure", "Figure "),
+        title=title,
         sweep=sweep,
-        table=sweep_table(sweep, "latency", x_label="load"),
-        headlines=_gap_headlines(sweep, "latency", (high_load,)),
+        table=sweep_table(sweep, quantity, x_label=x_label),
+        headlines=headlines,
     )
 
 
-def figure9(
-    sweep: SweepResult | None = None,
-    *,
-    fast: bool = False,
-    seeds: tuple[int, ...] | None = None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
-) -> FigureReport:
-    """Early latency vs message size (offered load 2000 msgs/s)."""
-    sweep = sweep or _size_sweep(fast, seeds, jobs, stacks)
-    small = min(p.x for p in sweep.points)
-    large = max(p.x for p in sweep.points)
-    return FigureReport(
-        figure="Figure 9",
-        title="early latency (ms) vs message size (bytes), load=2000 msgs/s",
-        sweep=sweep,
-        table=sweep_table(sweep, "latency", x_label="size"),
-        headlines=_gap_headlines(sweep, "latency", (small, large)),
-    )
-
-
-def figure10(
-    sweep: SweepResult | None = None,
-    *,
-    fast: bool = False,
-    seeds: tuple[int, ...] | None = None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
-) -> FigureReport:
-    """Throughput vs offered load (abcast messages of 16384 bytes)."""
-    sweep = sweep or _load_sweep(fast, seeds, jobs, stacks)
-    high_load = max(p.x for p in sweep.points)
-    return FigureReport(
-        figure="Figure 10",
-        title="throughput (msgs/s) vs offered load (msgs/s), size=16384",
-        sweep=sweep,
-        table=sweep_table(sweep, "throughput", x_label="load"),
-        headlines=_gap_headlines(sweep, "throughput", (high_load,)),
-    )
-
-
-def figure11(
-    sweep: SweepResult | None = None,
-    *,
-    fast: bool = False,
-    seeds: tuple[int, ...] | None = None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
-) -> FigureReport:
-    """Throughput vs message size (offered load 2000 msgs/s)."""
-    sweep = sweep or _size_sweep(fast, seeds, jobs, stacks)
-    small = min(p.x for p in sweep.points)
-    large = max(p.x for p in sweep.points)
-    return FigureReport(
-        figure="Figure 11",
-        title="throughput (msgs/s) vs message size (bytes), load=2000 msgs/s",
-        sweep=sweep,
-        table=sweep_table(sweep, "throughput", x_label="size"),
-        headlines=_gap_headlines(sweep, "throughput", (small, large)),
-    )
+figure8 = partial(figure, "figure8")
+figure9 = partial(figure, "figure9")
+figure10 = partial(figure, "figure10")
+figure11 = partial(figure, "figure11")
 
 
 def latency_distribution(
@@ -219,19 +171,10 @@ def latency_distribution(
     )
 
 
-def all_figures(
-    *,
-    fast: bool = False,
-    seeds: tuple[int, ...] | None = None,
-    jobs: int = 1,
-    stacks: tuple[StackKind, ...] | None = None,
-) -> list[FigureReport]:
-    """Regenerate all four figures, sharing sweeps as the paper does."""
-    load_sweep = _load_sweep(fast, seeds, jobs, stacks)
-    size_sweep = _size_sweep(fast, seeds, jobs, stacks)
-    return [
-        figure8(load_sweep),
-        figure9(size_sweep),
-        figure10(load_sweep),
-        figure11(size_sweep),
-    ]
+def all_figures(**grid) -> list[FigureReport]:
+    """Regenerate all four figures, sharing sweeps as the paper does.
+
+    *grid* as for :func:`figure`.
+    """
+    sweeps = {parameter: paper_sweep(parameter, **grid) for parameter in SWEEPS}
+    return [figure(name, sweeps[FIGURES[name][0]]) for name in FIGURES]

@@ -8,10 +8,10 @@ for terminals and for EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.config import StackKind
-from repro.experiments.sweeps import PointSummary, SweepResult
+from repro.experiments.sweeps import POINT_QUANTITIES, SweepResult
 from repro.metrics.stats import ConfidenceInterval, LatencyHistogram
 
 
@@ -52,6 +52,11 @@ TABLE_STACK_ORDER = (
 )
 
 
+#: The interval quantities text tables can print, by field: caption,
+#: factor to the printed unit, decimals (the table's last column).
+TABLE_QUANTITIES = {field: table for field, *_, table in POINT_QUANTITIES if table}
+
+
 def sweep_table(
     sweep: SweepResult,
     metric: str,
@@ -63,28 +68,16 @@ def sweep_table(
 
     Args:
         sweep: A load or size sweep result.
-        metric: ``"latency"``, ``"latency_p50"``, ``"latency_p99"`` or
-            ``"latency_p999"`` (reported in ms) or ``"throughput"``
-            (reported in msgs/s).
+        metric: An interval row of
+            :data:`~repro.experiments.sweeps.POINT_QUANTITIES` —
+            ``"latency"``, its percentiles (printed in ms) or
+            ``"throughput"`` (msgs/s).
         x_label: Header of the swept-parameter column.
         group_sizes: Which n curves to include.
     """
-    if metric == "latency":
-        extract: Callable[[PointSummary], str] = lambda p: _format_ci(
-            p.latency, 1e3, 2
-        )
-    elif metric == "latency_p50":
-        extract = lambda p: _format_ci(p.latency_p50, 1e3, 2)
-    elif metric == "latency_p99":
-        extract = lambda p: _format_ci(p.latency_p99, 1e3, 2)
-    elif metric == "latency_p999":
-        extract = lambda p: (
-            _format_ci(p.latency_p999, 1e3, 2) if p.latency_p999 else "n/a"
-        )
-    elif metric == "throughput":
-        extract = lambda p: _format_ci(p.throughput, 1.0, 0)
-    else:
+    if metric not in TABLE_QUANTITIES:
         raise ValueError(f"unknown metric {metric!r}")
+    _, scale, digits = TABLE_QUANTITIES[metric]
 
     present = {p.stack for p in sweep.points}
     ordered = [s for s in TABLE_STACK_ORDER if s in present]
@@ -97,14 +90,13 @@ def sweep_table(
             series = sweep.series(n, stack)
             if series:
                 headers.append(f"n={n} {stack.value}")
-                curves.append({p.x: p for p in series})
+                curves.append({p.x: getattr(p, metric) for p in series})
     xs = sorted({p.x for p in sweep.points})
     rows = []
     for x in xs:
         row = [f"{x:g}"]
         for curve in curves:
-            point = curve.get(x)
-            row.append(extract(point) if point is not None else "-")
+            row.append(_format_ci(curve[x], scale, digits) if x in curve else "-")
         rows.append(row)
     return format_table(headers, rows)
 

@@ -12,14 +12,17 @@ column.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable
 
-from repro.config import RunConfig, StackConfig, StackKind, WorkloadConfig
+from repro.config import RunConfig, StackKind, WorkloadConfig
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import run_simulations
-from repro.experiments.runner import RunResult, run_simulation
+from repro.experiments.runner import RunResult
 from repro.metrics.stats import (
     ConfidenceInterval,
     LatencyHistogram,
+    mean,
     mean_confidence_interval,
 )
 
@@ -39,7 +42,8 @@ DEFAULT_SEEDS = (1, 2, 3)
 
 @dataclass(frozen=True, slots=True)
 class PointSummary:
-    """Seed-ensemble summary of one sweep point."""
+    """Seed-ensemble summary of one sweep point: the key ``(n, stack, x)``
+    plus one field per row of :data:`POINT_QUANTITIES`."""
 
     n: int
     stack: StackKind
@@ -49,14 +53,14 @@ class PointSummary:
     #: Percentile latencies (ensemble CI over per-run percentiles).
     latency_p50: ConfidenceInterval
     latency_p99: ConfidenceInterval
+    #: Tail latency p999 (ensemble CI over per-run histogram p999s).
+    latency_p999: ConfidenceInterval
     throughput: ConfidenceInterval
     #: Measured messages ordered per consensus (paper's M), ensemble mean.
     delivered_per_consensus: float | None
     #: Whether every seed's run passed the stationarity check.
     stationary: bool
     runs: tuple[RunResult, ...]
-    #: Tail latency p999 (ensemble CI over per-run histogram p999s).
-    latency_p999: ConfidenceInterval | None = None
     #: The seed ensemble's merged latency histogram as sorted
     #: ``(bucket, count)`` pairs — the full distribution behind p999.
     histogram: tuple[tuple[int, int], ...] = ()
@@ -73,6 +77,79 @@ class PointSummary:
     def merged_histogram(self) -> LatencyHistogram:
         """The ensemble's latency distribution as a live histogram."""
         return LatencyHistogram.from_counts(self.histogram)
+
+
+def _interval(values: list[float]) -> ConfidenceInterval:
+    """CI over the seeds that have the value; a NaN mean when none has."""
+    return mean_confidence_interval(values or [float("nan")])
+
+
+def _mean(values: list[float]) -> float | None:
+    return mean(values) if values else None
+
+
+def _merge(values: list[tuple[tuple[int, int], ...]]) -> tuple[tuple[int, int], ...]:
+    merged = LatencyHistogram()
+    for counts in values:
+        merged = merged.merge(LatencyHistogram.from_counts(counts))
+    return merged.counts()
+
+
+def _tally(values: list[dict[str, int]]) -> tuple[tuple[str, int], ...]:
+    total: dict[str, int] = {}
+    for counts in values:
+        for key, count in counts.items():
+            total[key] = total.get(key, 0) + count
+    return tuple(sorted(total.items()))
+
+
+def _pairs(pairs: tuple[tuple[object, int], ...]) -> str:
+    """``(key, count)`` pairs as space-separated ``key:count`` words."""
+    return " ".join(f"{key}:{count}" for key, count in pairs)
+
+
+_SECONDS, _RATE = "{:.9f}".format, "{:.3f}".format
+
+#: Every quantity a sweep point reports, in CSV column order — the one
+#: place a reported quantity is declared; :func:`summarize_point`, the
+#: CSV and JSON exports, :func:`~repro.experiments.report.sweep_table`
+#: and the ``sweep`` command iterate it. A row is: the
+#: :class:`PointSummary` field (also the JSON key); one run's value
+#: (``None`` when that seed has none); the reduction of the seeds' values
+#: to the field; the CSV column(s), an interval's mean first and its
+#: 95 % half-width second; the CSV text of a present value (absent ones
+#: are blank cells); and, for the intervals text tables print, the
+#: caption with its unit, the factor from the stored unit (latencies are
+#: seconds) to the printed one, and the decimals.
+POINT_QUANTITIES = (
+    ("latency", attrgetter("metrics.latency_mean"), _interval,
+     ("latency_mean_s", "latency_ci95_s"), _SECONDS, ("early latency (ms)", 1e3, 2)),
+    ("latency_p50", attrgetter("metrics.latency_p50"), _interval,
+     ("latency_p50_s",), _SECONDS, ("delivery latency p50 (ms)", 1e3, 2)),
+    ("latency_p99", attrgetter("metrics.latency_p99"), _interval,
+     ("latency_p99_s",), _SECONDS, ("delivery latency p99 (ms)", 1e3, 2)),
+    ("latency_p999", attrgetter("metrics.latency_p999"), _interval,
+     ("latency_p999_s",), _SECONDS, ("delivery latency p999 (ms)", 1e3, 2)),
+    ("throughput", attrgetter("metrics.throughput"), _interval,
+     ("throughput_mean", "throughput_ci95"), _RATE, ("throughput (msgs/s)", 1.0, 0)),
+    ("delivered_per_consensus", attrgetter("delivered_per_consensus"), _mean,
+     ("messages_per_consensus",), _RATE, None),
+    ("stationary", attrgetter("metrics.stationary"), all, ("stationary",), int, None),
+    # The ensemble itself: its size in the CSV, every run in the JSON.
+    ("runs", lambda run: run, tuple, ("seeds",), len, None),
+    # ``bucket:count`` words; LatencyHistogram.bucket_bounds maps a
+    # bucket to seconds.
+    ("histogram", attrgetter("metrics.latency_histogram"), _merge,
+     ("histogram",), _pairs, None),
+    # Blank when no run attributed (see :mod:`repro.obs.attribution`).
+    ("modularity_overhead", attrgetter("metrics.modularity_overhead"), _mean,
+     ("modularity_overhead",), "{:.6f}".format, None),
+    ("boundary_crossings", attrgetter("metrics.boundary_crossings"), sum,
+     ("boundary_crossings",), int, None),
+    # ``kind:count`` words over the ensemble's measurement windows.
+    ("messages_by_kind", lambda run: run.network.get("messages_by_kind", {}), _tally,
+     ("messages_by_kind",), _pairs, None),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,126 +176,88 @@ def summarize_point(
     n: int, stack: StackKind, x: float, runs: list[RunResult]
 ) -> PointSummary:
     """Reduce the seed ensemble of one point."""
-    latencies = [
-        r.metrics.latency_mean for r in runs if r.metrics.latency_mean is not None
-    ]
-    p50s = [
-        r.metrics.latency_p50 for r in runs if r.metrics.latency_p50 is not None
-    ]
-    p99s = [
-        r.metrics.latency_p99 for r in runs if r.metrics.latency_p99 is not None
-    ]
-    p999s = [
-        r.metrics.latency_p999 for r in runs if r.metrics.latency_p999 is not None
-    ]
-    merged = LatencyHistogram()
-    for r in runs:
-        merged = merged.merge(r.metrics.histogram())
-    throughputs = [r.metrics.throughput for r in runs]
-    batch_sizes = [
-        r.delivered_per_consensus
-        for r in runs
-        if r.delivered_per_consensus is not None
-    ]
-    overheads = [
-        r.metrics.modularity_overhead
-        for r in runs
-        if r.metrics.modularity_overhead is not None
-    ]
-    by_kind: dict[str, int] = {}
-    for r in runs:
-        for kind, count in r.network.get("messages_by_kind", {}).items():
-            by_kind[kind] = by_kind.get(kind, 0) + count
-    return PointSummary(
-        n=n,
-        stack=stack,
-        x=x,
-        latency=mean_confidence_interval(latencies or [float("nan")]),
-        latency_p50=mean_confidence_interval(p50s or [float("nan")]),
-        latency_p99=mean_confidence_interval(p99s or [float("nan")]),
-        throughput=mean_confidence_interval(throughputs),
-        delivered_per_consensus=(
-            sum(batch_sizes) / len(batch_sizes) if batch_sizes else None
-        ),
-        stationary=all(r.metrics.stationary for r in runs),
-        runs=tuple(runs),
-        latency_p999=mean_confidence_interval(p999s or [float("nan")]),
-        histogram=merged.counts(),
-        modularity_overhead=(
-            sum(overheads) / len(overheads) if overheads else None
-        ),
-        boundary_crossings=sum(r.metrics.boundary_crossings for r in runs),
-        messages_by_kind=tuple(sorted(by_kind.items())),
-    )
+    fields = {}
+    for field, per_run, reduce, *_ in POINT_QUANTITIES:
+        values = [per_run(run) for run in runs]
+        fields[field] = reduce([v for v in values if v is not None])
+    return PointSummary(n=n, stack=stack, x=x, **fields)
 
 
-def _run_point(
-    base: RunConfig,
-    n: int,
-    stack: StackKind,
-    workload: WorkloadConfig,
-    x: float,
-    seeds: tuple[int, ...],
-) -> PointSummary:
-    config = base.with_changes(
-        n=n, stack=replace(base.stack, kind=stack), workload=workload
-    )
-    runs = [run_simulation(config, seed=seed) for seed in seeds]
-    return summarize_point(n, stack, x, runs)
+def _sweep(
+    parameter: str,
+    values: tuple[float, ...],
+    vary: Callable[[WorkloadConfig, float], WorkloadConfig],
+    *,
+    group_sizes: tuple[int, ...] = PAPER_GROUP_SIZES,
+    stacks: tuple[StackKind, ...] | None = None,
+    seeds: tuple[int, ...] = DEFAULT_SEEDS,
+    base: RunConfig | None = None,
+    jobs: int = 1,
+) -> SweepResult:
+    """Run every (n, stack, value) point with every seed.
 
+    *vary* applies one swept value to the base workload; using
+    ``replace()`` there keeps the workload's other dimensions — arrival
+    law, client population — so a populated base sweeps the population
+    too. *stacks* defaults to the paper's modular and monolithic pair.
 
-def _run_grid(
-    specs: list[tuple[int, StackKind, float, RunConfig]],
-    seeds: tuple[int, ...],
-    jobs: int,
-) -> tuple[PointSummary, ...]:
-    """Run the whole (point × seed) grid, then regroup per point.
-
-    The grid is flattened so that parallel workers balance across the
-    entire sweep rather than one point's seeds; results come back in
-    submission order (see :mod:`repro.experiments.parallel`), so the
-    regrouping — and hence every summary — is identical for any *jobs*.
+    The (point × seed) grid is flattened so that parallel workers
+    balance across the entire sweep rather than one point's seeds;
+    results come back in submission order (see
+    :mod:`repro.experiments.parallel`), so the regrouping — and hence
+    every summary — is identical for any *jobs*.
     """
+    base = base or RunConfig()
+    specs = []
+    for n in group_sizes:
+        for stack in stacks or (StackKind.MODULAR, StackKind.MONOLITHIC):
+            for value in values:
+                config = base.with_changes(
+                    n=n,
+                    stack=replace(base.stack, kind=stack),
+                    workload=vary(base.workload, value),
+                )
+                specs.append((n, stack, float(value), config))
     tasks = [(config, seed) for _, _, _, config in specs for seed in seeds]
     results = run_simulations(tasks, jobs=jobs)
     width = len(seeds)
-    return tuple(
+    points = tuple(
         summarize_point(n, stack, x, list(results[i * width : (i + 1) * width]))
         for i, (n, stack, x, _) in enumerate(specs)
     )
+    return SweepResult(parameter=parameter, points=points)
 
 
 def run_load_sweep(
     *,
     loads: tuple[float, ...] = PAPER_LOADS,
     message_size: int = PAPER_LOAD_SWEEP_SIZE,
-    group_sizes: tuple[int, ...] = PAPER_GROUP_SIZES,
-    stacks: tuple[StackKind, ...] = (StackKind.MODULAR, StackKind.MONOLITHIC),
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    base: RunConfig | None = None,
-    jobs: int = 1,
+    **grid,
 ) -> SweepResult:
-    """The sweep behind Figs. 8 and 10: vary offered load at fixed size."""
-    base = base or RunConfig()
-    specs = []
-    for n in group_sizes:
-        for stack in stacks:
-            for load in loads:
-                # replace() on the base workload keeps its other
-                # dimensions — arrival law, client population — so a
-                # populated base sweeps the population across loads.
-                workload = replace(
-                    base.workload,
-                    offered_load=float(load),
-                    message_size=message_size,
-                )
-                config = base.with_changes(
-                    n=n, stack=replace(base.stack, kind=stack), workload=workload
-                )
-                specs.append((n, stack, float(load), config))
-    return SweepResult(
-        parameter="offered_load", points=_run_grid(specs, seeds, jobs)
-    )
+    """The sweep behind Figs. 8 and 10: vary offered load at fixed size.
+
+    *grid* is :func:`_sweep`'s ``group_sizes``, ``stacks``, ``seeds``,
+    ``base`` and ``jobs``, here and in the two sweeps below.
+    """
+
+    def vary(workload: WorkloadConfig, load: float) -> WorkloadConfig:
+        return replace(workload, offered_load=float(load), message_size=message_size)
+
+    return _sweep("offered_load", loads, vary, **grid)
+
+
+def run_size_sweep(
+    *,
+    sizes: tuple[int, ...] = PAPER_SIZES,
+    offered_load: float = PAPER_SIZE_SWEEP_LOAD,
+    **grid,
+) -> SweepResult:
+    """The sweep behind Figs. 9 and 11: vary message size at fixed load."""
+
+    def vary(workload: WorkloadConfig, size: int) -> WorkloadConfig:
+        return replace(workload, offered_load=offered_load, message_size=size)
+
+    return _sweep("message_size", sizes, vary, **grid)
 
 
 #: Zipf exponents of the client-population skew sweep: uniform through
@@ -227,13 +266,7 @@ PAPER_ZIPF_SKEWS = (0.0, 0.5, 0.8, 1.1, 1.5)
 
 
 def run_zipf_sweep(
-    *,
-    skews: tuple[float, ...] = PAPER_ZIPF_SKEWS,
-    group_sizes: tuple[int, ...] = PAPER_GROUP_SIZES,
-    stacks: tuple[StackKind, ...] = (StackKind.MODULAR, StackKind.MONOLITHIC),
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    base: RunConfig | None = None,
-    jobs: int = 1,
+    *, skews: tuple[float, ...] = PAPER_ZIPF_SKEWS, **grid
 ) -> SweepResult:
     """Vary the client population's Zipf activity skew at fixed load.
 
@@ -242,51 +275,15 @@ def run_zipf_sweep(
     curve isolates how concentrating the same traffic onto ever fewer
     clients moves the latency distribution (p50 vs p999).
     """
-    base = base or RunConfig()
-    population = base.workload.population
-    if population is None:
+    base = grid.get("base")
+    if base is None or base.workload.population is None:
         raise ConfigurationError(
             "zipf sweep needs a client population on the base config "
             "(set workload.population)"
         )
-    specs = []
-    for n in group_sizes:
-        for stack in stacks:
-            for skew in skews:
-                workload = replace(
-                    base.workload,
-                    population=replace(population, zipf_s=float(skew)),
-                )
-                config = base.with_changes(
-                    n=n, stack=replace(base.stack, kind=stack), workload=workload
-                )
-                specs.append((n, stack, float(skew), config))
-    return SweepResult(parameter="zipf_s", points=_run_grid(specs, seeds, jobs))
 
+    def vary(workload: WorkloadConfig, skew: float) -> WorkloadConfig:
+        population = replace(workload.population, zipf_s=float(skew))
+        return replace(workload, population=population)
 
-def run_size_sweep(
-    *,
-    sizes: tuple[int, ...] = PAPER_SIZES,
-    offered_load: float = PAPER_SIZE_SWEEP_LOAD,
-    group_sizes: tuple[int, ...] = PAPER_GROUP_SIZES,
-    stacks: tuple[StackKind, ...] = (StackKind.MODULAR, StackKind.MONOLITHIC),
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    base: RunConfig | None = None,
-    jobs: int = 1,
-) -> SweepResult:
-    """The sweep behind Figs. 9 and 11: vary message size at fixed load."""
-    base = base or RunConfig()
-    specs = []
-    for n in group_sizes:
-        for stack in stacks:
-            for size in sizes:
-                workload = replace(
-                    base.workload, offered_load=offered_load, message_size=size
-                )
-                config = base.with_changes(
-                    n=n, stack=replace(base.stack, kind=stack), workload=workload
-                )
-                specs.append((n, stack, float(size), config))
-    return SweepResult(
-        parameter="message_size", points=_run_grid(specs, seeds, jobs)
-    )
+    return _sweep("zipf_s", skews, vary, **grid)

@@ -54,43 +54,61 @@ def run_comparison(spec: LiveSpec, *, seed: int | None = None) -> dict:
     return {"sim": sim_result_to_dict(sim), "live": live}
 
 
-def _fmt_ms(value: float | None) -> str:
-    return f"{value * 1e3:.2f}" if value is not None else "n/a"
+def _ms(seconds: float | None) -> str:
+    return f"{seconds * 1e3:.2f}" if seconds is not None else "n/a"
+
+
+def _of(section: str, name: str, default: int | None = None):
+    return lambda result: result[section].get(name, default)
+
+
+_RATE = "{:.1f}".format
+
+#: What the text tables report of one run in the shared result schema
+#: (:mod:`repro.live.results`): label, value, how it prints, and where it
+#: shows — the ``repro live`` summary, the sim-vs-live comparison, both,
+#: or the summary only if the run has it (not ``None`` or 0).
+RESULT_ROWS = (
+    ("throughput (msgs/s)", _of("metrics", "throughput"), _RATE, "both"),
+    ("offered rate (msgs/s)", _of("metrics", "offered_rate"), _RATE, "both"),
+    ("early latency mean (ms)", _of("metrics", "latency_mean"), _ms, "both"),
+    ("early latency p95 (ms)", _of("metrics", "latency_p95"), _ms, "compare"),
+    ("latency p999 (ms)", _of("metrics", "latency_p999"), _ms, "summary if any"),
+    ("latency samples", _of("metrics", "latency_count"), str, "both"),
+    ("consensus instances", lambda result: result["instances_decided"], str, "both"),
+    ("net messages sent", _of("network", "messages_sent", 0), str, "both"),
+    ("net payload bytes", _of("network", "payload_bytes_sent", 0), str, "compare"),
+    (
+        "mean cpu utilization",
+        lambda r: sum(r["cpu_utilization"]) / max(1, len(r["cpu_utilization"])),
+        "{:.3f}".format,
+        "compare",
+    ),
+    ("blocked attempts", _of("metrics", "blocked_attempts"), str, "both"),
+    ("active logical clients", _of("metrics", "active_clients"), str, "summary if any"),
+    ("boundary crossings", _of("metrics", "boundary_crossings"), str, "summary if any"),
+)
+
+
+def result_rows(*results: dict, table: str) -> list[list[str]]:
+    """:data:`RESULT_ROWS` for *table* (``"summary"`` or ``"compare"``):
+    per row its label and one cell per result."""
+    rows = []
+    for label, value, text, shown in RESULT_ROWS:
+        values = [value(result) for result in results]
+        if shown == "summary if any" and any(values):
+            shown = "summary"
+        if shown in ("both", table):
+            rows.append([label, *map(text, values)])
+    return rows
 
 
 def comparison_table(results: dict) -> str:
     """Render a ``run_comparison`` result as an aligned text table."""
-    sim, live = results["sim"], results["live"]
-    rows = [
-        ("throughput (msgs/s)", "{:.1f}", lambda r: r["metrics"]["throughput"]),
-        ("offered rate (msgs/s)", "{:.1f}", lambda r: r["metrics"]["offered_rate"]),
-        ("early latency mean (ms)", None, lambda r: _fmt_ms(r["metrics"]["latency_mean"])),
-        ("early latency p95 (ms)", None, lambda r: _fmt_ms(r["metrics"]["latency_p95"])),
-        ("latency samples", "{}", lambda r: r["metrics"]["latency_count"]),
-        ("consensus instances", "{}", lambda r: r["instances_decided"]),
-        ("net messages sent", "{}", lambda r: r["network"].get("messages_sent", 0)),
-        (
-            "net payload bytes",
-            "{}",
-            lambda r: r["network"].get("payload_bytes_sent", 0),
-        ),
-        (
-            "mean cpu utilization",
-            "{:.3f}",
-            lambda r: sum(r["cpu_utilization"]) / max(1, len(r["cpu_utilization"])),
-        ),
-        ("blocked attempts", "{}", lambda r: r["metrics"]["blocked_attempts"]),
-    ]
-    table_rows = []
-    for label, fmt, extract in rows:
-        cells = []
-        for result in (sim, live):
-            value = extract(result)
-            cells.append(fmt.format(value) if fmt is not None else value)
-        table_rows.append([label, *cells])
-    config = live["config"]
+    config = results["live"]["config"]
     title = (
         f"stack={config['stack']} n={config['n']} load={config['load']:g} "
         f"size={config['message_size']} duration={config['duration']:g}s"
     )
-    return title + "\n" + format_table(["metric", "sim", "live"], table_rows)
+    rows = result_rows(results["sim"], results["live"], table="compare")
+    return title + "\n" + format_table(["metric", "sim", "live"], rows)

@@ -31,6 +31,7 @@ Sequence:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -40,6 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import AsyncIterator, Callable
 
 from repro.config import stack_from_label
 from repro.errors import DeploymentError
@@ -293,6 +295,10 @@ class _ControlServer:
         """
         return self._recovered_events.setdefault(pid, asyncio.Event())
 
+    def total(self, counter: str) -> int:
+        """Sum of one counter over the workers' final reports."""
+        return sum(int(d.get(counter, 0)) for d in self.done.values())
+
     def broadcast(self, document: dict) -> None:
         if document.get("type") == "start":
             self.epoch = float(document["epoch"])
@@ -447,23 +453,15 @@ def _reduce(
     for when, pid, msg_id in sorted(delivers):
         collector.on_adeliver(pid, AppMessage(msg_id, size=0, abcast_time=0.0), when)
 
-    blocked = sum(int(d.get("blocked_attempts", 0)) for d in control.done.values())
-    stalls = sum(
-        int(d.get("backpressure_stalls", 0)) for d in control.done.values()
-    )
-    active_clients = sum(
-        int(d.get("active_clients", 0)) for d in control.done.values()
-    )
-    crossings = sum(
-        int(d.get("boundary_crossings", 0)) for d in control.done.values()
-    )
     metrics = collector.finalize(
-        blocked_attempts=blocked,
-        backpressure_stalls=stalls,
-        active_clients=active_clients,
+        blocked_attempts=control.total("blocked_attempts"),
+        backpressure_stalls=control.total("backpressure_stalls"),
+        active_clients=control.total("active_clients"),
         # Live processes count crossings but have no modelled CPU, so
         # the attribution carries a crossing count and zero time.
-        attribution=LayerAttribution.from_totals({}, 0.0, crossings),
+        attribution=LayerAttribution.from_totals(
+            {}, 0.0, control.total("boundary_crossings")
+        ),
     )
     if observability is not None:
         observability["telemetry"] = summarize_telemetry(control.telemetry)
@@ -472,9 +470,7 @@ def _reduce(
             spans.extend(document.get("spans", ()))
         spans.sort(key=lambda row: (row[0], row[2]))
         observability["spans"] = spans
-        observability["trace_dropped"] = sum(
-            int(d.get("trace_dropped", 0)) for d in control.done.values()
-        )
+        observability["trace_dropped"] = control.total("trace_dropped")
 
     network: dict[str, int] = {}
     for document in control.done.values():
@@ -496,31 +492,40 @@ def _reduce(
     )
 
 
-async def _run_live_async(
-    spec: LiveSpec,
-    delivery_log: dict[int, list[MessageId]] | None = None,
-    observability: dict | None = None,
-) -> dict:
+@contextlib.asynccontextmanager
+async def _deployment(
+    spec: LiveSpec, expected_dead: frozenset[int] | set[int] = frozenset()
+) -> AsyncIterator[tuple[_ControlServer, list[subprocess.Popen], float, Callable]]:
+    """Start-up and tear-down around the measured part of a run.
+
+    Entering brings the group up and broadcasts ``start``; the body gets
+    ``(control, workers, epoch, spawn)`` — ``spawn(pid, recover=True)``
+    makes the next incarnation of a killed worker — and decides how long
+    the run lasts. Leaving normally broadcasts ``stop`` and waits for
+    every final report (tolerating *expected_dead* as it is then);
+    leaving either way closes the server and reaps the workers.
+    """
     ports = reserve_ports(spec.host, spec.n)
     addresses = {pid: (spec.host, ports[pid]) for pid in range(spec.n)}
-
     control = _ControlServer(spec.n)
     server = await asyncio.start_server(control.handle, spec.host, 0)
     control_port = server.sockets[0].getsockname()[1]
 
+    def spawn(pid: int, recover: bool = False) -> subprocess.Popen:
+        document = worker_spec(spec, pid, addresses, control_port, recover=recover)
+        return _spawn_worker(document)
+
     workers: list[subprocess.Popen] = []
     try:
-        for pid in range(spec.n):
-            workers.append(
-                _spawn_worker(worker_spec(spec, pid, addresses, control_port))
-            )
-
+        workers.extend(spawn(pid) for pid in range(spec.n))
         await _wait_event(control.all_ready, READY_TIMEOUT, workers, "workers ready")
-        control.broadcast({"type": "start", "epoch": time.monotonic()})
-        await _monitored_sleep(spec.warmup + spec.duration + spec.drain, workers)
+        epoch = time.monotonic()
+        control.broadcast({"type": "start", "epoch": epoch})
+        yield control, workers, epoch, spawn
         control.broadcast({"type": "stop"})
         await _wait_event(
-            control.all_done, READY_TIMEOUT, workers, "final worker reports"
+            control.all_done, READY_TIMEOUT, workers, "final worker reports",
+            expected_dead,
         )
     finally:
         server.close()
@@ -537,6 +542,15 @@ async def _run_live_async(
             if worker.stderr is not None:
                 worker.stderr.close()
 
+
+async def _run_live_async(
+    spec: LiveSpec,
+    delivery_log: dict[int, list[MessageId]] | None = None,
+    observability: dict | None = None,
+) -> dict:
+    async with _deployment(spec) as (control, workers, epoch, _):
+        total = spec.warmup + spec.duration + spec.drain
+        await _monitored_sleep(epoch + total - time.monotonic(), workers)
     return _reduce(spec, control, delivery_log, observability)
 
 

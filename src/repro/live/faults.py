@@ -35,6 +35,7 @@ must have delivered past the last disruption).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import os
 import signal
@@ -46,15 +47,11 @@ from pathlib import Path
 from repro.config import FaultloadConfig, LinkFaultMode
 from repro.errors import DeploymentError
 from repro.live.deploy import (
-    READY_TIMEOUT,
     LiveSpec,
-    _ControlServer,
+    _deployment,
     _monitored_sleep,
     _reduce,
-    _spawn_worker,
     _wait_event,
-    reserve_ports,
-    worker_spec,
 )
 from repro.live.wal import read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
@@ -329,32 +326,14 @@ async def _run_nemesis_live_async(
     spec: LiveSpec,
     faultload: FaultloadConfig,
     actions: list[LiveFaultAction],
-    restart_delay: float,
     liveness_bound: float,
 ) -> LiveNemesisReport:
     assert spec.wal_dir is not None
-    ports = reserve_ports(spec.host, spec.n)
-    addresses = {pid: (spec.host, ports[pid]) for pid in range(spec.n)}
-
-    control = _ControlServer(spec.n)
-    server = await asyncio.start_server(control.handle, spec.host, 0)
-    control_port = server.sockets[0].getsockname()[1]
-
-    workers = []
     expected_dead: set[int] = set()
     timeline: list[str] = []
     restarted: list[int] = []
     kills = 0
-    restarts = 0
-    try:
-        for pid in range(spec.n):
-            workers.append(
-                _spawn_worker(worker_spec(spec, pid, addresses, control_port))
-            )
-        await _wait_event(control.all_ready, READY_TIMEOUT, workers, "workers ready")
-        epoch = time.monotonic()
-        control.broadcast({"type": "start", "epoch": epoch})
-
+    async with _deployment(spec, expected_dead) as (control, workers, epoch, spawn):
         for action in actions:
             await _monitored_sleep(
                 epoch + action.at - time.monotonic(), workers, expected_dead
@@ -373,14 +352,9 @@ async def _run_nemesis_live_async(
                 old = workers[action.pid]
                 if old.stderr is not None:
                     old.stderr.close()
-                workers[action.pid] = _spawn_worker(
-                    worker_spec(
-                        spec, action.pid, addresses, control_port, recover=True
-                    )
-                )
+                workers[action.pid] = spawn(action.pid, recover=True)
                 expected_dead.discard(action.pid)
                 restarted.append(action.pid)
-                restarts += 1
             else:
                 for pid, document in action.directives:
                     control.send_to(pid, document)
@@ -409,28 +383,6 @@ async def _run_nemesis_live_async(
         await _monitored_sleep(
             epoch + total - time.monotonic(), workers, expected_dead
         )
-        control.broadcast({"type": "stop"})
-        await _wait_event(
-            control.all_done,
-            READY_TIMEOUT,
-            workers,
-            "final worker reports",
-            expected_dead,
-        )
-    finally:
-        server.close()
-        await server.wait_closed()
-        for worker in workers:
-            if worker.poll() is None:
-                worker.terminate()
-        for worker in workers:
-            try:
-                worker.wait(timeout=5.0)
-            except Exception:
-                worker.kill()
-                worker.wait()
-            if worker.stderr is not None:
-                worker.stderr.close()
 
     result = _reduce(spec, control)
     quiet_time = max([action.at for action in actions], default=0.0)
@@ -449,24 +401,16 @@ async def _run_nemesis_live_async(
             if document.get("recovered")
         )
     )
-    truncated = sum(
-        int(document.get("wal_truncated_bytes", 0))
-        for document in control.done.values()
-    )
-    stalls = sum(
-        int(document.get("backpressure_stalls", 0))
-        for document in control.done.values()
-    )
     return LiveNemesisReport(
         passed=monitor.passed,
         violations=tuple(monitor.violations),
         deliveries=monitor.delivery_count,
         accepted=accepted,
         kills=kills,
-        restarts=restarts,
+        restarts=len(restarted),
         recovered=recovered,
-        wal_truncated_bytes=truncated,
-        backpressure_stalls=stalls,
+        wal_truncated_bytes=control.total("wal_truncated_bytes"),
+        backpressure_stalls=control.total("backpressure_stalls"),
         timeline=tuple(timeline),
         result=result,
     )
@@ -499,17 +443,14 @@ def run_nemesis_live(
     needed = last_action + _QUIET_MARGIN - spec.warmup
     if spec.duration < needed:
         spec = dataclasses.replace(spec, duration=needed)
-    if spec.wal_dir is not None:
-        os.makedirs(spec.wal_dir, exist_ok=True)
-        return asyncio.run(
-            _run_nemesis_live_async(
-                spec, faultload, actions, restart_delay, liveness_bound
+    with contextlib.ExitStack() as stack:
+        if spec.wal_dir is None:
+            wal_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-wal-")
             )
-        )
-    with tempfile.TemporaryDirectory(prefix="repro-wal-") as wal_dir:
-        spec = dataclasses.replace(spec, wal_dir=wal_dir)
+            spec = dataclasses.replace(spec, wal_dir=wal_dir)
+        else:
+            os.makedirs(spec.wal_dir, exist_ok=True)
         return asyncio.run(
-            _run_nemesis_live_async(
-                spec, faultload, actions, restart_delay, liveness_bound
-            )
+            _run_nemesis_live_async(spec, faultload, actions, liveness_bound)
         )

@@ -13,13 +13,13 @@ class FakeReport:
 def test_figure_command_routes_to_driver(monkeypatch, capsys):
     calls = {}
 
-    def fake_figure8(*, fast, seeds, jobs, stacks):
-        calls["args"] = (fast, seeds, jobs, stacks)
+    def fake_figure(name, *, fast, seeds, jobs, stacks):
+        calls["args"] = (name, fast, seeds, jobs, stacks)
         return FakeReport()
 
-    monkeypatch.setattr(cli, "figure8", fake_figure8)
+    monkeypatch.setattr(cli, "figure", fake_figure)
     assert cli.main(["figure8", "--fast"]) == 0
-    assert calls["args"] == (True, None, 1, None)
+    assert calls["args"] == ("figure8", True, None, 1, None)
     assert "FAKE FIGURE REPORT" in capsys.readouterr().out
 
 
@@ -27,11 +27,12 @@ def test_seeds_flag_builds_seed_tuple(monkeypatch):
     seen = {}
     monkeypatch.setattr(
         cli,
-        "figure9",
-        lambda *, fast, seeds, jobs, stacks: seen.update(seeds=seeds) or FakeReport(),
+        "figure",
+        lambda name, *, fast, seeds, jobs, stacks: seen.update(name=name, seeds=seeds)
+        or FakeReport(),
     )
     cli.main(["figure9", "--seeds", "4"])
-    assert seen["seeds"] == (1, 2, 3, 4)
+    assert seen == {"name": "figure9", "seeds": (1, 2, 3, 4)}
 
 
 def test_figures_command_prints_all(monkeypatch, capsys):
@@ -72,10 +73,10 @@ def test_predict_command_prints_table(capsys):
 def test_repro_errors_exit_with_usage_message(monkeypatch, capsys):
     from repro.errors import ConfigurationError
 
-    def boom(*, fast, seeds, jobs, stacks):
+    def boom(name, *, fast, seeds, jobs, stacks):
         raise ConfigurationError("synthetic config problem")
 
-    monkeypatch.setattr(cli, "figure8", boom)
+    monkeypatch.setattr(cli, "figure", boom)
     assert cli.main(["figure8"]) == 2
     err = capsys.readouterr().err
     assert "error: synthetic config problem" in err
@@ -192,7 +193,7 @@ def test_csv_flag_writes_figure_data(monkeypatch, tmp_path, capsys):
         base=RunConfig(duration=0.3, warmup=0.15),
     )
     monkeypatch.setattr(
-        cli, "figure8", lambda *, fast, seeds, jobs, stacks: figure8(sweep)
+        cli, "figure", lambda name, *, fast, seeds, jobs, stacks: figure8(sweep)
     )
     cli.main(["figure8", "--csv", str(tmp_path)])
     target = tmp_path / "figure8.csv"

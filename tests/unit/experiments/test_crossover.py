@@ -18,6 +18,7 @@ def point(n, stack, x, latency, throughput):
         latency=ci(latency),
         latency_p50=ci(latency),
         latency_p99=ci(latency),
+        latency_p999=ci(latency),
         throughput=ci(throughput),
         delivered_per_consensus=4.0,
         stationary=True,

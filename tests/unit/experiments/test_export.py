@@ -50,3 +50,22 @@ def test_csv_writes_to_path(tiny_sweep, tmp_path):
     rows = write_sweep_csv(tiny_sweep, target)
     assert rows == 4
     assert target.read_text().startswith("parameter,")
+
+
+def test_point_without_latency_samples_reports_its_seeds_and_a_blank_ci():
+    # A window too short for any abcast to be measured: every latency
+    # quantity is absent. The row used to claim seeds=1 (the length of
+    # the NaN placeholder) next to a printed half-width of 0.000000000.
+    sweep = run_load_sweep(
+        loads=(1.0,), seeds=(1, 2, 3), base=RunConfig(duration=0.05, warmup=0.05)
+    )
+    buffer = io.StringIO()
+    write_sweep_csv(sweep, buffer)
+    rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+    assert len(rows) == 4
+    for row, point in zip(rows, sorted(sweep.points, key=lambda p: (p.n, p.stack.value))):
+        assert len(point.runs) == 3
+        assert row["seeds"] == "3"
+        assert row["latency_mean_s"] == "" and row["latency_ci95_s"] == ""
+        assert row["latency_p999_s"] == ""
+        assert row["throughput_mean"] != "" and row["throughput_ci95"] != ""
