@@ -362,16 +362,20 @@ def _maybe_export(report: FigureReport, csv_dir: Path | None) -> None:
     print(f"[csv] wrote {target}")
 
 
-def _print_violations(result: "nemesis_swarm.CaseResult") -> None:
+def _print_violations(violations: Sequence) -> None:
+    """The first violation with the trace that led to it; the rest counted."""
+    from collections import Counter
+
     from repro.obs.format import format_trace_slice
 
-    for violation in result.violations:
-        print(f"  {violation}")
-    trace = result.violations[-1].trace_slice if result.violations else ()
-    if trace:
-        print("  trace slice (most recent events):")
-        for line in format_trace_slice(trace[-12:]).splitlines():
+    first, *rest = violations
+    print(f"  {first}")
+    if first.trace_slice:
+        print("  trace slice (the events leading up to it):")
+        for line in format_trace_slice(first.trace_slice[-12:]).splitlines():
             print(f"    {line}")
+    for invariant, count in Counter(v.invariant for v in rest).items():
+        print(f"  + {count} further {invariant} violation(s)")
 
 
 def _run_nemesis_live(args: argparse.Namespace) -> int:
@@ -422,8 +426,7 @@ def _run_nemesis_live(args: argparse.Namespace) -> int:
         print("PASS: all invariants held across crash and recovery")
         return 0
     print(f"FAIL: {len(report.violations)} violation(s)")
-    for violation in report.violations:
-        print(f"  {violation}")
+    _print_violations(report.violations)
     return 1
 
 
@@ -438,7 +441,7 @@ def _run_nemesis(args: argparse.Namespace) -> int:
             print(f"PASS: {result.deliveries} deliveries, all invariants held")
             return 0
         print(f"FAIL: {len(result.violations)} violation(s)")
-        _print_violations(result)
+        _print_violations(result.violations)
         return 1
 
     stacks_arg = (
@@ -472,19 +475,9 @@ def _run_nemesis(args: argparse.Namespace) -> int:
             for stack in stacks
         ]
 
-    report = nemesis_swarm.SwarmReport()
-    results = nemesis_swarm.run_cases(cases, jobs=args.jobs)
-    report.results.extend(results)
-    for result in results:
-        if not result.passed:
-            minimal = (
-                result
-                if args.no_shrink
-                else nemesis_swarm.shrink_case(result.case)
-            )
-            report.counterexamples.append(
-                nemesis_swarm.Counterexample(original=result, minimal=minimal)
-            )
+    report = nemesis_swarm.sweep_cases(
+        cases, shrink=not args.no_shrink, jobs=args.jobs
+    )
     print(report.summary())
     if report.ok:
         return 0
@@ -495,7 +488,7 @@ def _run_nemesis(args: argparse.Namespace) -> int:
         nemesis_swarm.save_case(case, path)
         print(f"counterexample written: {path}")
         print(f"  replay with: {nemesis_swarm.repro_command(path)}")
-        _print_violations(ce.minimal)
+        _print_violations(ce.minimal.violations)
     return 1
 
 

@@ -10,7 +10,7 @@ the calibration rationale and the resulting paper-vs-measured tables.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -523,13 +523,7 @@ class FaultloadConfig:
     @property
     def is_empty(self) -> bool:
         """Whether this is a good-run faultload (no faults at all)."""
-        return not (
-            self.crashes
-            or self.partitions
-            or self.loss_bursts
-            or self.delay_spikes
-            or self.wrong_suspicions
-        )
+        return not self.events()
 
     @property
     def liveness_safe(self) -> bool:
@@ -561,34 +555,18 @@ class FaultloadConfig:
 
     def events(self) -> tuple[Any, ...]:
         """All atomic fault events, in declaration order (for shrinking)."""
-        return (
-            *self.crashes,
-            *self.partitions,
-            *self.loss_bursts,
-            *self.delay_spikes,
-            *self.wrong_suspicions,
+        return tuple(
+            event for kind in fields(self) for event in getattr(self, kind.name)
         )
 
     def without(self, event: Any) -> "FaultloadConfig":
         """A copy with one atomic fault event removed (for shrinking)."""
-
-        def drop(events: tuple[Any, ...]) -> tuple[Any, ...]:
-            removed = False
-            kept = []
-            for candidate in events:
-                if not removed and candidate == event:
-                    removed = True
-                    continue
-                kept.append(candidate)
-            return tuple(kept)
-
-        return FaultloadConfig(
-            crashes=drop(self.crashes),
-            partitions=drop(self.partitions),
-            loss_bursts=drop(self.loss_bursts),
-            delay_spikes=drop(self.delay_spikes),
-            wrong_suspicions=drop(self.wrong_suspicions),
-        )
+        for kind in fields(self):
+            events = getattr(self, kind.name)
+            if event in events:
+                at = events.index(event)
+                return replace(self, **{kind.name: events[:at] + events[at + 1 :]})
+        return self
 
 
 @dataclass(frozen=True, slots=True)

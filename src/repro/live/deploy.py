@@ -48,6 +48,7 @@ from repro.errors import DeploymentError
 from repro.live.transport import FrameDecoder, encode_frame
 from repro.live.results import live_result_dict
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.ordering import OrderingChecker
 from repro.obs.attribution import LayerAttribution
 from repro.obs.telemetry import summarize_telemetry
 from repro.types import AppMessage, MessageId
@@ -420,6 +421,7 @@ def _reduce(
     control: _ControlServer,
     delivery_log: dict[int, list[MessageId]] | None = None,
     observability: dict | None = None,
+    checker: OrderingChecker | None = None,
 ) -> dict:
     """Feed buffered samples through the simulator's collector.
 
@@ -430,6 +432,8 @@ def _reduce(
     unchanged. *observability*, likewise out of band, is filled with the
     run's telemetry summary and — when the spec traced — the merged
     wall-clock spans (``telemetry``, ``spans``, ``trace_dropped``).
+    *checker*, when given, records every accept and every delivery in
+    the order its worker reported it, for the caller to ``verify()``.
     """
     collector = MetricsCollector(
         spec.n, window_start=spec.warmup, window_end=spec.warmup + spec.duration
@@ -440,13 +444,19 @@ def _reduce(
         for __ in range(int(batch.get("offered", 0))):
             collector.on_offered()
         for sender, seq, size, t0 in batch.get("accepts", ()):
-            collector.on_accept(
-                AppMessage(MessageId(sender, seq), size=size, abcast_time=t0)
-            )
+            message = AppMessage(MessageId(sender, seq), size=size, abcast_time=t0)
+            collector.on_accept(message)
+            if checker is not None:
+                checker.on_abcast(message)
         for sender, seq, when in batch.get("delivers", ()):
-            delivers.append((when, pid, MessageId(sender, seq)))
+            msg_id = MessageId(sender, seq)
+            delivers.append((when, pid, msg_id))
             if delivery_log is not None:
-                delivery_log.setdefault(pid, []).append(MessageId(sender, seq))
+                delivery_log.setdefault(pid, []).append(msg_id)
+            if checker is not None:
+                checker.on_adeliver(
+                    pid, AppMessage(msg_id, size=0, abcast_time=0.0), when
+                )
     # Deliveries are replayed in timestamp order so "first delivery of
     # m" means the earliest across processes, regardless of how the
     # per-worker sample batches interleaved on the control channel.
@@ -551,7 +561,12 @@ async def _run_live_async(
     async with _deployment(spec) as (control, workers, epoch, _):
         total = spec.warmup + spec.duration + spec.drain
         await _monitored_sleep(epoch + total - time.monotonic(), workers)
-    return _reduce(spec, control, delivery_log, observability)
+    # Every fault-free run is judged, whether or not the caller asked for
+    # the log: all accepts first, then each worker's own delivery order.
+    checker = OrderingChecker(spec.n)
+    result = _reduce(spec, control, delivery_log, observability, checker)
+    checker.verify()
+    return result
 
 
 def run_live(
@@ -573,6 +588,9 @@ def run_live(
         DeploymentError: When workers die, never become ready, or stop
             reporting.
         ConfigurationError: For an unknown stack label.
+        OrderingViolation: When the workers' delivery sequences break
+            uniform integrity or total order
+            (:class:`~repro.metrics.ordering.AbcastSpec`).
     """
     spec.validate()
     return asyncio.run(_run_live_async(spec, delivery_log, observability))

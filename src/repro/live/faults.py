@@ -27,9 +27,10 @@ progress from the *recovered* process.
 
 After the run, :func:`check_merged_logs` merges the per-worker
 write-ahead delivery logs and replays them through the unchanged
-:class:`~repro.nemesis.invariants.InvariantMonitor` — the same checker
-the simulator uses — plus an offline liveness watchdog (every worker
-must have delivered past the last disruption).
+:class:`~repro.nemesis.invariants.InvariantMonitor` — the same driver of
+the same :class:`~repro.metrics.ordering.AbcastSpec` the simulator uses
+— plus an offline liveness rule (every worker's log must show a delivery
+after the last fault action).
 """
 
 from __future__ import annotations
@@ -59,11 +60,6 @@ from repro.types import AppMessage, MessageId
 
 #: Seconds between a scheduled SIGKILL and the victim's restart.
 DEFAULT_RESTART_DELAY = 0.4
-
-#: Post-disruption seconds each worker gets to show delivery progress
-#: before the offline liveness check flags a stall. Wider than the sim
-#: default: a live rejoin pays real fork/exec + TCP + state transfer.
-DEFAULT_LIVE_LIVENESS_BOUND = 2.0
 
 #: Quiet margin the run keeps between the last fault action and the end
 #: of the arrival window, so post-heal progress is observable at all.
@@ -148,77 +144,44 @@ def compile_live_faultload(
                 describe=f"restart worker {crash.process} (recover from WAL)",
             )
         )
-    for partition in faultload.partitions:
-        op_on = "hold" if partition.mode is LinkFaultMode.HOLD else "drop"
-        op_off = "release" if partition.mode is LinkFaultMode.HOLD else "undrop"
+
+    def link_fault(applies, *phases: tuple[float, str, str, dict]) -> None:
+        """One action per ``(at, describe, op, extra)`` phase of a link
+        fault: a directive to every process with an affected peer."""
         cut: dict[int, list[int]] = {}
         for src in range(n):
-            peers = [
-                dst for dst in range(n) if dst != src and partition.severs(src, dst)
-            ]
+            peers = [dst for dst in range(n) if dst != src and applies(src, dst)]
             if peers:
                 cut[src] = peers
+        for at, describe, op, extra in phases:
+            actions.append(
+                LiveFaultAction(
+                    at=at,
+                    kind="fault",
+                    directives=tuple(
+                        (pid, {"type": "fault", "op": op, "peers": peers, **extra})
+                        for pid, peers in cut.items()
+                    ),
+                    describe=describe,
+                )
+            )
+
+    for partition in faultload.partitions:
+        held = partition.mode is LinkFaultMode.HOLD
+        op_on, op_off = ("hold", "release") if held else ("drop", "undrop")
         groups = "|".join(",".join(map(str, g)) for g in partition.groups)
-        actions.append(
-            LiveFaultAction(
-                at=partition.start,
-                kind="fault",
-                directives=tuple(
-                    (pid, {"type": "fault", "op": op_on, "peers": peers})
-                    for pid, peers in cut.items()
-                ),
-                describe=f"partition [{groups}] up ({op_on})",
-            )
-        )
-        actions.append(
-            LiveFaultAction(
-                at=partition.heal,
-                kind="fault",
-                directives=tuple(
-                    (pid, {"type": "fault", "op": op_off, "peers": peers})
-                    for pid, peers in cut.items()
-                ),
-                describe=f"partition [{groups}] healed",
-            )
+        link_fault(
+            partition.severs,
+            (partition.start, f"partition [{groups}] up ({op_on})", op_on, {}),
+            (partition.heal, f"partition [{groups}] healed", op_off, {}),
         )
     for spike in faultload.delay_spikes:
-        slowed: dict[int, list[int]] = {}
-        for src in range(n):
-            peers = [
-                dst for dst in range(n) if dst != src and spike.matches(src, dst)
-            ]
-            if peers:
-                slowed[src] = peers
-        actions.append(
-            LiveFaultAction(
-                at=spike.start,
-                kind="fault",
-                directives=tuple(
-                    (
-                        pid,
-                        {
-                            "type": "fault",
-                            "op": "delay",
-                            "peers": peers,
-                            "extra": spike.extra_delay,
-                            "jitter": spike.jitter,
-                        },
-                    )
-                    for pid, peers in slowed.items()
-                ),
-                describe=f"delay spike +{spike.extra_delay * 1e3:.1f}ms up",
-            )
-        )
-        actions.append(
-            LiveFaultAction(
-                at=spike.end,
-                kind="fault",
-                directives=tuple(
-                    (pid, {"type": "fault", "op": "clear_delay", "peers": peers})
-                    for pid, peers in slowed.items()
-                ),
-                describe="delay spike over",
-            )
+        up = f"delay spike +{spike.extra_delay * 1e3:.1f}ms up"
+        shape = {"extra": spike.extra_delay, "jitter": spike.jitter}
+        link_fault(
+            spike.matches,
+            (spike.start, up, "delay", shape),
+            (spike.end, "delay spike over", "clear_delay", {}),
         )
     return sorted(actions, key=lambda action: action.at)
 
@@ -252,7 +215,6 @@ def check_merged_logs(
     wal_dir: str | Path,
     *,
     quiet_time: float = 0.0,
-    liveness_bound: float = DEFAULT_LIVE_LIVENESS_BOUND,
     check_liveness: bool = True,
     expect_all_delivered: bool = True,
 ) -> tuple[InvariantMonitor, int]:
@@ -261,11 +223,13 @@ def check_merged_logs(
     Accept records (write-ahead, fsynced before the message could reach
     any peer) form the abcast universe; deliver records, replayed in
     global timestamp order (stable, so each worker's own order is
-    preserved), face the same four online safety checks as a simulated
-    run. The offline liveness watchdog then demands that every worker's
-    log shows a delivery after ``quiet_time + liveness_bound`` worth of
-    post-disruption calm — a recovered worker that never caught up, or
-    a group that stalled after a heal, fails here.
+    preserved), step the same spec as a simulated run. The offline
+    liveness rule then demands that every worker's log shows a delivery
+    at or after *quiet_time*, the instant of the last fault action — a
+    recovered worker that never caught up, or a group that stalled after
+    a heal, fails here. (The run keeps arrivals going for
+    :data:`_QUIET_MARGIN` seconds past that instant, so there is always
+    something to deliver.)
 
     Returns the monitor (finalized) and the number of accepted ids.
     """
@@ -314,8 +278,7 @@ def check_merged_logs(
                         description=(
                             f"p{pid} shows no delivery after the last "
                             f"disruption quieted at t={quiet_time:.2f} "
-                            f"(last delivery t={last_delivery[pid]:.2f}; "
-                            f"bound {liveness_bound:.2f}s)"
+                            f"(last delivery t={last_delivery[pid]:.2f})"
                         ),
                     )
                 )
@@ -326,7 +289,6 @@ async def _run_nemesis_live_async(
     spec: LiveSpec,
     faultload: FaultloadConfig,
     actions: list[LiveFaultAction],
-    liveness_bound: float,
 ) -> LiveNemesisReport:
     assert spec.wal_dir is not None
     expected_dead: set[int] = set()
@@ -390,7 +352,6 @@ async def _run_nemesis_live_async(
         spec.n,
         spec.wal_dir,
         quiet_time=quiet_time,
-        liveness_bound=liveness_bound,
         check_liveness=faultload.liveness_safe,
         expect_all_delivered=faultload.liveness_safe,
     )
@@ -421,7 +382,6 @@ def run_nemesis_live(
     faultload: FaultloadConfig,
     *,
     restart_delay: float = DEFAULT_RESTART_DELAY,
-    liveness_bound: float = DEFAULT_LIVE_LIVENESS_BOUND,
 ) -> LiveNemesisReport:
     """Run *faultload* against a real deployment and check the logs.
 
@@ -451,6 +411,4 @@ def run_nemesis_live(
             spec = dataclasses.replace(spec, wal_dir=wal_dir)
         else:
             os.makedirs(spec.wal_dir, exist_ok=True)
-        return asyncio.run(
-            _run_nemesis_live_async(spec, faultload, actions, liveness_bound)
-        )
+        return asyncio.run(_run_nemesis_live_async(spec, faultload, actions))

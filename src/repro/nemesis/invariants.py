@@ -1,20 +1,15 @@
 """Online invariant checking for atomic broadcast runs.
 
-:class:`~repro.metrics.ordering.OrderingChecker` verifies the abcast
-contract *after* a run. For adversarial sweeps that is too late and too
-coarse: a violation surfaces as one opaque exception at the end, with no
-notion of *when* the execution went wrong. The
-:class:`InvariantMonitor` instead checks the four properties
-(Hadzilacos & Toueg) *online*, as every adelivery happens:
-
-* **Uniform integrity** — per process, each message at most once, and
-  only messages that were abcast. Checked per delivery.
-* **Total order** — every process's adelivery sequence must be a prefix
-  of one global sequence (the stronger prefix form both stacks
-  guarantee). Checked per delivery against the growing global order, so
-  a divergence is caught at the exact delivery that forks.
-* **Uniform agreement** / **validity** — "eventually" properties,
-  checked at :meth:`finalize` against the processes that survived.
+Judging a run only after it ends is too late and too coarse for
+adversarial sweeps: a violation surfaces as one opaque exception, with
+no notion of *when* the execution went wrong. The
+:class:`InvariantMonitor` steps the executable contract,
+:class:`~repro.metrics.ordering.AbcastSpec`, *online*, as every
+adelivery happens: a delivery the spec refuses (uniform integrity,
+total order) is flagged at the exact instant it forks, with its time and
+a slice of the recent trace; the "eventually" half (uniform agreement,
+validity) is asked at :meth:`~InvariantMonitor.finalize` of the
+processes that survived.
 
 Plus a **liveness watchdog**: once the last fault has healed, correct
 processes holding undelivered messages must keep making delivery
@@ -27,8 +22,9 @@ faults liveness is not guaranteed by the model and only safety is
 checked.
 
 Every violation carries a ring-buffer slice of recent events (accepts,
-deliveries, faults, suspicions) — the first thing one wants when
-debugging a schedule found by the swarm.
+deliveries, faults, suspicions) as ``(time, proc, layer, event)`` rows —
+the first thing one wants when debugging a schedule found by the swarm;
+:func:`repro.obs.format.format_trace_slice` renders them.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import LivenessViolation, OrderingViolation
+from repro.metrics.ordering import AbcastSpec
 from repro.types import AppMessage, MessageId, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,7 +56,8 @@ class Violation:
     invariant: str
     time: SimTime
     description: str
-    trace_slice: tuple[str, ...] = ()
+    #: ``(time, proc, layer, event)`` rows leading up to the violation.
+    trace_slice: tuple[tuple[SimTime, str, str, str], ...] = ()
 
     def __str__(self) -> str:
         return f"[{self.invariant} @ t={self.time:.4f}] {self.description}"
@@ -95,13 +93,9 @@ class InvariantMonitor:
         self.liveness_bound = liveness_bound
         self.raise_on_violation = raise_on_violation
         self.violations: list[Violation] = []
-        self._global_order: list[MessageId] = []
-        self._positions = [0] * n
-        self._delivered: list[set[MessageId]] = [set() for __ in range(n)]
+        self._spec = AbcastSpec(n)
         self._delivery_count = 0
-        self._abcast: set[MessageId] = set()
-        self._abcast_sender: dict[MessageId, int] = {}
-        self._trace: deque[str] = deque(maxlen=history)
+        self._trace: deque[tuple[SimTime, str, str, str]] = deque(maxlen=history)
         self._liveness = LivenessState()
         self._simulation: "Simulation | None" = None
         self._finalized = False
@@ -123,7 +117,9 @@ class InvariantMonitor:
             )
             simulation.kernel.schedule_at(first_check, self._liveness_check)
         else:
-            self._note(0.0, "watchdog disarmed: faultload destroys messages")
+            self._note(
+                0.0, "-", "watchdog", "watchdog disarmed: faultload destroys messages"
+            )
         return self
 
     def _record_fault_timeline(self, simulation: "Simulation") -> None:
@@ -132,70 +128,43 @@ class InvariantMonitor:
         faultload = simulation.config.faultload
         entries: list[tuple[float, str]] = []
         for crash in faultload.crashes:
-            entries.append((crash.time, f"fault: crash p{crash.process}"))
+            entries.append((crash.time, f"crash p{crash.process}"))
         for p in faultload.partitions:
             groups = "|".join(",".join(map(str, g)) for g in p.groups)
-            entries.append((p.start, f"fault: partition [{groups}] up"))
-            entries.append((p.heal, f"fault: partition [{groups}] healed"))
+            entries.append((p.start, f"partition [{groups}] up"))
+            entries.append((p.heal, f"partition [{groups}] healed"))
         for b in faultload.loss_bursts:
             link = f"{b.src if b.src is not None else '*'}->" \
                    f"{b.dst if b.dst is not None else '*'}"
-            entries.append((b.start, f"fault: loss burst {link} p={b.probability:.2f}"))
-            entries.append((b.end, f"fault: loss burst {link} over"))
+            entries.append((b.start, f"loss burst {link} p={b.probability:.2f}"))
+            entries.append((b.end, f"loss burst {link} over"))
         for s in faultload.delay_spikes:
-            entries.append((s.start, f"fault: delay spike +{s.extra_delay * 1e3:.1f}ms"))
-            entries.append((s.end, "fault: delay spike over"))
+            entries.append((s.start, f"delay spike +{s.extra_delay * 1e3:.1f}ms"))
+            entries.append((s.end, "delay spike over"))
         for w in faultload.wrong_suspicions:
+            entries.append((w.time, f"p{w.observer} wrongly suspects p{w.suspect}"))
             entries.append(
-                (w.time, f"fault: p{w.observer} wrongly suspects p{w.suspect}")
-            )
-            entries.append(
-                (w.time + w.duration, f"fault: p{w.observer} retracts p{w.suspect}")
+                (w.time + w.duration, f"p{w.observer} retracts p{w.suspect}")
             )
         for time, text in entries:
-            kernel.schedule_at(time, lambda t=time, x=text: self._note(t, x))
+            kernel.schedule_at(
+                time, lambda t=time, x=text: self._note(t, "-", "fault", x)
+            )
 
     # -- event listeners ----------------------------------------------------
 
     def on_abcast(self, message: AppMessage) -> None:
         """Accept listener: record that *message* entered some stack."""
-        self._abcast.add(message.msg_id)
-        self._abcast_sender[message.msg_id] = message.msg_id.sender
+        self._spec.sent.add(message.msg_id)
 
     def on_adeliver(self, pid: int, message: AppMessage, time: SimTime) -> None:
-        """Adeliver listener: run the online safety checks."""
-        mid = message.msg_id
-        self._note(time, f"p{pid} adeliver {mid}")
-        if mid in self._delivered[pid]:
-            self._flag(
-                "uniform-integrity",
-                time,
-                f"p{pid} adelivered {mid} twice",
-            )
-            return
-        if mid not in self._abcast:
-            self._flag(
-                "uniform-integrity",
-                time,
-                f"p{pid} adelivered never-abcast message {mid}",
-            )
-            return
-        position = self._positions[pid]
-        if position < len(self._global_order):
-            expected = self._global_order[position]
-            if expected != mid:
-                self._flag(
-                    "total-order",
-                    time,
-                    f"p{pid} diverges at position {position}: delivered {mid}, "
-                    f"group order has {expected}",
-                )
-                return
+        """Adeliver listener: step the spec, flag the step it refuses."""
+        self._note(time, f"p{pid}", "abcast", f"adeliver {message.msg_id}")
+        finding = self._spec.adeliver(pid, message.msg_id)
+        if finding is None:
+            self._delivery_count += 1
         else:
-            self._global_order.append(mid)
-        self._positions[pid] = position + 1
-        self._delivered[pid].add(mid)
-        self._delivery_count += 1
+            self._flag(*finding, time)
 
     # -- liveness watchdog ---------------------------------------------------
 
@@ -206,26 +175,15 @@ class InvariantMonitor:
     def _liveness_check(self) -> None:
         assert self._simulation is not None
         kernel = self._simulation.kernel
-        correct = self._correct_now()
-        owed: set[MessageId] = set()
-        for delivered in self._delivered:
-            owed.update(delivered)
-        owed.update(
-            mid for mid in self._abcast if self._abcast_sender[mid] in correct
-        )
-        outstanding = {
-            mid
-            for mid in owed
-            if any(mid not in self._delivered[pid] for pid in correct)
-        }
+        outstanding = self._spec.outstanding(self._correct_now())
         if outstanding and self._delivery_count == self._liveness.last_progress_count:
             sample = sorted(outstanding)[:5]
             self._flag(
                 "liveness",
-                kernel.now,
                 f"no delivery progress for {self.liveness_bound:.2f}s after the "
                 f"last fault healed; {len(outstanding)} message(s) outstanding, "
                 f"e.g. {sample}",
+                kernel.now,
                 error=LivenessViolation,
             )
             return  # a stalled run stays stalled; one report is enough
@@ -266,32 +224,9 @@ class InvariantMonitor:
             crashed = set(simulation.faults.crashed) if simulation is not None else set()
         if simulation is not None and not simulation.config.faultload.liveness_safe:
             expect_all_delivered = False
-        correct = set(range(self.n)) - crashed
         if expect_all_delivered:
-            delivered_anywhere: set[MessageId] = set()
-            for delivered in self._delivered:
-                delivered_anywhere.update(delivered)
-            for pid in sorted(correct):
-                missing = delivered_anywhere - self._delivered[pid]
-                if missing:
-                    self._flag(
-                        "uniform-agreement",
-                        now,
-                        f"p{pid} never adelivered {len(missing)} message(s) "
-                        f"delivered elsewhere, e.g. {sorted(missing)[:5]}",
-                    )
-            from_correct = {
-                mid for mid in self._abcast if self._abcast_sender[mid] in correct
-            }
-            for pid in sorted(correct):
-                missing = from_correct - self._delivered[pid]
-                if missing:
-                    self._flag(
-                        "validity",
-                        now,
-                        f"p{pid} never adelivered {len(missing)} message(s) "
-                        f"abcast by correct processes, e.g. {sorted(missing)[:5]}",
-                    )
+            for finding in self._spec.unmet(set(range(self.n)) - crashed):
+                self._flag(*finding, now)
         return self.violations
 
     @property
@@ -306,23 +241,23 @@ class InvariantMonitor:
 
     def sequence(self, pid: int) -> tuple[MessageId, ...]:
         """The (checked prefix of the) adelivery sequence of *pid*."""
-        return tuple(self._global_order[: self._positions[pid]])
+        return tuple(self._spec.order[: self._spec.cursor[pid]])
 
     @property
-    def trace_slice(self) -> tuple[str, ...]:
+    def trace_slice(self) -> tuple[tuple[SimTime, str, str, str], ...]:
         """Recent events (ring buffer), oldest first."""
         return tuple(self._trace)
 
     # -- internals -------------------------------------------------------------
 
-    def _note(self, time: SimTime, text: str) -> None:
-        self._trace.append(f"t={time:.4f} {text}")
+    def _note(self, time: SimTime, proc: str, layer: str, event: str) -> None:
+        self._trace.append((time, proc, layer, event))
 
     def _flag(
         self,
         invariant: str,
-        time: SimTime,
         description: str,
+        time: SimTime,
         *,
         error: type[Exception] = OrderingViolation,
     ) -> None:
@@ -333,6 +268,6 @@ class InvariantMonitor:
             trace_slice=self.trace_slice,
         )
         self.violations.append(violation)
-        self._note(time, f"VIOLATION {invariant}: {description}")
+        self._note(time, "-", "violation", f"{invariant}: {description}")
         if self.raise_on_violation:
             raise error(str(violation))

@@ -21,10 +21,12 @@ simulator's fault hooks lives in :mod:`repro.nemesis.partitions` and
 
 from __future__ import annotations
 
+import enum
 import json
 import random
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from repro.config import (
     CrashEvent,
@@ -215,65 +217,36 @@ def generate_faultload(
 
 
 # -- JSON round-trip --------------------------------------------------------
+#
+# Both directions are read off the event dataclasses in repro.config: a
+# new field (or a sixth event list) is one edit there, plus a row below
+# if its declared type is new.
+
+#: Faultload list name → the event dataclass of its entries.
+_EVENT_CLASSES: dict[str, type] = {
+    name: get_args(hint)[0]
+    for name, hint in get_type_hints(FaultloadConfig).items()
+}
+
+
+def _plain(value: Any) -> Any:
+    """JSON form of one event field: enums by value, tuples as lists."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def faultload_to_dict(faultload: FaultloadConfig) -> dict[str, Any]:
     """Plain-dict form of a faultload, suitable for ``json.dump``."""
     return {
-        "crashes": [{"time": c.time, "process": c.process} for c in faultload.crashes],
-        "partitions": [
-            {
-                "start": p.start,
-                "heal": p.heal,
-                "groups": [list(group) for group in p.groups],
-                "mode": p.mode.value,
-            }
-            for p in faultload.partitions
-        ],
-        "loss_bursts": [
-            {
-                "start": b.start,
-                "end": b.end,
-                "probability": b.probability,
-                "src": b.src,
-                "dst": b.dst,
-                "mode": b.mode.value,
-                "retry_delay": b.retry_delay,
-            }
-            for b in faultload.loss_bursts
-        ],
-        "delay_spikes": [
-            {
-                "start": s.start,
-                "end": s.end,
-                "extra_delay": s.extra_delay,
-                "jitter": s.jitter,
-                "src": s.src,
-                "dst": s.dst,
-            }
-            for s in faultload.delay_spikes
-        ],
-        "wrong_suspicions": [
-            {
-                "time": w.time,
-                "observer": w.observer,
-                "suspect": w.suspect,
-                "duration": w.duration,
-            }
-            for w in faultload.wrong_suspicions
-        ],
+        name: [
+            {f.name: _plain(getattr(event, f.name)) for f in fields(event)}
+            for event in getattr(faultload, name)
+        ]
+        for name in _EVENT_CLASSES
     }
-
-
-_MISSING = object()
-
-_FAULTLOAD_KEYS = (
-    "crashes",
-    "partitions",
-    "loss_bursts",
-    "delay_spikes",
-    "wrong_suspicions",
-)
 
 
 def _entries(data: dict[str, Any], key: str) -> list[tuple[str, dict[str, Any]]]:
@@ -296,140 +269,103 @@ def _entries(data: dict[str, Any], key: str) -> list[tuple[str, dict[str, Any]]]
     return pairs
 
 
-def _number(entry: dict, where: str, key: str, default: Any = _MISSING) -> Any:
-    if key not in entry:
-        if default is _MISSING:
-            raise ConfigurationError(
-                f"faultload field {where!r} is missing required key {key!r}"
-            )
-        return default
-    value = entry[key]
+def _number(value: Any, path: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"field {path!r} must be a number, got {value!r}")
+    return value
+
+
+def _integer(value: Any, path: str) -> int:
+    if not isinstance(_number(value, path), int):
         raise ConfigurationError(
-            f"faultload field '{where}.{key}' must be a number, got {value!r}"
+            f"field {path!r} must be an integer, got {value!r}"
         )
     return value
 
 
-def _integer(entry: dict, where: str, key: str, default: Any = _MISSING) -> Any:
-    value = _number(entry, where, key, default)
-    if value is not default and not isinstance(value, int):
-        raise ConfigurationError(
-            f"faultload field '{where}.{key}' must be an integer, got {value!r}"
-        )
-    return value
-
-
-def _optional_process(entry: dict, where: str, key: str) -> int | None:
-    value = entry.get(key)
+def _optional_process(value: Any, path: str) -> int | None:
     if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigurationError(
-            f"faultload field '{where}.{key}' must be an integer process id "
-            f"or null, got {value!r}"
+            f"field {path!r} must be an integer process id or null, got {value!r}"
         )
     return value
 
 
-def _link_mode(entry: dict, where: str) -> LinkFaultMode:
-    raw = entry.get("mode", "hold")
+def _link_mode(value: Any, path: str) -> LinkFaultMode:
     try:
-        return LinkFaultMode(raw)
+        return LinkFaultMode(value)
     except ValueError:
         choices = ", ".join(mode.value for mode in LinkFaultMode)
         raise ConfigurationError(
-            f"faultload field '{where}.mode' must be one of {choices}, "
-            f"got {raw!r}"
+            f"field {path!r} must be one of {choices}, got {value!r}"
         ) from None
 
 
-def _groups(entry: dict, where: str) -> tuple[tuple[int, ...], ...]:
-    raw = entry.get("groups")
-    if not isinstance(raw, list) or not all(
-        isinstance(group, list) for group in raw
+def _groups(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(group, list) for group in value
     ):
         raise ConfigurationError(
-            f"faultload field '{where}.groups' must be a list of lists of "
-            f"process ids, got {raw!r}"
+            f"field {path!r} must be a list of lists of process ids, got {value!r}"
         )
-    for g, group in enumerate(raw):
-        for member in group:
-            if isinstance(member, bool) or not isinstance(member, int):
-                raise ConfigurationError(
-                    f"faultload field '{where}.groups[{g}]' must contain "
-                    f"integer process ids, got {member!r}"
-                )
-    return tuple(tuple(group) for group in raw)
+    return tuple(
+        tuple(_integer(member, f"{path}[{g}]") for member in group)
+        for g, group in enumerate(value)
+    )
+
+
+#: Declared type of an event field, as spelled in :mod:`repro.config`
+#: (its annotations are strings) → the checker of its JSON value.
+_CHECKERS = {
+    "float": _number,
+    "int": _integer,
+    "int | None": _optional_process,
+    "LinkFaultMode": _link_mode,
+    "tuple[tuple[int, ...], ...]": _groups,
+}
+
+
+def _event(cls: type, where: str, entry: dict[str, Any]) -> Any:
+    """One event of class *cls* from its JSON object at path *where*."""
+    values = {}
+    for f in fields(cls):
+        if f.name in entry:
+            values[f.name] = _CHECKERS[f.type](entry[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigurationError(
+                f"field {where!r} is missing required key {f.name!r}"
+            )
+    return cls(**values)
 
 
 def faultload_from_dict(data: dict[str, Any]) -> FaultloadConfig:
     """Inverse of :func:`faultload_to_dict`.
 
-    Missing event lists and per-event optional keys default; everything
-    present is schema-checked, and a violation raises
-    :class:`~repro.errors.ConfigurationError` naming the offending field
-    (e.g. ``crashes[0].time``) rather than a bare ``KeyError`` — these
-    dicts come from user-supplied ``--faultload``/``--replay`` files.
+    Missing event lists and per-event optional keys take the defaults
+    the dataclasses declare; everything present is schema-checked, and a
+    violation raises :class:`~repro.errors.ConfigurationError` naming the
+    offending field (e.g. ``crashes[0].time``) rather than a bare
+    ``KeyError`` — these dicts come from user-supplied
+    ``--faultload``/``--replay`` files.
     """
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"a faultload document must be a JSON object, "
             f"got {type(data).__name__}"
         )
-    unknown = sorted(set(data) - set(_FAULTLOAD_KEYS))
+    unknown = sorted(set(data) - set(_EVENT_CLASSES))
     if unknown:
         raise ConfigurationError(
             f"unknown faultload field(s): {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(_FAULTLOAD_KEYS)})"
+            f"(known: {', '.join(_EVENT_CLASSES)})"
         )
     return FaultloadConfig(
-        crashes=tuple(
-            CrashEvent(
-                time=_number(c, where, "time"),
-                process=_integer(c, where, "process"),
+        **{
+            name: tuple(
+                _event(cls, where, entry) for where, entry in _entries(data, name)
             )
-            for where, c in _entries(data, "crashes")
-        ),
-        partitions=tuple(
-            PartitionEvent(
-                start=_number(p, where, "start"),
-                heal=_number(p, where, "heal"),
-                groups=_groups(p, where),
-                mode=_link_mode(p, where),
-            )
-            for where, p in _entries(data, "partitions")
-        ),
-        loss_bursts=tuple(
-            LossBurst(
-                start=_number(b, where, "start"),
-                end=_number(b, where, "end"),
-                probability=_number(b, where, "probability"),
-                src=_optional_process(b, where, "src"),
-                dst=_optional_process(b, where, "dst"),
-                mode=_link_mode(b, where),
-                retry_delay=_number(b, where, "retry_delay", 0.2),
-            )
-            for where, b in _entries(data, "loss_bursts")
-        ),
-        delay_spikes=tuple(
-            DelaySpike(
-                start=_number(s, where, "start"),
-                end=_number(s, where, "end"),
-                extra_delay=_number(s, where, "extra_delay"),
-                jitter=_number(s, where, "jitter", 0.0),
-                src=_optional_process(s, where, "src"),
-                dst=_optional_process(s, where, "dst"),
-            )
-            for where, s in _entries(data, "delay_spikes")
-        ),
-        wrong_suspicions=tuple(
-            WrongSuspicion(
-                time=_number(w, where, "time"),
-                observer=_integer(w, where, "observer"),
-                suspect=_integer(w, where, "suspect"),
-                duration=_number(w, where, "duration", 0.2),
-            )
-            for where, w in _entries(data, "wrong_suspicions")
-        ),
+            for name, cls in _EVENT_CLASSES.items()
+        }
     )
 
 

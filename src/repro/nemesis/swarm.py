@@ -45,6 +45,7 @@ from repro.nemesis.invariants import (
     Violation,
 )
 from repro.nemesis.schedule import (
+    _integer,
     faultload_from_dict,
     faultload_to_dict,
     generate_faultload,
@@ -332,25 +333,20 @@ def shrink_case(
     return run_case(minimal, liveness_bound=liveness_bound)
 
 
-def sweep(
-    seeds: Iterable[int],
-    stacks: Sequence[str] = DEFAULT_STACKS,
-    n: int = 3,
+def sweep_cases(
+    cases: Sequence[NemesisCase],
     *,
     shrink: bool = True,
     liveness_bound: float = DEFAULT_LIVENESS_BOUND,
     jobs: int = 1,
     progress: Callable[[CaseResult], None] | None = None,
 ) -> SwarmReport:
-    """Sweep every (seed, stack) pair; shrink any failures afterwards.
+    """Run prepared *cases*; shrink any failures afterwards.
 
     Cases fan out over *jobs* worker processes; shrinking stays serial
     (it is a sequential search, and failures are the rare case).
     """
     report = SwarmReport()
-    cases = [
-        generate_case(stack, seed, n) for seed in seeds for stack in stacks
-    ]
     results = run_cases(
         cases, liveness_bound=liveness_bound, jobs=jobs, progress=progress
     )
@@ -366,6 +362,19 @@ def sweep(
                 Counterexample(original=result, minimal=minimal)
             )
     return report
+
+
+def sweep(
+    seeds: Iterable[int],
+    stacks: Sequence[str] = DEFAULT_STACKS,
+    n: int = 3,
+    **options: Any,
+) -> SwarmReport:
+    """:func:`sweep_cases` over the generated case of every (seed, stack)."""
+    return sweep_cases(
+        [generate_case(stack, seed, n) for seed in seeds for stack in stacks],
+        **options,
+    )
 
 
 # -- replay / persistence ---------------------------------------------------
@@ -403,12 +412,6 @@ def case_from_dict(data: dict[str, Any]) -> NemesisCase:
         raise ConfigurationError(
             f"replay case field 'stack' must be a string, got {stack!r}"
         )
-    for key in ("seed", "n"):
-        value = data[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"replay case field {key!r} must be an integer, got {value!r}"
-            )
     fd = data.get("fd", "oracle")
     if fd not in ("oracle", "heartbeat"):
         raise ConfigurationError(
@@ -418,8 +421,8 @@ def case_from_dict(data: dict[str, Any]) -> NemesisCase:
     faultload = data.get("faultload", {})
     return NemesisCase(
         stack=stack,
-        seed=data["seed"],
-        n=data["n"],
+        seed=_integer(data["seed"], "seed"),
+        n=_integer(data["n"], "n"),
         fd=fd,
         faultload=faultload_from_dict(faultload),
     )

@@ -1,82 +1,41 @@
 """Human-readable rendering of trace slices and span paths.
 
 The nemesis violation reports carry a ring buffer of recent events as
-flat ``t=<time> <text>`` strings; :func:`format_trace_slice` parses
-them back into aligned columns with layer names, so a violation's
-context reads like a table instead of raw tuples. The profile CLI uses
-:func:`format_message_path` for its critical-path summary.
+``(time, proc, layer, event)`` rows (the monitor knows the layer when it
+notes the event); :func:`format_trace_slice` renders them as aligned
+columns, so a violation's context reads like a table. The profile CLI
+uses :func:`format_message_path` for its critical-path summary.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Sequence
 
 from repro.sim.tracing import TraceRecord
 
-_SLICE_LINE = re.compile(r"^t=(?P<time>[0-9.+-eE]+)\s+(?P<text>.*)$")
-_PROCESS_EVENT = re.compile(r"^p(?P<pid>\d+)\s+(?P<event>.*)$")
 
-#: Leading keyword of a trace-slice event → the layer it belongs to.
-_EVENT_LAYERS = (
-    ("adeliver", "abcast"),
-    ("abcast", "abcast"),
-    ("decide", "consensus"),
-    ("propose", "consensus"),
-    ("rdeliver", "rbcast"),
-    ("crash", "process"),
-    ("restart", "process"),
-)
-
-
-def _classify(text: str) -> tuple[str, str, str]:
-    """One raw slice line's text → (process, layer, event) columns."""
-    if text.startswith("fault:"):
-        return "-", "fault", text[len("fault:") :].strip()
-    if text.startswith("VIOLATION"):
-        return "-", "violation", text[len("VIOLATION") :].strip()
-    if text.startswith("watchdog"):
-        return "-", "watchdog", text
-    match = _PROCESS_EVENT.match(text)
-    if match:
-        event = match.group("event")
-        keyword = event.split(" ", 1)[0]
-        for prefix, layer in _EVENT_LAYERS:
-            if keyword == prefix:
-                return f"p{match.group('pid')}", layer, event
-        return f"p{match.group('pid')}", "-", event
-    return "-", "-", text
-
-
-def format_trace_slice(lines: Sequence[str]) -> str:
-    """Render nemesis ``t=<time> <text>`` lines as aligned columns."""
-    rows = []
-    for line in lines:
-        match = _SLICE_LINE.match(line)
-        if match is None:
-            rows.append(("", "-", "-", line))
-            continue
-        process, layer, event = _classify(match.group("text"))
-        rows.append((match.group("time"), process, layer, event))
-    headers = ("t", "proc", "layer", "event")
+def _columns(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Right-align every column but the last, which runs free."""
+    last = len(headers) - 1
     widths = [len(h) for h in headers]
     for row in rows:
-        for i, cell in enumerate(row[:3]):
+        for i, cell in enumerate(row[:last]):
             widths[i] = max(widths[i], len(cell))
-    out = [
+    return "\n".join(
         "  ".join(
-            h.rjust(w) if i < 3 else h
-            for i, (h, w) in enumerate(zip(headers, widths + [0]))
+            cell.rjust(widths[i]) if i < last else cell
+            for i, cell in enumerate(row)
         )
-    ]
-    for row in rows:
-        out.append(
-            "  ".join(
-                cell.rjust(widths[i]) if i < 3 else cell
-                for i, cell in enumerate(row)
-            )
-        )
-    return "\n".join(out)
+        for row in (headers, *rows)
+    )
+
+
+def format_trace_slice(rows: Iterable[tuple[float, str, str, str]]) -> str:
+    """Render a monitor's ``(time, proc, layer, event)`` rows as columns."""
+    return _columns(
+        ("t", "proc", "layer", "event"),
+        [(f"{time:.4f}", *cells) for time, *cells in rows],
+    )
 
 
 def format_message_path(records: Iterable[TraceRecord]) -> str:
@@ -111,22 +70,4 @@ def format_message_path(records: Iterable[TraceRecord]) -> str:
         rows.append((f"{record.time * 1e3:.3f}", delta, f"p{record.process}", what))
     if not rows:
         return "(no records for this message)"
-    headers = ("t (ms)", "+µs", "proc", "event")
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row[:3]):
-            widths[i] = max(widths[i], len(cell))
-    out = [
-        "  ".join(
-            h.rjust(w) if i < 3 else h
-            for i, (h, w) in enumerate(zip(headers, widths + [0]))
-        )
-    ]
-    for row in rows:
-        out.append(
-            "  ".join(
-                cell.rjust(widths[i]) if i < 3 else cell
-                for i, cell in enumerate(row)
-            )
-        )
-    return "\n".join(out)
+    return _columns(("t (ms)", "+µs", "proc", "event"), rows)

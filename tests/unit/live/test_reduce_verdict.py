@@ -1,0 +1,92 @@
+"""Every fault-free live run is judged by the abcast spec.
+
+``run_live`` hands ``_reduce`` a checker, which records each worker's
+accepts and deliveries in the order that worker reported them, and
+verifies it afterwards — whether or not the caller asked for the
+delivery log. Driven here with hand-made control documents instead of a
+deployment.
+"""
+
+import contextlib
+import time
+
+import pytest
+
+from repro.errors import OrderingViolation
+from repro.live import deploy
+from repro.live.deploy import LiveSpec, _ControlServer, _reduce
+from repro.metrics.ordering import OrderingChecker
+from repro.types import MessageId
+
+SPEC = LiveSpec(n=2, stack="monolithic", load=10.0, duration=1.0, warmup=0.0)
+
+
+def control_with(*batches):
+    control = _ControlServer(SPEC.n)
+    control.samples.extend(batches)
+    control.done.update({pid: {"pid": pid} for pid in range(SPEC.n)})
+    return control
+
+
+def batch(pid, accepts=(), delivers=()):
+    return {
+        "type": "samples",
+        "pid": pid,
+        "accepts": [[sender, seq, 64, at] for sender, seq, at in accepts],
+        "delivers": [list(entry) for entry in delivers],
+    }
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
+class TestReduceRecordsForTheChecker:
+    def test_agreeing_workers_pass_and_the_log_is_per_worker_order(self):
+        # p1's batch reaches the orchestrator first, and its accept of
+        # m(1:0) only in a later batch than p0's delivery of it.
+        control = control_with(
+            batch(1, delivers=[(0, 0, 0.21), (1, 0, 0.31)]),
+            batch(0, accepts=[(0, 0, 0.1)], delivers=[(0, 0, 0.2), (1, 0, 0.3)]),
+            batch(1, accepts=[(1, 0, 0.15)]),
+        )
+        checker = OrderingChecker(SPEC.n)
+        log = {}
+        _reduce(SPEC, control, log, checker=checker)
+        checker.verify(expect_all_delivered=True)
+        assert checker.sequence(0) == (MessageId(0, 0), MessageId(1, 0))
+        assert log == {pid: list(checker.sequence(pid)) for pid in range(SPEC.n)}
+
+    def test_a_forked_order_is_a_total_order_violation(self):
+        control = control_with(
+            batch(
+                0,
+                accepts=[(0, 0, 0.1), (0, 1, 0.1)],
+                delivers=[(0, 0, 0.2), (0, 1, 0.3)],
+            ),
+            batch(1, delivers=[(0, 1, 0.2), (0, 0, 0.3)]),
+        )
+        checker = OrderingChecker(SPEC.n)
+        _reduce(SPEC, control, checker=checker)
+        with pytest.raises(OrderingViolation, match="total-order: p1 diverges"):
+            checker.verify()
+
+    def test_a_delivery_nobody_accepted_is_an_integrity_violation(self):
+        control = control_with(batch(0, delivers=[(1, 7, 0.2)]))
+        checker = OrderingChecker(SPEC.n)
+        _reduce(SPEC, control, checker=checker)
+        with pytest.raises(OrderingViolation, match="never-abcast"):
+            checker.verify()
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
+def test_run_live_judges_the_run_without_being_asked(monkeypatch):
+    forked = control_with(
+        batch(0, accepts=[(0, 0, 0.1), (0, 1, 0.1)], delivers=[(0, 0, 0.2), (0, 1, 0.3)]),
+        batch(1, delivers=[(0, 1, 0.2), (0, 0, 0.3)]),
+    )
+
+    @contextlib.asynccontextmanager
+    async def finished_deployment(spec, expected_dead=frozenset()):
+        yield forked, [], time.monotonic() - 3600.0, None
+
+    monkeypatch.setattr(deploy, "_deployment", finished_deployment)
+    with pytest.raises(OrderingViolation, match="total-order"):
+        deploy.run_live(SPEC)  # no delivery_log, no checker of the caller's

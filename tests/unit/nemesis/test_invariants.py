@@ -82,7 +82,9 @@ def test_order_divergence_is_flagged_at_the_forking_delivery():
     assert violation.time == 0.3
     assert "position 0" in violation.description
     # The trace slice covers the deliveries leading up to the fork.
-    assert any("p0 adeliver" in line for line in violation.trace_slice)
+    assert (0.1, "p0", "abcast", f"adeliver {m1.msg_id}") in violation.trace_slice
+    # ...and ends at the delivery that forked.
+    assert violation.trace_slice[-1] == (0.3, "p1", "abcast", f"adeliver {m2.msg_id}")
 
 
 def test_raise_on_violation_raises_at_the_offending_delivery():

@@ -1,10 +1,13 @@
 """Unit tests for faultload schedules: scenarios, generation, JSON."""
 
+import json
 import random
+from dataclasses import MISSING, fields
+from typing import get_args, get_type_hints
 
 import pytest
 
-from repro.config import LinkFaultMode, RunConfig
+from repro.config import FaultloadConfig, LinkFaultMode, RunConfig
 from repro.errors import ConfigurationError
 from repro.nemesis.schedule import (
     SCENARIOS,
@@ -80,3 +83,70 @@ def test_resolve_faultload_accepts_scenario_name_or_json_path(tmp_path):
     assert resolve_faultload(str(path)) == named_scenario("lossy-link")
     with pytest.raises(ConfigurationError, match="neither a named scenario"):
         resolve_faultload("no-such-thing")
+
+
+# -- one declaration per fault event ----------------------------------------
+
+#: A non-default value for every declared field type. A field of a new
+#: type fails here (KeyError) until it has a row in the schedule
+#: module's checker table too.
+SAMPLES = {
+    "float": 0.375,
+    "int": 1,
+    "int | None": 2,
+    "LinkFaultMode": LinkFaultMode.DROP,
+    "tuple[tuple[int, ...], ...]": ((0,), (1, 2)),
+}
+
+
+def _sample(cls):
+    return cls(**{f.name: SAMPLES[f.type] for f in fields(cls)})
+
+
+def _event_classes():
+    hints = get_type_hints(FaultloadConfig)
+    return [(kind.name, get_args(hints[kind.name])[0]) for kind in fields(FaultloadConfig)]
+
+
+@pytest.mark.parametrize("name,cls", _event_classes())
+def test_every_field_of_every_event_survives_the_json_round_trip(name, cls):
+    event = _sample(cls)
+    for f in fields(cls):
+        assert getattr(event, f.name) != f.default  # or the default could hide a loss
+    faultload = FaultloadConfig(**{name: (event,)})
+    document = json.loads(json.dumps(faultload_to_dict(faultload)))
+    assert set(document[name][0]) == {f.name for f in fields(cls)}
+    assert faultload_from_dict(document) == faultload
+
+
+@pytest.mark.parametrize("name,cls", _event_classes())
+def test_a_missing_required_key_names_the_entry_and_the_key(name, cls):
+    event = _sample(cls)
+    document = faultload_to_dict(FaultloadConfig(**{name: (event,)}))
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    assert required
+    for key in required:
+        broken = json.loads(json.dumps(document))
+        del broken[name][0][key]
+        with pytest.raises(ConfigurationError) as caught:
+            faultload_from_dict(broken)
+        assert f"{name}[0]" in str(caught.value) and repr(key) in str(caught.value)
+    # Optional keys may be left out and take the dataclass's default.
+    sparse = {name: [{key: document[name][0][key] for key in required}]}
+    (restored,) = getattr(faultload_from_dict(sparse), name)
+    for f in fields(cls):
+        if f.default is not MISSING:
+            assert getattr(restored, f.name) == f.default
+
+
+def test_faultload_helpers_cover_every_event_list():
+    everything = FaultloadConfig(
+        **{name: (_sample(cls),) for name, cls in _event_classes()}
+    )
+    assert len(everything.events()) == len(fields(FaultloadConfig))
+    assert not everything.is_empty and FaultloadConfig().is_empty
+    remaining = everything
+    for event in everything.events():
+        remaining = remaining.without(event)
+        assert event not in remaining.events()
+    assert remaining == FaultloadConfig()

@@ -19,6 +19,7 @@ from repro.nemesis.swarm import (
     save_case,
     shrink_case,
     sweep,
+    sweep_cases,
 )
 
 #: One wrong suspicion at a non-coordinator: exactly the trigger of the
@@ -182,3 +183,21 @@ def test_sweep_reports_failures_with_shrunk_counterexamples():
     assert not ce.minimal.passed
     assert ce.dropped_events >= 0
     assert "FAIL" in report.summary()
+
+
+def test_sweep_cases_takes_prepared_cases_and_can_skip_shrinking():
+    # What `nemesis --faultload` does: the caller brings the cases.
+    noisy = FaultloadConfig(
+        crashes=(CrashEvent(0.8, 2),), wrong_suspicions=TRIGGER.wrong_suspicions
+    )
+    cases = [
+        NemesisCase(stack=stack, seed=3, n=3, fd="oracle", faultload=noisy)
+        for stack in ("monolithic", "broken")
+    ]
+    unshrunk = sweep_cases(cases, shrink=False)
+    assert [result.case for result in unshrunk.results] == cases
+    (ce,) = unshrunk.counterexamples
+    assert ce.minimal is ce.original and ce.dropped_events == 0
+    (shrunk,) = sweep_cases(cases).counterexamples
+    assert shrunk.original.violations == ce.original.violations
+    assert shrunk.minimal.case.faultload == TRIGGER
