@@ -35,6 +35,7 @@ from repro.stack.actions import (
     EmitDown,
     EmitUp,
     Send,
+    SendToAll,
     StartTimer,
 )
 from repro.stack.events import (
@@ -176,9 +177,7 @@ class IndirectModularAtomicBroadcast(ModularAtomicBroadcast):
             return []
         payload = tuple(missing)
         size = ID_WIRE_SIZE * len(missing) + 8
-        actions: list[Action] = [
-            Send(dst, "FETCH", payload, size) for dst in self.ctx.others
-        ]
+        actions: list[Action] = [SendToAll("FETCH", payload, size)]
         actions.append(StartTimer("fetch", FETCH_RETRY_DELAY, payload))
         return actions
 

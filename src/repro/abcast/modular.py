@@ -38,7 +38,7 @@ from repro.stack.actions import (
     CancelTimer,
     EmitDown,
     EmitUp,
-    Send,
+    SendToAll,
     StartTimer,
 )
 from repro.stack.events import (
@@ -146,8 +146,7 @@ class ModularAtomicBroadcast(Microprotocol):
         self._unordered[message.msg_id] = message
         self._arrival_generation[message.msg_id] = self._guard_generation
         actions: list[Action] = [
-            Send(dst, "DIFFUSE", message, message_wire_size(message))
-            for dst in self.ctx.others
+            SendToAll("DIFFUSE", message, message_wire_size(message))
         ]
         actions.extend(self._maybe_propose())
         actions.extend(self._manage_guard())
@@ -195,9 +194,8 @@ class ModularAtomicBroadcast(Microprotocol):
         actions: list[Action] = []
         for msg_id, message in self._unordered.items():
             if self._arrival_generation[msg_id] < self._guard_generation - 1:
-                actions.extend(
-                    Send(dst, "DIFFUSE", message, message_wire_size(message))
-                    for dst in self.ctx.others
+                actions.append(
+                    SendToAll("DIFFUSE", message, message_wire_size(message))
                 )
         actions.extend(self._maybe_propose())
         actions.extend(self._manage_guard())

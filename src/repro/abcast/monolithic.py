@@ -47,7 +47,7 @@ from repro.consensus.base import BaseConsensus
 from repro.consensus.instance import InstanceState, coordinator_of_round
 from repro.consensus.messages import Ack, DecisionTag, DecisionValue, Proposal
 from repro.net.message import NetMessage
-from repro.stack.actions import Action, EmitUp, Send
+from repro.stack.actions import Action, EmitUp, Send, SendToAll
 from repro.stack.events import (
     AbcastRequest,
     AdeliverIndication,
@@ -182,8 +182,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         if not self.opts.piggyback_on_ack:
             # Ablation of §4.2: modular-style diffusion to everyone.
             actions: list[Action] = [
-                Send(dst, "M_DIFFUSE", message, message_wire_size(message))
-                for dst in self.ctx.others
+                SendToAll("M_DIFFUSE", message, message_wire_size(message))
             ]
             actions.extend(self._ensure_progress())
             return actions
@@ -248,10 +247,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
             decided_tag = DecisionTag(*self._unannounced)
             self._unannounced = None
         combined = CombinedProposal(Proposal(instance, 1, batch), decided_tag)
-        return [
-            Send(dst, "COMBINED", combined, combined.wire_size)
-            for dst in self.ctx.others
-        ]
+        return [SendToAll("COMBINED", combined, combined.wire_size)]
 
     # -- good-run fast path: non-coordinators --------------------------------
 
@@ -316,17 +312,12 @@ class MonolithicAtomicBroadcast(BaseConsensus):
             # Bad-run path: the decider may not share round-1 state with
             # everyone, so ship the full value (safe against recovery).
             decision = DecisionValue(instance, value)
-            actions.extend(
-                Send(dst, "DECISION", decision, decision.wire_size)
-                for dst in self.ctx.others
-            )
+            actions.append(SendToAll("DECISION", decision, decision.wire_size))
             return actions
         tag = DecisionTag(instance, decided_round)
         if self.opts.cheap_decision_broadcast:
             # §4.3: plain send; consensus k+1 traffic acts as the ack.
-            actions.extend(
-                Send(dst, "DECISION", tag, tag.wire_size) for dst in self.ctx.others
-            )
+            actions.append(SendToAll("DECISION", tag, tag.wire_size))
         else:
             actions.extend(self._rb_decision_sends(RbDecision(tag, self.ctx.pid)))
         return actions
@@ -349,15 +340,9 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         if rb.tag.instance not in self._rb_seen:
             self._rb_seen.add(rb.tag.instance)
             if self.ctx.pid in relay_set(rb.origin, self.ctx.n):
-                actions.extend(self._rb_decision_sends_from_relay(rb))
+                actions.append(SendToAll("RB_DECISION", rb, rb.wire_size))
         actions.extend(self._on_rdeliver(rb.tag))
         return actions
-
-    def _rb_decision_sends_from_relay(self, rb: RbDecision) -> list[Action]:
-        return [
-            Send(dst, "RB_DECISION", rb, rb.wire_size)
-            for dst in self.ctx.others
-        ]
 
     # -- decision consumption (overrides the DecideIndication of the base) --
 

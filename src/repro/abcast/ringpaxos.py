@@ -339,8 +339,7 @@ class RingAcceptor(BaseConsensus):
         value = state.proposals[round_number]
         response = DecisionValue(state.instance, value)
         actions: list[Action] = [
-            Send(dst, "RECOVER_RESP", response, response.wire_size)
-            for dst in self.ctx.others
+            SendToAll("RECOVER_RESP", response, response.wire_size)
         ]
         actions.extend(self._decide(state, value))
         return actions

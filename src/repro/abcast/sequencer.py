@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.errors import ProtocolError
 from repro.net.message import NetMessage
 from repro.net.wire import wire_payload
-from repro.stack.actions import Action, EmitUp, Send
+from repro.stack.actions import Action, EmitUp, Send, SendToAll
 from repro.stack.events import (
     AbcastRequest,
     AdeliverIndication,
@@ -119,8 +119,7 @@ class SequencerAtomicBroadcast(Microprotocol):
         sequenced = Sequenced(self._next_assign, message)
         self._next_assign += 1
         actions: list[Action] = [
-            Send(dst, "SEQUENCED", sequenced, sequenced.wire_size)
-            for dst in self.ctx.others
+            SendToAll("SEQUENCED", sequenced, sequenced.wire_size)
         ]
         actions.extend(self._accept(sequenced))
         return actions

@@ -93,6 +93,21 @@ class ReliableBroadcast(Microprotocol):
         self.variant = variant
         self._next_seq = 0
         self._delivered: set[tuple[int, int]] = set()
+        #: Per origin: this process's destinations in relay-set-first
+        #: order (see module docstring), and whether it relays at all.
+        #: Both depend on ``(origin, n, pid)`` only.
+        self._destinations: list[tuple[int, ...]] = []
+        self._relays: list[bool] = []
+        everyone = range(ctx.n)
+        for origin in everyone:
+            relays = relay_set(origin, ctx.n)
+            rest = [p for p in everyone if p not in relays and p != origin]
+            self._destinations.append(
+                tuple(dst for dst in (*relays, origin, *rest) if dst != ctx.pid)
+            )
+            self._relays.append(
+                variant is ReliableBroadcastVariant.CLASSICAL or ctx.pid in relays
+            )
 
     # ------------------------------------------------------------------
 
@@ -107,7 +122,7 @@ class ReliableBroadcast(Microprotocol):
         )
         self._next_seq += 1
         self._delivered.add(rb.key)
-        actions = self._sends(rb, exclude=(self.ctx.pid,))
+        actions = self._sends(rb)
         # Local delivery: the origin rdelivers its own broadcast at once.
         actions.append(
             EmitUp(RdeliverIndication(rb.inner, rb.inner_size, origin=rb.origin))
@@ -124,26 +139,15 @@ class ReliableBroadcast(Microprotocol):
         actions: list[Action] = [
             EmitUp(RdeliverIndication(rb.inner, rb.inner_size, origin=rb.origin))
         ]
-        if self._should_relay(rb.origin):
+        if self._relays[rb.origin]:
             # Relay to everyone but ourselves — n-1 messages per relayer,
             # which is exactly the paper's (n-1)·(⌊(n-1)/2⌋+1) total.
-            actions.extend(self._sends(rb, exclude=(self.ctx.pid,)))
+            actions.extend(self._sends(rb))
         return actions
 
     # ------------------------------------------------------------------
 
-    def _should_relay(self, origin: int) -> bool:
-        if self.variant is ReliableBroadcastVariant.CLASSICAL:
-            return True
-        return self.ctx.pid in relay_set(origin, self.ctx.n)
-
-    def _sends(self, rb: RbMessage, exclude: tuple[int, ...]) -> list[Action]:
+    def _sends(self, rb: RbMessage) -> list[Action]:
         """Sends in relay-set-first order (see module docstring)."""
-        relays = relay_set(rb.origin, self.ctx.n)
-        rest = [p for p in range(self.ctx.n) if p not in relays and p != rb.origin]
-        ordered = [*relays, rb.origin, *rest]
-        return [
-            Send(dst, "RB", rb, rb.wire_payload_size)
-            for dst in ordered
-            if dst not in exclude
-        ]
+        size = rb.wire_payload_size
+        return [Send(dst, "RB", rb, size) for dst in self._destinations[rb.origin]]

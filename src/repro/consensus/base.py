@@ -38,7 +38,15 @@ from repro.consensus.messages import (
     RecoveryRequest,
 )
 from repro.net.message import NetMessage
-from repro.stack.actions import Action, CancelTimer, EmitDown, EmitUp, Send, StartTimer
+from repro.stack.actions import (
+    Action,
+    CancelTimer,
+    EmitDown,
+    EmitUp,
+    Send,
+    SendToAll,
+    StartTimer,
+)
 from repro.stack.events import (
     DecideIndication,
     Event,
@@ -173,8 +181,7 @@ class BaseConsensus(Microprotocol):
         state.acks.setdefault(round_number, set()).add(self.ctx.pid)
         proposal = Proposal(state.instance, round_number, value)
         actions: list[Action] = [
-            Send(dst, "PROPOSAL", proposal, proposal.wire_size)
-            for dst in self.ctx.others
+            SendToAll("PROPOSAL", proposal, proposal.wire_size)
         ]
         actions.extend(self._maybe_decide(state, round_number))
         return actions
@@ -264,9 +271,7 @@ class BaseConsensus(Microprotocol):
         # and contributes an estimate — even processes that do not
         # themselves suspect anyone (see JoinRound).
         join = JoinRound(state.instance, state.round)
-        actions.extend(
-            Send(dst, "JOIN", join, join.wire_size) for dst in self.ctx.others
-        )
+        actions.append(SendToAll("JOIN", join, join.wire_size))
         return actions
 
     def _on_join(self, sender: int, join: JoinRound) -> list[Action]:
@@ -336,8 +341,7 @@ class BaseConsensus(Microprotocol):
     def _request_recovery(self, state: InstanceState) -> list[Action]:
         request = RecoveryRequest(state.instance, state.awaiting_recovery_round or 0)
         actions: list[Action] = [
-            Send(dst, "RECOVER_REQ", request, request.wire_size)
-            for dst in self.ctx.others
+            SendToAll("RECOVER_REQ", request, request.wire_size)
         ]
         actions.append(
             StartTimer(

@@ -26,7 +26,7 @@ from __future__ import annotations
 from repro.consensus.base import BaseConsensus
 from repro.consensus.instance import InstanceState
 from repro.consensus.messages import DecisionTag, Proposal
-from repro.stack.actions import Action, Send
+from repro.stack.actions import Action, SendToAll
 from repro.stack.events import RbcastRequest
 
 
@@ -45,10 +45,7 @@ class OptimizedConsensus(BaseConsensus):
         state.proposal_sent_rounds.add(1)
         state.acks.setdefault(1, set()).add(self.ctx.pid)
         proposal = Proposal(state.instance, 1, value)
-        return [
-            Send(dst, "PROPOSAL", proposal, proposal.wire_size)
-            for dst in self.ctx.others
-        ]
+        return [SendToAll("PROPOSAL", proposal, proposal.wire_size)]
 
     def _decision_broadcast(
         self, state: InstanceState, round_number: int

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.abcast.factory import build_process, build_stack
@@ -257,10 +258,11 @@ class Simulation:
             # that adelivers its own message within the abcast chain
             # (e.g. the sequencer at the sequencer process) must still
             # wait out its CPU backlog before reusing the slot.
-            sender = self.senders[pid]
-            self.kernel.schedule_at(
+            # The release is never cancelled and never in the past, so
+            # it needs no handle and no check.
+            self.kernel.post(
                 max(self.kernel.now, time),
-                lambda: sender.on_own_delivery(message),
+                partial(self.senders[pid].on_own_delivery, message),
             )
         for listener in self._extra_listeners:
             listener(pid, message, time)

@@ -53,6 +53,17 @@ class BacklogWindow:
         self._total_blocked += 1
         return False
 
+    def refuse(self, count: int) -> None:
+        """Record *count* acquisition attempts that found the window full.
+
+        Raises:
+            FlowControlError: If a slot is free — :meth:`try_acquire`
+                would have granted the first of them.
+        """
+        if self._in_flight < self._capacity:
+            raise FlowControlError("refuse() while a flow-control slot is free")
+        self._total_blocked += count
+
     def release(self) -> None:
         """Return a slot (the own message was adelivered locally).
 

@@ -441,8 +441,7 @@ def _reduce(
     delivers: list[tuple[float, int, MessageId]] = []
     for batch in control.samples:
         pid = int(batch["pid"])
-        for __ in range(int(batch.get("offered", 0))):
-            collector.on_offered()
+        collector.on_offered(int(batch.get("offered", 0)))
         for sender, seq, size, t0 in batch.get("accepts", ()):
             message = AppMessage(MessageId(sender, seq), size=size, abcast_time=t0)
             collector.on_accept(message)

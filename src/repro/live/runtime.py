@@ -34,7 +34,7 @@ from repro.config import NetworkConfig
 from repro.live.transport import Transport
 from repro.net.message import NetMessage
 from repro.sim.tracing import TraceRecorder
-from repro.stack.actions import StartTimer
+from repro.stack.actions import Send, SendToAll, StartTimer
 from repro.stack.events import AbcastRequest, AdeliverIndication, Event
 from repro.stack.module import Microprotocol
 from repro.stack.runtime import StackRuntime
@@ -117,14 +117,24 @@ class LiveRuntime(StackRuntime):
             start, "span.recv", self.pid, (module.name, self.now - start, message.kind)
         )
 
-    def _transmit(self, module: Microprotocol, message: NetMessage) -> None:
-        if not self._trace.enabled:
+    def _transmit(
+        self, module: Microprotocol, action: Send | SendToAll, destinations: tuple[int, ...]
+    ) -> None:
+        name = module.name
+        header = self._send_header[name]
+        for dst in destinations:
+            if not self.alive:
+                return
+            message = NetMessage(
+                action.kind, name, self.pid, dst, action.payload, action.payload_size, header
+            )
+            if not self._trace.enabled:
+                self.transport.send(message)
+                continue
+            start = self.now
             self.transport.send(message)
-            return
-        start = self.now
-        self.transport.send(message)
-        detail = (module.name, self.now - start, message.kind, message.dst)
-        self._trace.record(start, "span.send", self.pid, detail)
+            detail = (name, self.now - start, message.kind, dst)
+            self._trace.record(start, "span.send", self.pid, detail)
 
     def _cross(self, module: Microprotocol, target: Microprotocol, event: Event) -> None:
         if not self._trace.enabled:

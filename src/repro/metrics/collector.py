@@ -96,9 +96,9 @@ class MetricsCollector:
 
     # -- event hooks -----------------------------------------------------
 
-    def on_offered(self) -> None:
-        """One workload arrival occurred (before flow control)."""
-        self._offered_attempts += 1
+    def on_offered(self, count: int = 1) -> None:
+        """*count* workload arrivals occurred (before flow control)."""
+        self._offered_attempts += count
 
     def on_accept(self, message: AppMessage) -> None:
         """A message entered the stack; starts its latency clock."""

@@ -10,47 +10,86 @@ modular and monolithic stacks must match
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from repro.net.message import NetMessage
 
 
-@dataclass
 class NetworkStats:
-    """Mutable per-run network counters."""
+    """Mutable per-run network counters.
 
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    payload_bytes_sent: int = 0
-    #: Transmit attempts stifled because the sender had already crashed
-    #: (fail-stop: a dead process must not put new frames on the wire).
-    sends_after_crash: int = 0
-    messages_by_kind: Counter = field(default_factory=Counter)
-    bytes_by_kind: Counter = field(default_factory=Counter)
-    messages_by_module: Counter = field(default_factory=Counter)
+    :meth:`on_transmit` touches one ``[messages, wire bytes, payload
+    bytes]`` cell per ``(kind, module)``; the totals and the per-kind /
+    per-module breakdowns are sums over the cells, taken when read —
+    each read returns a fresh value, so writing into a returned
+    ``Counter`` changes nothing here.
+    """
+
+    def __init__(self) -> None:
+        #: Transmit attempts stifled because the sender had already
+        #: crashed (fail-stop: a dead process must not put new frames
+        #: on the wire).
+        self.sends_after_crash = 0
+        self._cells: dict[tuple[str, str], list[int]] = {}
 
     def on_transmit(self, message: NetMessage) -> None:
         """Record one message put on the wire."""
-        self.messages_sent += 1
-        self.bytes_sent += message.wire_size
-        self.payload_bytes_sent += message.payload_size
-        self.messages_by_kind[message.kind] += 1
-        self.bytes_by_kind[message.kind] += message.wire_size
-        self.messages_by_module[message.module] += 1
+        key = (message.kind, message.module)
+        try:
+            cell = self._cells[key]
+        except KeyError:
+            cell = self._cells[key] = [0, 0, 0]
+        cell[0] += 1
+        cell[1] += message.wire_size
+        cell[2] += message.payload_size
 
     def on_send_after_crash(self, message: NetMessage) -> None:  # noqa: ARG002
         """Record one transmit attempt by an already-crashed sender."""
         self.sends_after_crash += 1
 
+    def _total(self, column: int) -> int:
+        return sum(cell[column] for cell in self._cells.values())
+
+    def _tally(self, key_part: int, column: int) -> Counter:
+        """Column *column* summed per kind (*key_part* 0) or module (1)."""
+        tally: Counter = Counter()
+        for key, cell in self._cells.items():
+            tally[key[key_part]] += cell[column]
+        return tally
+
+    @property
+    def messages_sent(self) -> int:
+        """Messages put on the wire."""
+        return self._total(0)
+
+    @property
+    def bytes_sent(self) -> int:
+        """Wire bytes (payload plus headers) put on the wire."""
+        return self._total(1)
+
+    @property
+    def payload_bytes_sent(self) -> int:
+        """Payload bytes put on the wire."""
+        return self._total(2)
+
+    @property
+    def messages_by_kind(self) -> Counter:
+        """Messages per protocol message kind."""
+        return self._tally(0, 0)
+
+    @property
+    def bytes_by_kind(self) -> Counter:
+        """Wire bytes per protocol message kind."""
+        return self._tally(0, 1)
+
+    @property
+    def messages_by_module(self) -> Counter:
+        """Messages per sending module."""
+        return self._tally(1, 0)
+
     def reset(self) -> None:
         """Zero all counters (called at the end of warm-up)."""
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.payload_bytes_sent = 0
         self.sends_after_crash = 0
-        self.messages_by_kind.clear()
-        self.bytes_by_kind.clear()
-        self.messages_by_module.clear()
+        self._cells.clear()
 
     def snapshot(self) -> dict:
         """A plain-dict copy, convenient for reports and assertions."""

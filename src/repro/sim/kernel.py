@@ -10,6 +10,7 @@ loop.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -121,6 +122,8 @@ class Kernel:
         max_events = self._max_events
         executed = self._events_executed
         scheduled_event = ScheduledEvent
+        # No horizon is a horizon no event time exceeds.
+        horizon = until if until is not None else math.inf
         while heap and not self._stopped:
             entry = heap[0]
             item = entry[2]
@@ -130,7 +133,7 @@ class Kernel:
                     continue
                 item = item.callback
             time = entry[0]
-            if until is not None and time > until:
+            if time > horizon:
                 break
             heappop(heap)
             if time < self.now:

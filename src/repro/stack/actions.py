@@ -44,9 +44,11 @@ class Send(Action):
 class SendToAll(Action):
     """Send the same message to every other process (not to self).
 
-    The runtime expands this to n-1 sequential :class:`Send` operations,
-    each charged individually to the CPU — so a crash can (and in fault
-    tests, does) interrupt a broadcast halfway through.
+    The runtime's send hook takes it as one fan-out over
+    ``ctx.others`` (ascending) and leaves exactly what n-1 sequential
+    :class:`Send` operations would: each copy is charged individually
+    to the CPU — so a crash can (and in fault tests, does) interrupt a
+    broadcast halfway through.
     """
 
     kind: str

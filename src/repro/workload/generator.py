@@ -27,8 +27,9 @@ from repro.types import AppMessage, MessageId, SimTime
 #: Called when a message is accepted into the stack (for metrics).
 AcceptListener = Callable[[AppMessage], None]
 
-#: Called on every abcast attempt, before flow control (for metrics).
-OfferListener = Callable[[], None]
+#: Called with the number of abcast attempts just made, before flow
+#: control (for metrics).
+OfferListener = Callable[[int], None]
 
 #: Called on every arrival, live or lazily materialized, before the
 #: offer hits flow control (client-population attribution).
@@ -168,12 +169,25 @@ class FlowControlledSender:
         """
         self._offered += 1
         if self._on_offer is not None:
-            self._on_offer()
+            self._on_offer(1)
         if self.window.try_acquire():
             self._inject()
             return True
         self._queued_attempts += 1
         return False
+
+    def offer_refused(self, count: int) -> None:
+        """*count* abcast attempts that all found the window full.
+
+        What *count* refused :meth:`offer` calls leave behind, booked at
+        once; the window raises if a slot is free (such an attempt would
+        have entered the stack).
+        """
+        self.window.refuse(count)
+        self._offered += count
+        if self._on_offer is not None:
+            self._on_offer(count)
+        self._queued_attempts += count
 
     def attach_schedule(self, schedule: "ArrivalSchedule") -> None:
         """Couple this sender to its arrival schedule (for lazy ticks)."""
@@ -270,17 +284,14 @@ class ArrivalSchedule:
         self._next_due = self._kernel.now + self._sampler.first_delay()
         self._kernel.post(self._next_due, self._tick)
 
-    def _arrived(self) -> None:
-        if self._on_arrival is not None:
-            self._on_arrival()
-
     def _tick(self) -> None:
         kernel = self._kernel
         now = kernel.now
         if now > self._stop_at or not self._runtime.alive:
             self._done = True
             return
-        self._arrived()
+        if self._on_arrival is not None:
+            self._on_arrival()
         accepted = self._sender.offer()
         # Same now + gap arithmetic as the always-ticking variant; gap is
         # never negative, so the unchecked absolute-time post is safe.
@@ -295,16 +306,24 @@ class ArrivalSchedule:
     def _materialize_until(self, limit: SimTime) -> None:
         """Replay skipped arrivals with ``due <= limit``, in order."""
         crashed_at = self._runtime.crashed_at
-        while True:
-            due = self._next_due
-            if due > limit:
-                return
-            if due > self._stop_at or (crashed_at is not None and due >= crashed_at):
+        stop_at = self._stop_at
+        gap = self._sampler.gap
+        on_arrival = self._on_arrival
+        due = self._next_due
+        # The window is full, so every one of these arrivals is refused:
+        # one gap draw and one hook call each, the refusals booked once.
+        refused = 0
+        while due <= limit:
+            if due > stop_at or (crashed_at is not None and due >= crashed_at):
                 self._done = True
-                return
-            self._arrived()
-            self._sender.offer()  # window is full: counts as blocked
-            self._next_due = due + self._sampler.gap(due)
+                break
+            if on_arrival is not None:
+                on_arrival()
+            refused += 1
+            due = due + gap(due)
+        self._next_due = due
+        if refused:
+            self._sender.offer_refused(refused)
 
     def catch_up(self) -> None:
         """Account for arrivals skipped while dormant (before a release)."""

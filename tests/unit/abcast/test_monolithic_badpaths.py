@@ -7,7 +7,7 @@ from repro.config import MonolithicOptimizations
 from repro.consensus.messages import DecisionTag
 from repro.stack.events import AbcastRequest, AdeliverIndication
 
-from tests.conftest import app_message, net_message
+from tests.conftest import app_message, net_message, sends_to_all
 from tests.harness import ModulePump
 
 
@@ -68,7 +68,7 @@ def test_rb_decision_is_relayed_once_by_relay_set_members():
     rb = RbDecision(DecisionTag(0, 1), origin=0)
     first = module.handle_message(net_message("RB_DECISION", 0, relay_pid, rb))
     resent = [a for a in first if getattr(a, "kind", None) == "RB_DECISION"]
-    assert len(resent) == 4  # to everyone else
+    assert len(resent) == 1 and resent[0] in sends_to_all(first)  # to everyone else
     second = module.handle_message(net_message("RB_DECISION", 3, relay_pid, rb))
     resent_again = [a for a in second if getattr(a, "kind", None) == "RB_DECISION"]
     assert resent_again == []
@@ -91,8 +91,8 @@ def test_decision_tag_without_proposal_triggers_recovery_in_mono():
     actions = module.handle_message(
         net_message("DECISION", 0, 2, DecisionTag(4, 1))
     )
-    kinds = [getattr(a, "kind", None) for a in actions]
-    assert kinds.count("RECOVER_REQ") == 2
+    # One fan-out to the two other processes.
+    assert [a.kind for a in sends_to_all(actions)] == ["RECOVER_REQ"]
 
 
 def test_stale_combined_still_processes_decision_piggyback():
@@ -155,7 +155,8 @@ def test_message_riding_a_straggler_ack_is_not_stranded():
     coordinator = MonolithicAtomicBroadcast(make_ctx(pid=0, n=3))
     m1 = app_message(sender=0)
     first = coordinator.handle_event(AbcastRequest(m1))
-    assert [a.kind for a in first] == ["COMBINED", "COMBINED"]
+    # One fan-out: a COMBINED to each of the two other processes.
+    assert first == sends_to_all(first) and [a.kind for a in first] == ["COMBINED"]
 
     # p1's ack arrives first and decides instance 0 (majority with self).
     ack1 = AckWithDiffusion(ack=Ack(0, 1), messages=())

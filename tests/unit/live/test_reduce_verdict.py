@@ -15,6 +15,7 @@ import pytest
 from repro.errors import OrderingViolation
 from repro.live import deploy
 from repro.live.deploy import LiveSpec, _ControlServer, _reduce
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.ordering import OrderingChecker
 from repro.types import MessageId
 
@@ -74,6 +75,23 @@ class TestReduceRecordsForTheChecker:
         _reduce(SPEC, control, checker=checker)
         with pytest.raises(OrderingViolation, match="never-abcast"):
             checker.verify()
+
+
+@pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
+def test_offered_rate_adds_the_sample_counts_it_used_to_count_out():
+    """Each worker sample carries how many arrivals it saw; the rate is
+    their sum over the window, as when every arrival was one call."""
+    samples = [batch(0), batch(1), batch(0), batch(1), batch(0)]
+    for sample, offered in zip(samples, (20_000, 0, 17, None, 3)):
+        if offered is not None:  # workers may omit the count
+            sample["offered"] = offered
+    reference = MetricsCollector(SPEC.n, window_start=0.0, window_end=1.0)
+    for sample in samples:
+        for __ in range(int(sample.get("offered", 0))):
+            reference.on_offered()
+    result = _reduce(SPEC, control_with(*samples))
+    assert result["metrics"]["offered_rate"] == reference.finalize().offered_rate
+    assert result["metrics"]["offered_rate"] == 20_020.0
 
 
 @pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")

@@ -14,11 +14,12 @@ import pytest
 
 from repro.abcast.factory import build_process
 from repro.config import CpuCosts, NetworkConfig, stack_from_label
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
 from repro.fd.base import FailureDetector
 from repro.live.runtime import LiveRuntime
 from repro.net.network import Network
 from repro.sim.kernel import Kernel
+from repro.sim.tracing import TraceRecorder
 from repro.stack.actions import (
     CancelTimer,
     EmitDown,
@@ -46,10 +47,14 @@ COSTS = CpuCosts()
 class SimHarness:
     """Process 0 of an n-process group on one Kernel + Network."""
 
+    #: Modelled time: span times and durations repeat to the bit.
+    timed = True
+
     def __init__(self):
         self.kernel = Kernel()
         self.sent = []
         self.network = None
+        self.trace = None
 
     def host(self, pid, n, modules):
         if self.network is None:
@@ -63,7 +68,7 @@ class SimHarness:
             self.network.transmit = spy
         return ProcessRuntime(
             pid, modules, kernel=self.kernel, network=self.network,
-            costs=COSTS, net_config=NET,
+            costs=COSTS, net_config=NET, trace=self.trace,
         )
 
     def build(self, n=3, depth=1):
@@ -89,15 +94,19 @@ class SimHarness:
 class LiveHarness:
     """Process 0 on a private event loop, sending into a FakeTransport."""
 
+    #: Host clock: span times and durations differ from run to run.
+    timed = False
+
     def __init__(self):
         self.loop = asyncio.new_event_loop()
         self.transport = FakeTransport()
         self.sent = self.transport.sent
+        self.trace = None
 
     def host(self, pid, n, modules):
         return LiveRuntime(
             pid, n, modules, self.transport, net_config=NET, loop=self.loop,
-            on_crash=lambda: None,
+            on_crash=lambda: None, trace=self.trace,
         )
 
     def build(self, n=3, depth=1):
@@ -193,6 +202,99 @@ def test_crash_mid_broadcast_stops_the_remaining_sends(backend):
     runtime.inject(Probe("go"))
     assert [m.dst for m in backend.sent] == [1, 2]  # third send never happened
     assert not runtime.alive
+
+
+# -- fan-out: a SendToAll is its n-1 Sends, to the last bit -------------------
+
+PAYLOAD = ("shared", "payload")
+
+
+def broadcasts(others, spell):
+    """Three broadcasts — a shared payload, None (never a repeat copy),
+    the shared payload again — each spelled by *spell*."""
+    return [
+        action
+        for kind, payload, size in (("A", PAYLOAD, 100), ("B", None, 7), ("C", PAYLOAD, 100))
+        for action in spell(others, kind, payload, size)
+    ]
+
+
+def one_send_to_all(others, kind, payload, size):
+    return [SendToAll(kind, payload, size)]
+
+
+def one_send_each(others, kind, payload, size):
+    return [Send(dst, kind, payload, size) for dst in others]
+
+
+def observe_fan_out(harness_cls, spell, crash_after=None):
+    """Everything a script of broadcasts from the top of a two-module
+    stack (height 1, so sends cross a boundary) leaves behind."""
+    harness = harness_cls()
+    harness.trace = TraceRecorder()
+    try:
+        runtime = harness.build(n=4, depth=2)
+        if crash_after is not None:
+            harness.crash_after_sends(runtime, crash_after)
+        top = runtime.modules[0]
+        top.next_actions = broadcasts(top.ctx.others, spell)
+        runtime.inject(Probe("go"))
+        uids = [m.uid for m in harness.sent]
+        spans = [
+            (r.time, r.process, r.detail) if harness.timed
+            else (r.process, r.detail[0], r.detail[2:])
+            for r in harness.trace.select("span.send")
+        ]
+        return {
+            "messages": [
+                (m.kind, m.module, m.src, m.dst, m.payload, m.payload_size,
+                 m.header_size, m.wire_size)
+                for m in harness.sent
+            ],
+            "uids_consecutive": uids == list(range(uids[0], uids[0] + len(uids))),
+            "spans": spans,
+            "layer_busy": getattr(runtime, "layer_busy", None),
+            "boundary_busy": getattr(runtime, "boundary_busy", None),
+            "boundary_crossings": runtime.boundary_crossings,
+            "alive": runtime.alive,
+        }
+    finally:
+        harness.close()
+
+
+def test_send_to_all_is_its_sends_in_messages_spans_and_attribution(backend):
+    fanned = observe_fan_out(type(backend), one_send_to_all)
+    looped = observe_fan_out(type(backend), one_send_each)
+    assert fanned == looped  # floats included: bit-equal, not approximately
+    assert [m[3] for m in fanned["messages"]] == [1, 2, 3] * 3
+    assert fanned["uids_consecutive"] and len(fanned["spans"]) == 9
+    if backend.timed:
+        # Serialization is paid by the first copy of a payload object
+        # and by every copy of None, on either spelling.
+        costs = [detail[1] for __, __, detail in fanned["spans"]]
+        assert costs[0] > costs[1] == costs[2]
+        assert costs[3] == costs[4] == costs[5]
+        assert fanned["boundary_crossings"] == 9  # one per copy at height 1
+
+
+def test_crash_after_two_copies_stops_either_spelling_alike(backend):
+    fanned = observe_fan_out(type(backend), one_send_to_all, crash_after=2)
+    looped = observe_fan_out(type(backend), one_send_each, crash_after=2)
+    assert fanned == looped
+    assert [m[3] for m in fanned["messages"]] == [1, 2] and not fanned["alive"]
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [SendToAll("K", None, -1), Send(1, "K", None, -1), Send(0, "K", None, 1)],
+    ids=["fan-out-negative-size", "send-negative-size", "send-to-self"],
+)
+def test_hostile_message_still_raises_from_the_send_hook(backend, hostile):
+    runtime = backend.build(n=4)
+    runtime.modules[0].next_actions = [hostile]
+    with pytest.raises(NetworkError):
+        runtime.inject(Probe("go"))
+    assert backend.sent == []
 
 
 def headers_by_module(harness):
