@@ -261,7 +261,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
                 self._suppress_forward = False
         proposal = combined.proposal
         state = self.instance(proposal.instance)
-        state.proposals[proposal.round] = proposal.value
+        state.record_proposal(proposal.round, proposal.value)
         if state.decided is None and proposal.round >= state.round:
             state.round = proposal.round
             state.estimate = proposal.value

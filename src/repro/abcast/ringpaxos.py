@@ -294,6 +294,11 @@ class RingAcceptor(BaseConsensus):
 
     def _decide(self, state: InstanceState, value: Batch) -> list[Action]:
         already = state.decided is not None
+        if not already:
+            # Round 1 gathers its majority as votes on the token, never as
+            # acks, so once decided this process's ring proposal waits for
+            # nothing — close it, or the coordinator's instances never retire.
+            state.proposal_sent_rounds.discard(1)
         actions = super()._decide(state, value)
         if already:
             return actions

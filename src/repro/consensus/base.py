@@ -4,7 +4,9 @@ Both variants (textbook and good-run-optimized Chandra–Toueg) share:
 
 * instance multiplexing — one module runs the whole sequence of
   instances the atomic broadcast reduction needs, creating per-instance
-  state lazily when the first local propose or remote message arrives;
+  state lazily when the first local propose or remote message arrives
+  and retiring it at the decision (a decided instance keeps its decision
+  and nothing else, see :meth:`~repro.consensus.instance.InstanceState.retire`);
 * rounds ≥ 2 — estimate gathering, max-timestamp selection, proposal,
   acks (these only run after a suspicion, so they are identical in both
   variants);
@@ -188,7 +190,7 @@ class BaseConsensus(Microprotocol):
 
     def _on_proposal(self, sender: int, proposal: Proposal) -> list[Action]:
         state = self.instance(proposal.instance)
-        state.proposals[proposal.round] = proposal.value
+        state.record_proposal(proposal.round, proposal.value)
         if state.decided is not None:
             return self._maybe_complete_recovery(state)
         if proposal.round < state.round:
@@ -204,9 +206,8 @@ class BaseConsensus(Microprotocol):
 
     def _on_ack(self, sender: int, ack: Ack) -> list[Action]:
         state = self.instance(ack.instance)
-        if state.decided is not None and state.decision_sent:
-            return []
-        state.acks.setdefault(ack.round, set()).add(sender)
+        if not state.record_ack(ack.round, sender):
+            return []  # stray or late: no open proposal of ours to count it for
         return self._maybe_decide(state, ack.round)
 
     def _maybe_decide(self, state: InstanceState, round_number: int) -> list[Action]:
@@ -216,7 +217,10 @@ class BaseConsensus(Microprotocol):
         if len(state.acks.get(round_number, ())) < self.ctx.majority:
             return []
         state.decision_sent = True
-        return self._announce_decision(state, round_number)
+        actions = self._announce_decision(state, round_number)
+        # The announcement was the last reader of this round's proposal.
+        state.retire()
+        return actions
 
     def _announce_decision(self, state: InstanceState, round_number: int) -> list[Action]:
         """Disseminate the decision of *round_number*.
@@ -322,6 +326,7 @@ class BaseConsensus(Microprotocol):
         if state.decided is not None:
             return []
         state.decided = value
+        state.retire()
         actions: list[Action] = []
         if state.awaiting_recovery_round is not None:
             state.awaiting_recovery_round = None

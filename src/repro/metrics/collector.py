@@ -88,8 +88,8 @@ class MetricsCollector:
         self.n = n
         self.window_start = window_start
         self.window_end = window_end
+        #: Accept times of messages nobody has adelivered yet.
         self._abcast_times: dict[MessageId, SimTime] = {}
-        self._first_delivery: dict[MessageId, SimTime] = {}
         self._latency_samples: list[tuple[SimTime, float]] = []
         self._deliveries_in_window: list[int] = [0] * n
         self._offered_attempts = 0
@@ -105,14 +105,20 @@ class MetricsCollector:
         self._abcast_times[message.msg_id] = message.abcast_time
 
     def on_adeliver(self, pid: int, message: AppMessage, time: SimTime) -> None:
-        """A process adelivered a message."""
+        """A process adelivered a message.
+
+        The first delivery of a message takes its accept time with it;
+        later ones find nothing, so the collector holds a time only for
+        what is still in flight. Both feeders present every accept
+        before any delivery of that message: the simulation accepts a
+        message before its stack can see it, and the live reduction
+        (:func:`repro.live.deploy._reduce`) replays all accepts first.
+        """
         if self.window_start <= time < self.window_end:
             self._deliveries_in_window[pid] += 1
-        if message.msg_id not in self._first_delivery:
-            self._first_delivery[message.msg_id] = time
-            t0 = self._abcast_times.get(message.msg_id)
-            if t0 is not None and self.window_start <= t0 < self.window_end:
-                self._latency_samples.append((t0, time - t0))
+        t0 = self._abcast_times.pop(message.msg_id, None)
+        if t0 is not None and self.window_start <= t0 < self.window_end:
+            self._latency_samples.append((t0, time - t0))
 
     # -- reduction ---------------------------------------------------------
 

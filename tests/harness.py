@@ -15,6 +15,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.abcast.monolithic import MonolithicAtomicBroadcast
+from repro.abcast.ringpaxos import RingAcceptor
+from repro.consensus.base import BaseConsensus
+from repro.consensus.chandra_toueg import TextbookConsensus
+from repro.consensus.instance import InstanceState
+from repro.consensus.optimized import OptimizedConsensus
 from repro.net.message import NetMessage
 from repro.stack.actions import (
     Action,
@@ -237,3 +243,42 @@ class ModulePump:
     def deliverable(self) -> list[NetMessage]:
         """Snapshot of the queued messages (for assertions)."""
         return [p.message for p in self.queue]
+
+
+#: The four modules that run the shared consensus machinery — and so
+#: retire their instances — with whether a pump has to emulate the
+#: rbcast module below them. The monolithic one is driven by abcasts,
+#: the others by one propose per instance.
+RETIRING_MODULES: dict[str, tuple[type[BaseConsensus], bool]] = {
+    "optimized": (OptimizedConsensus, True),
+    "textbook": (TextbookConsensus, True),
+    "monolithic": (MonolithicAtomicBroadcast, False),
+    "ringacceptor": (RingAcceptor, False),
+}
+
+
+class RoundStateKept(InstanceState):
+    """Reference instance: the retirement step does nothing, so a decided
+    instance keeps its proposals, acks and estimates for good — the
+    representation every handler was written against."""
+
+    def retire(self) -> None:
+        pass
+
+
+def never_retiring(module_class: type[BaseConsensus]) -> type[BaseConsensus]:
+    """*module_class* over :class:`RoundStateKept` instances.
+
+    Retirement must be unobservable: whatever schedule drives a module
+    and this reference of it, both return the same actions.
+    """
+
+    class Reference(module_class):
+        def instance(self, k: int) -> InstanceState:
+            state = self._instances.get(k)
+            if state is None:
+                state = self._instances[k] = RoundStateKept(instance=k, n=self.ctx.n)
+            return state
+
+    Reference.__name__ = f"NeverRetiring{module_class.__name__}"
+    return Reference

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ArrivalProcess, RunConfig, WorkloadConfig
@@ -42,6 +42,12 @@ ALL_STACKS = (
 RUN_WARMUP = 0.1
 RUN_DURATION = 0.5
 
+#: Quiet simulated time every run gets after its arrivals stop, and how
+#: a backlog that outlasts it is waited for (see ``_sequences``).
+DRAIN = 1.0
+DRAIN_STEP = 0.25
+MAX_DRAIN = 4.0
+
 SEEDS = st.integers(min_value=0, max_value=2**16)
 
 
@@ -57,14 +63,31 @@ def _sequences(stack: str, seed: int, n: int, workload: WorkloadConfig):
     simulation = Simulation(config, seed=seed)
     monitor = InvariantMonitor(n)
     monitor.attach(simulation)
+    accepted: list = []
+    simulation.add_accept_listener(accepted.append)
+    simulation.start()
+    # The generated grid reaches saturating loads (n=7 at 900 msg/s),
+    # where the default drain cannot flush the flow-control windows;
+    # finalize would then flag agreement/validity on messages that are
+    # merely still in flight. DRAIN empties the backlog at every grid
+    # point but one: ringpaxos at n=7 with 8 KiB messages admits all
+    # ≈ 540 messages offered in the 0.6 s and delivers ≈ 340 msg/s, so
+    # its last adeliver lands at 540 / 340 ≈ 1.59 s — 1.596–1.604 s
+    # by seed, against a run that ends at 0.6 + 1.0 s. So a backlog is
+    # waited for, a stall is not: step on while some process still owes
+    # a delivery, stop at the first step that delivers nothing (finalize
+    # then reports what is missing), and never wait past MAX_DRAIN.
+    drain = DRAIN
+    simulation.kernel.run(until=config.total_time + drain)
+    while drain < MAX_DRAIN and monitor.delivery_count < n * len(accepted):
+        delivered = monitor.delivery_count
+        drain += DRAIN_STEP
+        simulation.kernel.run(until=config.total_time + drain)
+        if monitor.delivery_count == delivered:
+            break
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StationarityWarning)
-        # The generated grid reaches saturating loads (n=7 at 900 msg/s),
-        # where the default drain cannot flush the flow-control windows;
-        # finalize would then flag agreement/validity on messages that
-        # are merely still in flight. One extra simulated second empties
-        # the backlog at every grid point.
-        simulation.run(drain=1.0)
+        simulation.run(drain=drain)
     violations = monitor.finalize()
     return monitor, violations
 
@@ -97,6 +120,15 @@ def assert_no_duplicates(monitor: InvariantMonitor, pids) -> None:
     load=st.sampled_from([60.0, 240.0, 900.0]),
     size=st.sampled_from([64, 1024, 8192]),
     arrival=st.sampled_from(list(ArrivalProcess)),
+)
+# The grid's slowest cell: its backlog ends at the edge of DRAIN (above).
+@example(
+    stack="ringpaxos",
+    seed=0,
+    n=7,
+    load=900.0,
+    size=8192,
+    arrival=ArrivalProcess.UNIFORM,
 )
 def test_total_order_holds_fault_free(stack, seed, n, load, size, arrival):
     """All four stacks totally order randomized fault-free workloads."""

@@ -5,7 +5,7 @@ import pytest
 from repro.consensus.instance import InstanceState, coordinator_of_round
 from repro.types import Batch
 
-from tests.conftest import app_message
+from tests.conftest import app_message, batch
 
 
 def test_round_one_coordinator_is_process_zero_for_every_instance():
@@ -71,3 +71,68 @@ def test_estimate_overwrite_by_same_sender():
     state.record_estimate(2, 1, 3, second)
     assert state.best_estimate(2) is second
     assert len(state.estimates[2]) == 1
+
+
+# -- end of life ---------------------------------------------------------------
+
+
+def test_state_has_no_instance_dict():
+    state = InstanceState(instance=0, n=3)
+    assert not hasattr(state, "__dict__")
+
+
+def test_undecided_instance_does_not_retire():
+    state = InstanceState(instance=0, n=3)
+    state.retire()
+    assert not state.retired
+    assert state.proposals == {} and state.proposal_sent_rounds == set()
+
+
+def test_follower_retires_at_the_decision_and_keeps_what_answers_need():
+    state = InstanceState(instance=7, n=3)
+    value = batch(7, app_message())
+    state.record_proposal(1, value)
+    state.record_estimate(2, 1, 0, value)
+    state.decided = value
+    state.retire()
+    assert state.retired
+    assert state.proposals is state.proposal_sent_rounds is None
+    assert state.acks is state.estimates is None
+    assert (state.instance, state.decided, state.decision_sent) == (7, value, False)
+    state.retire()  # idempotent
+    assert state.retired
+
+
+def test_coordinator_retires_only_once_its_open_proposal_is_announced():
+    state = InstanceState(instance=0, n=3)
+    value = batch(0, app_message())
+    state.proposals[2] = value
+    state.proposal_sent_rounds.add(2)
+    state.decided = value  # learnt through another round
+    state.retire()
+    assert not state.retired and state.proposals == {2: value}
+    state.decision_sent = True
+    state.retire()
+    assert state.retired
+
+
+def test_records_on_a_retired_instance_are_no_ops():
+    state = InstanceState(instance=0, n=3)
+    state.decided = batch(0)
+    state.retire()
+    state.record_proposal(1, batch(0, app_message()))
+    assert state.record_ack(1, 2) is False
+    assert state.retired
+
+
+def test_acks_count_only_towards_an_open_proposal_of_this_process():
+    state = InstanceState(instance=0, n=3)
+    assert state.record_ack(1, 2) is False  # never proposed: stray
+    assert state.acks == {}
+    state.proposal_sent_rounds.add(1)
+    assert state.record_ack(1, 2) is True
+    assert state.record_ack(2, 2) is False  # not that round
+    assert state.acks == {1: {2}}
+    state.decision_sent = True
+    assert state.record_ack(1, 1) is False  # announced: late
+    assert state.acks == {1: {2}}

@@ -22,6 +22,17 @@ def test_early_latency_uses_first_delivery():
     assert metrics.latency_count == 1
 
 
+def test_the_first_delivery_takes_the_accept_time_with_it():
+    collector = MetricsCollector(3, window_start=0.0, window_end=10.0)
+    delivered, in_flight = accepted(0, 0, t0=1.0), accepted(1, 0, t0=1.1)
+    collector.on_accept(delivered)
+    collector.on_accept(in_flight)
+    collector.on_adeliver(2, delivered, 1.4)
+    assert set(collector._abcast_times) == {in_flight.msg_id}
+    collector.on_adeliver(0, delivered, 1.6)  # finds nothing, samples nothing
+    assert collector.finalize().latency_count == 1
+
+
 def test_throughput_is_mean_per_process_rate():
     collector = MetricsCollector(2, window_start=0.0, window_end=2.0)
     for seq in range(4):
