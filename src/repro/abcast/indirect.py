@@ -15,9 +15,9 @@ fetch protocol: delivery stalls at the gap, missing ids are requested
 from all processes (every process keeps a bounded cache of recently
 delivered payloads), and a retry timer covers races and crashes.
 
-This module is an extension beyond the reproduced paper; the bench
-``benchmarks/bench_extension_indirect.py`` measures what [12]'s idea
-buys inside our calibrated model.
+This module is an extension beyond the reproduced paper;
+``tests/integration/test_paper_claims.py`` checks what [12]'s idea buys
+inside our calibrated model.
 """
 
 from __future__ import annotations

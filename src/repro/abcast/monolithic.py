@@ -106,7 +106,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         return self.ctx.pid == self._initial_coordinator
 
     @property
-    def pool_count(self) -> int:
+    def unordered_count(self) -> int:
         """Messages known but not yet adelivered."""
         return len(self._pool)
 

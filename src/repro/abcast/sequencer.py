@@ -17,7 +17,7 @@ reconcile. That impossibility is precisely why the paper's stacks pay
 for consensus. This module therefore *detects* a sequencer crash (via
 the failure detector) and raises :class:`~repro.errors.ProtocolError`
 instead of guessing — it exists as a performance reference point for the
-extension bench (``benchmarks/bench_extension_sequencer.py``), where it
+extension claims (``tests/integration/test_paper_claims.py``), where it
 bounds what any fault-tolerant design gives up.
 """
 
@@ -140,3 +140,7 @@ class SequencerAtomicBroadcast(Microprotocol):
         """Delivered count (kept name-compatible with the other stacks
         so the experiment runner's progress probe works)."""
         return self._next_deliver
+
+    #: Nothing awaits ordering here — the sequencer numbers a message on
+    #: arrival (the live backpressure probe of the other stacks).
+    unordered_count = 0

@@ -16,35 +16,10 @@ throughput tracks offered load), not for digit-level agreement.
 
 from __future__ import annotations
 
-from repro.config import (
-    FailureDetectorConfig,
-    FailureDetectorKind,
-    FlowControlConfig,
-    RunConfig,
-    WorkloadConfig,
-    stack_from_label,
-)
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_simulation
-from repro.live.deploy import LiveSpec, run_live
+from repro.live.deploy import LiveSpec, matched_run_config, run_live
 from repro.live.results import sim_result_to_dict
-
-
-def matched_run_config(spec: LiveSpec) -> RunConfig:
-    """The simulator configuration equivalent to a live spec.
-
-    The simulated failure detector is the heartbeat one (the only kind
-    that also exists live), so both modes pay the same FD traffic.
-    """
-    return RunConfig(
-        n=spec.n,
-        stack=stack_from_label(spec.stack),
-        workload=WorkloadConfig(offered_load=spec.load, message_size=spec.size),
-        flow_control=FlowControlConfig(window=spec.window, max_batch=spec.max_batch),
-        failure_detector=FailureDetectorConfig(kind=FailureDetectorKind.HEARTBEAT),
-        duration=spec.duration,
-        warmup=spec.warmup,
-    )
 
 
 def run_comparison(spec: LiveSpec, *, seed: int | None = None) -> dict:

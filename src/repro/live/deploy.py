@@ -39,11 +39,20 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import AsyncIterator, Callable
 
-from repro.config import stack_from_label
+from repro.config import (
+    ClientArrival,
+    ClientPopulationConfig,
+    FailureDetectorConfig,
+    FailureDetectorKind,
+    FlowControlConfig,
+    RunConfig,
+    WorkloadConfig,
+    stack_from_label,
+)
 from repro.errors import DeploymentError
 from repro.live.transport import FrameDecoder, encode_frame
 from repro.live.results import live_result_dict
@@ -60,6 +69,16 @@ DEFAULT_DRAIN = 0.5
 #: How long workers get to come up before the deployment is abandoned.
 READY_TIMEOUT = 15.0
 
+#: ``LiveSpec.fd`` → the group's detector: a heartbeat every 0.1 s and
+#: suspicion after 1 s of silence (a host stalls healthy workers longer
+#: than the simulator's 0.25 s), or an empty script: nothing is sent.
+LIVE_DETECTORS = {
+    "heartbeat": FailureDetectorConfig(
+        kind=FailureDetectorKind.HEARTBEAT, heartbeat_interval=0.1, timeout=1.0
+    ),
+    "none": FailureDetectorConfig(kind=FailureDetectorKind.SCRIPTED),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class LiveSpec:
@@ -67,7 +86,7 @@ class LiveSpec:
 
     #: Group size.
     n: int = 3
-    #: Stack label: modular, monolithic, indirect or sequencer.
+    #: Stack label: a key of :data:`repro.config.STACK_REGISTRY`.
     stack: str = "monolithic"
     #: Offered load in messages/second across the whole group.
     load: float = 100.0
@@ -122,13 +141,13 @@ class LiveSpec:
     def validate(self) -> None:
         """Reject specs the deployment cannot run."""
         stack_from_label(self.stack)  # raises ConfigurationError
-        if self.n < 1:
-            raise DeploymentError(f"need at least one process, got n={self.n}")
+        if self.n < 2:
+            raise DeploymentError(f"need at least two processes, got n={self.n}")
         if self.load <= 0 or self.duration <= 0:
             raise DeploymentError(
                 f"load and duration must be positive: {self.load}, {self.duration}"
             )
-        if self.fd not in ("heartbeat", "none"):
+        if self.fd not in LIVE_DETECTORS:
             raise DeploymentError(f"unknown live failure detector {self.fd!r}")
         if self.clients < 0:
             raise DeploymentError(f"clients must be >= 0: {self.clients}")
@@ -178,6 +197,32 @@ def reserve_ports(host: str, count: int) -> list[int]:
             sock.close()
 
 
+def matched_run_config(spec: LiveSpec) -> RunConfig:
+    """A live spec in the simulator's terms — the one such mapping.
+
+    Workers build stack, window, detector and client fleet from it and
+    ``repro live --compare`` simulates it: same heartbeat traffic, same
+    population. ``senders`` has no counterpart; a simulation loads every
+    process unless its caller attaches its own arrival schedules.
+    """
+    population = None
+    if spec.clients:
+        population = ClientPopulationConfig(
+            spec.clients, spec.zipf_s, ClientArrival(spec.client_arrival)
+        )
+    return RunConfig(
+        n=spec.n,
+        stack=stack_from_label(spec.stack),
+        workload=WorkloadConfig(
+            offered_load=spec.load, message_size=spec.size, population=population
+        ),
+        flow_control=FlowControlConfig(window=spec.window, max_batch=spec.max_batch),
+        failure_detector=LIVE_DETECTORS[spec.fd],
+        duration=spec.duration,
+        warmup=spec.warmup,
+    )
+
+
 def worker_spec(
     spec: LiveSpec,
     pid: int,
@@ -196,35 +241,26 @@ def worker_spec(
     if spec.wal_dir is not None:
         wal = os.path.join(spec.wal_dir, f"worker-{pid}.wal")
     return {
+        "spec": asdict(spec),
         "pid": pid,
-        "n": spec.n,
-        "stack": spec.stack,
-        "load": spec.load,
-        "size": spec.size,
-        "duration": spec.duration,
-        "warmup": spec.warmup,
-        "window": spec.window,
-        "max_batch": spec.max_batch,
-        "fd": spec.fd,
-        "seed": spec.seed,
-        "senders": list(spec.senders) if spec.senders is not None else None,
         "addresses": {str(p): list(addr) for p, addr in addresses.items()},
         "control": [spec.host, control_port],
-        "max_unacked": spec.max_unacked,
-        "unordered_cap": spec.unordered_cap,
         "wal": wal,
         "recover": recover,
-        "trace_cap": spec.trace_cap,
-        "population": (
-            {
-                "clients": spec.clients,
-                "zipf_s": spec.zipf_s,
-                "arrival": spec.client_arrival,
-            }
-            if spec.clients
-            else None
-        ),
     }
+
+
+def control_frame(document: dict) -> bytes:
+    """One control message as it travels: a length-prefixed JSON document."""
+    return encode_frame(json.dumps(document).encode("utf-8"))
+
+
+async def control_documents(reader: asyncio.StreamReader) -> AsyncIterator[dict]:
+    """The control messages arriving on *reader*, until it reaches EOF."""
+    decoder = FrameDecoder()
+    while data := await reader.read(64 * 1024):
+        for frame in decoder.feed(data):
+            yield json.loads(frame.decode("utf-8"))
 
 
 class _ControlServer:
@@ -248,14 +284,9 @@ class _ControlServer:
         self.epoch: float | None = None
 
     async def handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder()
         try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    return
-                for frame in decoder.feed(data):
-                    self._dispatch(json.loads(frame.decode("utf-8")), writer)
+            async for document in control_documents(reader):
+                self._dispatch(document, writer)
         except (ConnectionError, OSError):
             return
         except asyncio.CancelledError:
@@ -303,22 +334,18 @@ class _ControlServer:
     def broadcast(self, document: dict) -> None:
         if document.get("type") == "start":
             self.epoch = float(document["epoch"])
-        frame = encode_frame(json.dumps(document).encode("utf-8"))
-        for writer in self.ready.values():
-            self._write(writer, frame)
+        for pid in self.ready:
+            self.send_to(pid, document)
 
     def send_to(self, pid: int, document: dict) -> None:
         """Send one directive to one worker (fault injection)."""
         writer = self.ready.get(pid)
-        if writer is not None:
-            self._write(writer, encode_frame(json.dumps(document).encode("utf-8")))
-
-    @staticmethod
-    def _write(writer: asyncio.StreamWriter, frame: bytes) -> None:
+        if writer is None:
+            return
         # A killed worker leaves a dead writer behind until its restart
         # re-registers; writing into it must not take the run down.
         try:
-            writer.write(frame)
+            writer.write(control_frame(document))
         except (ConnectionError, OSError, RuntimeError):
             pass
 
@@ -371,49 +398,34 @@ def _worker_failure(
     return None
 
 
-async def _wait_event(
-    event: asyncio.Event,
-    timeout: float,
+async def _watch(
     workers: list[subprocess.Popen],
-    what: str,
+    seconds: float,
     expected_dead: frozenset[int] | set[int] = frozenset(),
+    event: asyncio.Event | None = None,
+    what: str = "",
 ) -> None:
-    """Wait for *event*, failing fast if a worker process dies."""
-    deadline = time.monotonic() + timeout
-    while not event.is_set():
-        failure = _worker_failure(workers, expected_dead)
-        if failure is not None:
-            raise DeploymentError(f"while waiting for {what}: {failure}")
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise DeploymentError(f"timed out waiting for {what}")
-        try:
-            await asyncio.wait_for(event.wait(), min(0.2, remaining))
-        except asyncio.TimeoutError:
-            continue
-
-
-async def _monitored_sleep(
-    duration: float,
-    workers: list[subprocess.Popen],
-    expected_dead: frozenset[int] | set[int] = frozenset(),
-    poll: float = 0.1,
-) -> None:
-    """Sleep through the measurement window, watching the workers.
-
-    A worker dying mid-window used to surface only after the final
-    report timed out; this polls the processes so an unexpected death
-    aborts the run within *poll* seconds, with the worker's stderr.
+    """Let *seconds* pass — or wait at most that long for *event* (*what*
+    names it) — watching the workers: an unexpected death aborts the run
+    within one poll (0.1 s asleep, 0.2 s on an event) with the worker's
+    stderr, not when a later report times out.
     """
-    deadline = time.monotonic() + duration
-    while True:
+    during = f"while waiting for {what}" if event else "during the measurement window"
+    deadline = time.monotonic() + seconds
+    while event is None or not event.is_set():
         failure = _worker_failure(workers, expected_dead)
         if failure is not None:
-            raise DeploymentError(f"during the measurement window: {failure}")
+            raise DeploymentError(f"{during}: {failure}")
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            return
-        await asyncio.sleep(min(poll, remaining))
+            if event is None:
+                return
+            raise DeploymentError(f"timed out waiting for {what}")
+        if event is None:
+            await asyncio.sleep(min(0.1, remaining))
+        else:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(event.wait(), min(0.2, remaining))
 
 
 def _reduce(
@@ -527,14 +539,16 @@ async def _deployment(
     workers: list[subprocess.Popen] = []
     try:
         workers.extend(spawn(pid) for pid in range(spec.n))
-        await _wait_event(control.all_ready, READY_TIMEOUT, workers, "workers ready")
+        await _watch(
+            workers, READY_TIMEOUT, event=control.all_ready, what="workers ready"
+        )
         epoch = time.monotonic()
         control.broadcast({"type": "start", "epoch": epoch})
         yield control, workers, epoch, spawn
         control.broadcast({"type": "stop"})
-        await _wait_event(
-            control.all_done, READY_TIMEOUT, workers, "final worker reports",
-            expected_dead,
+        await _watch(
+            workers, READY_TIMEOUT, expected_dead,
+            event=control.all_done, what="final worker reports",
         )
     finally:
         server.close()
@@ -559,7 +573,7 @@ async def _run_live_async(
 ) -> dict:
     async with _deployment(spec) as (control, workers, epoch, _):
         total = spec.warmup + spec.duration + spec.drain
-        await _monitored_sleep(epoch + total - time.monotonic(), workers)
+        await _watch(workers, epoch + total - time.monotonic())
     # Every fault-free run is judged, whether or not the caller asked for
     # the log: all accepts first, then each worker's own delivery order.
     checker = OrderingChecker(spec.n)

@@ -47,13 +47,7 @@ from pathlib import Path
 
 from repro.config import FaultloadConfig, LinkFaultMode
 from repro.errors import DeploymentError
-from repro.live.deploy import (
-    LiveSpec,
-    _deployment,
-    _monitored_sleep,
-    _reduce,
-    _wait_event,
-)
+from repro.live.deploy import LiveSpec, _deployment, _reduce, _watch
 from repro.live.wal import read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
 from repro.types import AppMessage, MessageId
@@ -297,9 +291,7 @@ async def _run_nemesis_live_async(
     kills = 0
     async with _deployment(spec, expected_dead) as (control, workers, epoch, spawn):
         for action in actions:
-            await _monitored_sleep(
-                epoch + action.at - time.monotonic(), workers, expected_dead
-            )
+            await _watch(workers, epoch + action.at - time.monotonic(), expected_dead)
             timeline.append(f"t={action.at:.2f} {action.describe}")
             if action.kind == "kill":
                 assert action.pid is not None
@@ -330,21 +322,19 @@ async def _run_nemesis_live_async(
         # partition) recovery may rightly never complete — skip.
         if restarted and faultload.liveness_safe:
             for pid in restarted:
-                await _wait_event(
-                    control.recovery_event(pid),
-                    RECOVERY_TIMEOUT,
+                await _watch(
                     workers,
-                    f"worker {pid} WAL recovery",
+                    RECOVERY_TIMEOUT,
                     expected_dead,
+                    event=control.recovery_event(pid),
+                    what=f"worker {pid} WAL recovery",
                 )
             timeline.append(
                 f"t={time.monotonic() - epoch:.2f} all restarted workers recovered"
             )
-            await _monitored_sleep(_RECOVERY_SETTLE, workers, expected_dead)
+            await _watch(workers, _RECOVERY_SETTLE, expected_dead)
         total = spec.warmup + spec.duration + spec.drain
-        await _monitored_sleep(
-            epoch + total - time.monotonic(), workers, expected_dead
-        )
+        await _watch(workers, epoch + total - time.monotonic(), expected_dead)
 
     result = _reduce(spec, control)
     quiet_time = max([action.at for action in actions], default=0.0)

@@ -19,12 +19,13 @@ Control protocol (worker perspective)::
     <- {"type": "stop"}                         measurement over
     -> {"type": "done", ...final counters...}   then the process exits
 
-The spec (group membership, stack, workload, windows) arrives as one
-JSON document in ``argv[1]`` — see :func:`worker_spec` in
-:mod:`repro.live.deploy` for the schema and an example.
+The deployment's :class:`~repro.live.deploy.LiveSpec` and this worker's
+place in it (pid, addresses, control port, WAL) arrive as one JSON
+document in ``argv[1]`` — :func:`~repro.live.deploy.worker_spec` writes
+it.
 
 Crash recovery (see PROTOCOLS.md, "Crash recovery in the live
-runtime"): with ``"wal"`` in the spec the worker write-ahead-logs
+runtime"): with ``"wal"`` in the document the worker write-ahead-logs
 accepted and delivered messages; with ``"recover"`` additionally set it
 is a restarted incarnation: it reloads the log, resumes the transport
 at the persisted resume points, state-transfers the deliveries it
@@ -45,11 +46,17 @@ import time
 from typing import Any
 
 from repro.abcast.factory import build_process
-from repro.config import ClientArrival, ClientPopulationConfig, stack_from_label
+from repro.config import FailureDetectorKind
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.flowcontrol.window import BacklogWindow
+from repro.live.deploy import (
+    LiveSpec,
+    control_documents,
+    control_frame,
+    matched_run_config,
+)
 from repro.live.runtime import LiveRuntime
-from repro.live.transport import FrameDecoder, Transport, encode_frame
+from repro.live.transport import Transport
 from repro.live.wal import WalState, WalWriter, load_wal_state
 from repro.net.message import NetMessage
 from repro.sim.tracing import NullTraceRecorder, TraceRecorder
@@ -76,7 +83,7 @@ SYNC_RETRY_INTERVAL = 0.25
 
 def send_control(writer: asyncio.StreamWriter, document: dict) -> None:
     """Frame and enqueue one control message."""
-    writer.write(encode_frame(json.dumps(document).encode("utf-8")))
+    writer.write(control_frame(document))
 
 
 #: Set the environment variable ``REPRO_LIVE_TRACE=1`` to make every
@@ -93,14 +100,22 @@ def _trace(pid: int, text: str) -> None:
 class Worker:
     """Wires one process: transport, runtime, workload, control client."""
 
-    def __init__(self, spec: dict) -> None:
-        self.spec = spec
-        self.pid = int(spec["pid"])
-        self.n = int(spec["n"])
+    def __init__(self, document: dict) -> None:
+        fields = dict(document["spec"])
+        if fields["senders"] is not None:
+            fields["senders"] = tuple(fields["senders"])  # JSON has no tuples
+        self.spec = LiveSpec(**fields)
+        #: The spec in the simulator's terms: stack, window, detector,
+        #: population — what ``repro live --compare`` simulates.
+        self.config = matched_run_config(self.spec)
+        self.pid = int(document["pid"])
+        self.n = self.spec.n
         self.addresses = {
             int(pid): (host, int(port))
-            for pid, (host, port) in spec["addresses"].items()
+            for pid, (host, port) in document["addresses"].items()
         }
+        self._control_address: tuple[str, int] = tuple(document["control"])
+        self._wal_path: str | None = document["wal"]
         self.runtime: LiveRuntime | None = None
         self.transport: Transport | None = None
         self.sender: FlowControlledSender | None = None
@@ -116,14 +131,12 @@ class Worker:
         self._delivered_log: list[tuple[int, int]] = []
         self._delivered_ids: set[tuple[int, int]] = set()
         self._backpressure_stalls = 0
-        self._unordered_cap: int | None = (
-            int(spec["unordered_cap"]) if spec.get("unordered_cap") else None
-        )
+        self._unordered_cap: int | None = self.spec.unordered_cap or None
         #: Recovery state: while gating, inbound protocol traffic is
         #: buffered until catch-up completes.
         self._wal_state = WalState()
         self._wal_truncated = 0
-        self._recovering = bool(spec.get("recover")) and bool(spec.get("wal"))
+        self._recovering = bool(document["recover"]) and bool(self._wal_path)
         self._gating = False
         self._gated: list[NetMessage] = []
         self._sync_retry: asyncio.TimerHandle | None = None
@@ -133,11 +146,11 @@ class Worker:
         #: multiplexed over its single connection (``None`` = plain
         #: symmetric load, the paper's workload).
         self._pool: ClientPool | None = None
-        #: Wall-clock span trace (``"trace_cap"`` in the spec turns it
+        #: Wall-clock span trace (``trace_cap`` in the spec turns it
         #: on); spans ship to the orchestrator in the done document.
         self.trace: TraceRecorder = (
-            TraceRecorder(cap=int(spec["trace_cap"]))
-            if spec.get("trace_cap")
+            TraceRecorder(cap=self.spec.trace_cap)
+            if self.spec.trace_cap
             else NullTraceRecorder()
         )
 
@@ -145,13 +158,13 @@ class Worker:
 
     def build(self) -> None:
         """Construct transport + runtime + workload source."""
-        spec = self.spec
-        if spec.get("wal"):
+        config = self.config
+        if self._wal_path:
             if self._recovering:
-                self._wal_state, self._wal_truncated = load_wal_state(spec["wal"])
+                self._wal_state, self._wal_truncated = load_wal_state(self._wal_path)
                 self._delivered_log = list(self._wal_state.delivered)
                 self._delivered_ids = set(self._delivered_log)
-            self.wal = WalWriter(spec["wal"])
+            self.wal = WalWriter(self._wal_path)
         self._gating = self._recovering
         transport_holder: list[Transport] = []
 
@@ -170,9 +183,7 @@ class Worker:
             self.addresses,
             on_message,
             resume_points=self._wal_state.resume_counts,
-            max_unacked=(
-                int(spec["max_unacked"]) if spec.get("max_unacked") else None
-            ),
+            max_unacked=self.spec.max_unacked or None,
         )
         transport_holder.append(self.transport)
 
@@ -187,26 +198,24 @@ class Worker:
             )
 
         runtime = build_process(
-            stack_from_label(spec["stack"]),
+            config.stack,
             self.pid,
             self.n,
             make_runtime,
-            max_batch=spec.get("max_batch"),
+            max_batch=config.flow_control.max_batch,
         )
         assert isinstance(runtime, LiveRuntime)
         self.runtime = runtime
-        if spec.get("fd", "heartbeat") == "heartbeat":
+        detector = config.failure_detector
+        if detector.kind is FailureDetectorKind.HEARTBEAT:
             runtime.attach_failure_detector(
-                HeartbeatFailureDetector(
-                    spec.get("heartbeat_interval", 0.1),
-                    spec.get("fd_timeout", 1.0),
-                )
+                HeartbeatFailureDetector(detector.heartbeat_interval, detector.timeout)
             )
         runtime.set_adeliver_listener(self._on_adeliver)
         self.sender = FlowControlledSender(
             runtime,
-            BacklogWindow(int(spec.get("window", 3))),
-            int(spec["size"]),
+            BacklogWindow(config.flow_control.window),
+            config.workload.message_size,
             on_accept=self._on_accept,
         )
         if self._recovering:
@@ -272,9 +281,6 @@ class Worker:
     def _begin_recovery(self) -> None:
         """Start catch-up: ask live peers for the deliveries we missed."""
         assert self.runtime is not None
-        if self.n == 1:
-            self._complete_recovery(self._wal_state.next_instance)
-            return
         loop = self.runtime.loop
 
         def request() -> None:
@@ -368,7 +374,7 @@ class Worker:
                     AbcastRequest(
                         AppMessage(
                             msg_id=MessageId(sender, seq),
-                            size=int(self.spec["size"]),
+                            size=self.spec.size,
                             abcast_time=self.runtime.now,
                         )
                     )
@@ -426,14 +432,10 @@ class Worker:
         assert self.runtime is not None and self.transport is not None
         if self.transport.congested:
             return True
-        if self._unordered_cap is not None:
-            top = self.runtime.modules[0]
-            backlog = getattr(top, "unordered_count", None)
-            if backlog is None:
-                backlog = getattr(top, "pool_count", 0)
-            if backlog >= self._unordered_cap:
-                return True
-        return False
+        return (
+            self._unordered_cap is not None
+            and self.runtime.modules[0].unordered_count >= self._unordered_cap
+        )
 
     def _schedule_arrivals(self) -> None:
         """Open-loop arrivals: the paper's constant-rate load, or — with
@@ -451,32 +453,24 @@ class Worker:
         """
         assert self.runtime is not None and self.sender is not None
         spec = self.spec
-        senders = spec.get("senders")
-        active = (
-            [int(pid) for pid in senders] if senders else list(range(self.n))
-        )
+        active = spec.senders or range(self.n)
         if self.pid not in active:
             return
-        rate = float(spec["load"]) / len(active)
+        rate = spec.load / len(active)
         interval = 1.0 / rate
-        stop_at = float(spec["warmup"]) + float(spec["duration"])
-        rng = random.Random(int(spec.get("seed", 1)) * 1000 + self.pid)
+        stop_at = spec.warmup + spec.duration
+        rng = random.Random(spec.seed * 1000 + self.pid)
         loop = self.runtime.loop
 
         sampler = None
-        population = spec.get("population")
+        population = self.config.workload.population
         if population is not None:
-            config = ClientPopulationConfig(
-                clients=int(population["clients"]),
-                zipf_s=float(population["zipf_s"]),
-                arrival=ClientArrival(population["arrival"]),
-            )
-            sampler = population_gap_sampler(config, rate, rng)
+            sampler = population_gap_sampler(population, rate, rng)
             self._pool = ClientPool(
-                config,
+                population,
                 self.pid,
                 self.n,
-                random.Random(int(spec.get("seed", 1)) * 1000 + self.pid + 501),
+                random.Random(spec.seed * 1000 + self.pid + 501),
             )
 
         # Absolute deadlines, as the simulator's ArrivalSchedule: the
@@ -512,7 +506,7 @@ class Worker:
         """Arrivals + warm-up snapshot; runs at start, or after rejoin."""
         assert self.runtime is not None
         self._schedule_arrivals()
-        warmup_in = max(0.0, float(self.spec["warmup"]) - self.runtime.now)
+        warmup_in = max(0.0, self.spec.warmup - self.runtime.now)
         self.runtime.loop.call_later(warmup_in, self._at_warmup_end)
 
     def _at_warmup_end(self) -> None:
@@ -543,10 +537,6 @@ class Worker:
     def _telemetry_document(self) -> dict:
         """One counter/gauge snapshot (schema: :mod:`repro.obs.telemetry`)."""
         assert self.runtime is not None and self.transport is not None
-        top = self.runtime.modules[0]
-        backlog = getattr(top, "unordered_count", None)
-        if backlog is None:
-            backlog = getattr(top, "pool_count", 0)
         unacked = max(
             (
                 self.transport.unacked_to(peer)
@@ -559,7 +549,7 @@ class Worker:
             "type": "telemetry",
             "pid": self.pid,
             "t": self.runtime.now,
-            "queue_depth": int(backlog),
+            "queue_depth": self.runtime.modules[0].unordered_count,
             "unacked": int(unacked),
             "congested": bool(self.transport.congested),
             "backpressure_stalls": self._backpressure_stalls,
@@ -580,8 +570,7 @@ class Worker:
     def _done_document(self) -> dict:
         assert self.runtime is not None and self.transport is not None
         assert self.sender is not None
-        spec = self.spec
-        duration = float(spec["duration"])
+        duration = self.spec.duration
         network = self.transport.stats.snapshot()
         window_network = {
             key: network[key] - self._network_at_warmup.get(key, 0)
@@ -635,20 +624,18 @@ class Worker:
 
     async def run(self) -> int:
         """Execute the worker's whole life cycle; returns an exit code."""
-        spec = self.spec
         self.build()
         assert self.runtime is not None and self.transport is not None
         await self.transport.start()
 
-        control_host, control_port = spec["control"]
-        reader, writer = await self._connect_control(control_host, int(control_port))
+        reader, writer = await self._connect_control(*self._control_address)
         self._control_writer = writer
         send_control(writer, {"type": "ready", "pid": self.pid})
         await writer.drain()
 
         flusher: asyncio.Task | None = None
         try:
-            async for document in self._control_messages(reader):
+            async for document in control_documents(reader):
                 if document["type"] == "start":
                     self.runtime.set_epoch(float(document["epoch"]))
                     self.runtime.start()
@@ -695,15 +682,6 @@ class Worker:
                     raise
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, 0.5)
-
-    async def _control_messages(self, reader: asyncio.StreamReader):
-        decoder = FrameDecoder()
-        while True:
-            data = await reader.read(64 * 1024)
-            if not data:
-                return
-            for frame in decoder.feed(data):
-                yield json.loads(frame.decode("utf-8"))
 
     async def _flush_loop(self, writer: asyncio.StreamWriter) -> None:
         while True:

@@ -11,6 +11,9 @@ Two families of guarantees:
   change to the simulator's event ordering, float association or RNG
   stream layout shows up here as a hard diff, not as a silent drift in
   regenerated figures.
+* **Exact whole-run counts** — kernel events, messages, instances and
+  latency samples of one run of every registered stack, to the last
+  digit: an extra event or message per abcast fails on every host.
 """
 
 from __future__ import annotations
@@ -20,10 +23,13 @@ import pytest
 from repro.config import (
     ClientArrival,
     ClientPopulationConfig,
+    FlowControlConfig,
     RunConfig,
+    STACK_LABELS,
     StackConfig,
     StackKind,
     WorkloadConfig,
+    stack_from_label,
 )
 from repro.experiments.export import dumps_canonical, sweep_to_dict
 from repro.experiments.parallel import run_simulations, run_tasks
@@ -211,3 +217,60 @@ def test_seed_stability_of_figure_points(name, seed):
     assert observed == GOLDEN[(name, seed)], (
         f"{name} seed={seed} drifted: {observed} != {GOLDEN[(name, seed)]}"
     )
+
+
+# -- exact whole-run counts -------------------------------------------------
+
+#: (n, stack label, offered load, message size, flow-control window) →
+#: (events_executed, messages_sent, instances_decided, latency_count) of
+#: one whole run at seed 1, at least one row per registered stack; the
+#: first seven are the points the retired events/s gate timed, the
+#: distillation one shaped like the 2x batched-vs-plain-sequencer
+#: acceptance comparison. Integers only, so the pins do not depend on
+#: the interpreter's float ``sum``: no host can move them, and one extra
+#: kernel event or message per abcast on any stack must.
+EXACT_COUNTS = {
+    "fig8_n3_modular_load7000": (
+        (3, "modular", 7000.0, 16384, 3), (19911, 6009, 376, 1501)),
+    "fig8_n3_monolithic_load7000": (
+        (3, "monolithic", 7000.0, 16384, 3), (11819, 2796, 604, 1888)),
+    "fig9_n3_modular_size32768": (
+        (3, "modular", 2000.0, 32768, 3), (14111, 4256, 266, 1064)),
+    "fig10_n7_modular_load2000": (
+        (7, "modular", 2000.0, 16384, 3), (41234, 13857, 231, 924)),
+    "fig11_n3_monolithic_size64": (
+        (3, "monolithic", 2000.0, 64, 3), (30631, 8249, 1938, 4001)),
+    "ring_n3_ringpaxos_load2000": (
+        (3, "ringpaxos", 2000.0, 16384, 3), (10515, 2854, 258, 1032)),
+    "distill_n3_batched_sequencer_load8000": (
+        (3, "batched-sequencer", 8000.0, 64, 64), (61319, 6194, 2322, 16001)),
+    "indirect_n3_load2000": (
+        (3, "indirect", 2000.0, 16384, 3), (26147, 7894, 527, 1841)),
+    "sequencer_n3_load2000": (
+        (3, "sequencer", 2000.0, 16384, 3), (24912, 6475, 2603, 2603)),
+}
+
+
+def test_every_registered_stack_has_an_exact_pin():
+    pinned = {point[1] for point, __ in EXACT_COUNTS.values()}
+    assert pinned == set(STACK_LABELS)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COUNTS))
+def test_exact_counts_of_whole_runs(name):
+    """Integer pin of one whole run per point (no tolerance)."""
+    (n, label, load, size, window), golden = EXACT_COUNTS[name]
+    config = RunConfig(
+        n=n,
+        stack=stack_from_label(label),
+        workload=WorkloadConfig(offered_load=load, message_size=size),
+        flow_control=FlowControlConfig(window=window),
+    )
+    result = run_simulation(config, seed=1)
+    observed = (
+        result.events_executed,
+        result.network["messages_sent"],
+        result.instances_decided,
+        result.metrics.latency_count,
+    )
+    assert observed == golden, f"{name} drifted: {observed} != {golden}"

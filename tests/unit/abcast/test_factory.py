@@ -1,5 +1,7 @@
 """Unit tests for the stack factory."""
 
+import pytest
+
 from repro.abcast.factory import build_stack
 from repro.abcast.modular import ModularAtomicBroadcast
 from repro.abcast.monolithic import MonolithicAtomicBroadcast
@@ -7,6 +9,7 @@ from repro.broadcast.reliable import ReliableBroadcast
 from repro.config import (
     ConsensusVariant,
     ReliableBroadcastVariant,
+    STACK_REGISTRY,
     StackConfig,
     StackKind,
     modular_stack,
@@ -33,6 +36,12 @@ def test_monolithic_stack_is_a_single_module():
     assert len(modules) == 1
     assert isinstance(modules[0], MonolithicAtomicBroadcast)
     assert modules[0].name == "mono"
+
+
+@pytest.mark.parametrize("label", sorted(STACK_REGISTRY))
+def test_every_top_module_answers_the_live_probes(label):
+    top = build_stack(STACK_REGISTRY[label], make_ctx())[0]
+    assert (top.unordered_count, top.next_instance) == (0, 0)
 
 
 def test_textbook_consensus_variant():

@@ -123,7 +123,7 @@ def test_no_duplicate_relay_of_same_message():
     pump.run()
     # Re-injecting progress should not resend m anywhere: it was removed
     # from the pool at adelivery.
-    assert pump.modules[1].pool_count == 0
+    assert pump.modules[1].unordered_count == 0
 
 
 def test_batch_cap_respected():

@@ -162,7 +162,7 @@ def test_message_riding_a_straggler_ack_is_not_stranded():
     ack1 = AckWithDiffusion(ack=Ack(0, 1), messages=())
     decided = coordinator.handle_message(net_message("ACKPIGGY", 1, 0, ack1))
     assert coordinator.next_instance == 1
-    assert coordinator.pool_count == 0
+    assert coordinator.unordered_count == 0
 
     # p2's straggler ack for the decided instance carries a fresh m2.
     m2 = app_message(sender=2)

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.flowcontrol.window import BacklogWindow
+from repro.live.deploy import LiveSpec, worker_spec
 from repro.live.worker import Worker
 from repro.workload.generator import FlowControlledSender
 
@@ -62,18 +63,18 @@ class FakeRuntime:
 
 
 def ticking_worker(rate_per_process: float, duration: float, on_inject):
-    spec = {
-        "pid": 0,
-        "n": 3,
-        "addresses": {str(pid): ["127.0.0.1", 1] for pid in range(3)},
-        "load": 3 * rate_per_process,
-        "size": 64,
-        "warmup": 0.0,
-        "duration": duration,
-        "seed": 5,
-    }
+    spec = LiveSpec(
+        n=3,
+        load=3 * rate_per_process,
+        size=64,
+        warmup=0.0,
+        duration=duration,
+        seed=5,
+        unordered_cap=0,  # no ordering-core credit: the fake runtime has no stack
+    )
+    addresses = {pid: ("127.0.0.1", 1) for pid in range(3)}
     loop = FakeLoop()
-    worker = Worker(spec)
+    worker = Worker(worker_spec(spec, 0, addresses, 1))
     worker.runtime = FakeRuntime(loop, on_inject)
     worker.transport = SimpleNamespace(congested=False)
     worker.sender = FlowControlledSender(worker.runtime, BacklogWindow(3), 64)
