@@ -30,9 +30,10 @@ at https://ui.perfetto.dev::
 
 ``--clients N --zipf S --client-arrival {poisson,bursty,diurnal}``
 attach a lazy client-population model (N logical clients, Zipf(S)
-activity skew, the chosen aggregate arrival law) to the workload of the
-``sweep``, ``latencydist`` and ``live`` commands; see
-:mod:`repro.workload.population`.
+activity skew, the chosen aggregate arrival law) to the workload; see
+:mod:`repro.workload.population`. These, the run-point flags (``--n
+--stack --load --size --duration --warmup``) and ``--trace-cap`` take
+their defaults from the :class:`~repro.config.LiveSpec` fields they set.
 
 ``--fast`` uses a reduced grid and a single seed (seconds instead of
 minutes); ``--seeds N`` controls the ensemble size; ``--csv DIR`` also
@@ -79,19 +80,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
 from repro.analysis.performance_model import predict_gap
 from repro.config import (
     STACK_LABELS,
-    ClientArrival,
+    STACK_REGISTRY,
     ClientPopulationConfig,
+    LiveSpec,
     RunConfig,
     StackConfig,
     StackKind,
     WorkloadConfig,
-    stack_from_label,
+    matched_run_config,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.ablation import ablation_table, run_ablation
@@ -110,19 +113,9 @@ from repro.experiments.tables import analytical_table, validation_table
 from repro.nemesis import swarm as nemesis_swarm
 from repro.nemesis.schedule import SCENARIOS, resolve_faultload
 
-COMMANDS = (
-    *FIGURES,
-    "figures",
-    "sweep",
-    "analysis",
-    "ablation",
-    "predict",
-    "all",
-    "latencydist",
-    "nemesis",
-    "live",
-    "profile",
-)
+#: :class:`LiveSpec`'s fields by name: the type, default and choices of
+#: the flag that sets each.
+_SPEC_FIELDS = {f.name: f for f in fields(LiveSpec)}
 
 
 def prediction_table(
@@ -147,6 +140,32 @@ def prediction_table(
     return format_table(headers, rows)
 
 
+class _ShapesPopulation(argparse.Action):
+    """Store the value and remember it was given: ``--zipf`` and
+    ``--client-arrival`` without ``--clients`` shape a population of the
+    default size rather than being ignored."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        setattr(namespace, self.dest, values)
+        namespace.population_shaped = True
+
+
+def _spec_option(group, flag: str, text: str, **options) -> None:
+    """Add *flag* for the :class:`LiveSpec` field it sets (named after the
+    flag unless *options* give a ``dest``), with that field's type,
+    default and declared choices."""
+    spec_field = _SPEC_FIELDS[options.setdefault("dest", flag[2:].replace("-", "_"))]
+    if "choices" in spec_field.metadata:
+        options.setdefault("choices", spec_field.metadata["choices"])
+    group.add_argument(
+        flag,
+        type=type(spec_field.default),
+        default=spec_field.default,
+        help=f"{text} (default: %(default)s)",
+        **options,
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -156,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("command", choices=COMMANDS)
+    parser.set_defaults(population_shaped=False)
     parser.add_argument(
         "--fast",
         action="store_true",
@@ -200,35 +220,49 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="A,B,...",
         help=(
-            "comma-separated stacks for sweep/figure/nemesis commands "
+            "comma-separated stacks for sweep/figure/nemesis/profile commands "
             f"(known: {', '.join(nemesis_swarm.STACKS)}; defaults: the "
-            "paper's modular+monolithic for sweeps and figures, "
+            "paper's modular+monolithic for sweeps, figures and profile, "
             f"{','.join(nemesis_swarm.DEFAULT_STACKS)} for nemesis)"
         ),
     )
-    population = parser.add_argument_group("client population options")
-    population.add_argument(
+    run = parser.add_argument_group(
+        "run point options",
+        "one run of live, nemesis --live, profile and latencydist (--n also "
+        "sizes nemesis); the defaults are repro.config.LiveSpec's",
+    )
+    _spec_option(run, "--n", "group size", metavar="N")
+    _spec_option(run, "--stack", "protocol stack", choices=STACK_LABELS)
+    _spec_option(run, "--load", "offered load across the group", metavar="MSGS/S")
+    _spec_option(run, "--size", "message payload size", metavar="BYTES")
+    _spec_option(run, "--duration", "measurement window length", metavar="SECONDS")
+    _spec_option(
+        run, "--warmup", "warm-up before the window opens", metavar="SECONDS"
+    )
+    population = parser.add_argument_group(
+        "client population options",
+        "a lazy client-population model on the workload of the sweep, "
+        "figure, latencydist, live, nemesis --live and profile commands",
+    )
+    _spec_option(
+        population,
         "--clients",
-        type=int,
-        default=None,
+        "logical clients; 0 attaches no population (latencydist: 100000)",
         metavar="N",
-        help=(
-            "attach a lazy client-population model of N logical clients "
-            "to the workload (sweep/latencydist/live commands)"
-        ),
     )
-    population.add_argument(
+    _spec_option(
+        population,
         "--zipf",
-        type=float,
-        default=None,
+        "Zipf activity-skew exponent; without --clients, of 100000 clients",
         metavar="S",
-        help="Zipf activity-skew exponent of the population (default: 1.1)",
+        dest="zipf_s",
+        action=_ShapesPopulation,
     )
-    population.add_argument(
+    _spec_option(
+        population,
         "--client-arrival",
-        choices=tuple(arrival.value for arrival in ClientArrival),
-        default=None,
-        help="aggregate arrival law of the population (default: poisson)",
+        "aggregate arrival law; without --clients, of 100000 clients",
+        action=_ShapesPopulation,
     )
     nemesis = parser.add_argument_group("nemesis options")
     nemesis.add_argument(
@@ -246,13 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CASE.json",
         help="re-run one saved counterexample and report its violations",
-    )
-    nemesis.add_argument(
-        "--n",
-        type=int,
-        default=3,
-        metavar="N",
-        help="group size for nemesis and live runs (default: 3)",
     )
     nemesis.add_argument(
         "--out",
@@ -284,40 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     live = parser.add_argument_group("live options")
     live.add_argument(
-        "--stack",
-        choices=STACK_LABELS,
-        default="monolithic",
-        help="protocol stack to deploy (default: monolithic)",
-    )
-    live.add_argument(
-        "--load",
-        type=float,
-        default=100.0,
-        metavar="MSGS/S",
-        help="offered load across the group (default: 100)",
-    )
-    live.add_argument(
-        "--size",
-        type=int,
-        default=1024,
-        metavar="BYTES",
-        help="message payload size (default: 1024)",
-    )
-    live.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="measurement window length (default: 5)",
-    )
-    live.add_argument(
-        "--warmup",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="warm-up before the window opens (default: 0.5)",
-    )
-    live.add_argument(
         "--compare",
         action="store_true",
         help="also run the matched simulation and print both side by side",
@@ -338,18 +331,92 @@ def _build_parser() -> argparse.ArgumentParser:
             "(profile and live commands; open at https://ui.perfetto.dev)"
         ),
     )
-    obs.add_argument(
+    _spec_option(
+        obs,
         "--trace-cap",
-        type=int,
-        default=None,
+        "span-trace ring-buffer capacity; the oldest records are evicted "
+        "(and counted) beyond N; 0 means 200000 for profile and for live "
+        "with --trace-out, and no trace otherwise",
         metavar="N",
-        help=(
-            "span-trace ring-buffer capacity; the oldest records are "
-            "evicted (and counted) beyond N (default: 200000 for "
-            "profile, off for live unless --trace-out is given)"
-        ),
     )
     return parser
+
+
+def _live_spec(args: argparse.Namespace) -> LiveSpec:
+    """The run point the flags describe: what ``live``, ``nemesis
+    --live``, ``profile`` and ``latencydist`` run, and the population the
+    sweeps attach."""
+    spec = LiveSpec(
+        **{name: getattr(args, name) for name in _SPEC_FIELDS if hasattr(args, name)}
+    )
+    if args.population_shaped and not spec.clients:
+        spec = replace(spec, clients=ClientPopulationConfig().clients)
+    return spec
+
+
+def _stacks(
+    text: str | None,
+    default: Sequence[str] = (),
+    known: Collection[str] = STACK_LABELS,
+) -> tuple[str, ...]:
+    """The one ``--stacks`` reader: comma-separated labels, each one of
+    *known*; *default* when the flag was not given."""
+    labels = tuple(default if text is None else filter(None, text.split(",")))
+    unknown = [label for label in labels if label not in known]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown stack label(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(known))})"
+        )
+    if not labels:
+        raise ConfigurationError("--stacks must name at least one stack")
+    return labels
+
+
+def _kinds(text: str) -> tuple[StackKind, ...]:
+    """Stack labels read by :func:`_stacks`, as the kinds a sweep varies.
+
+    Labels must be kind-pure: ``indirect`` is a consensus-variant twist
+    on the modular *kind*, so a sweep keyed by :class:`StackKind` cannot
+    represent it as a separate curve.
+    """
+    kinds = []
+    for label in _stacks(text):
+        config = STACK_REGISTRY[label]
+        if config != StackConfig(kind=config.kind):
+            raise ConfigurationError(
+                f"stack {label!r} is not sweepable: sweeps vary the stack "
+                "kind only (pick one of: "
+                + ", ".join(sorted(k.value for k in StackKind))
+                + ")"
+            )
+        kinds.append(config.kind)
+    return tuple(kinds)
+
+
+def _seeds(args: argparse.Namespace) -> tuple[int, ...] | None:
+    """``--seeds N`` as the seeds 1..N; ``None`` leaves each command's default."""
+    return tuple(range(1, args.seeds + 1)) if args.seeds else None
+
+
+def _grid(args: argparse.Namespace) -> dict:
+    """The grid options shared by the sweep and figure commands, with a
+    base config carrying the command line's client population, if any."""
+    grid = dict(
+        fast=args.fast,
+        seeds=_seeds(args),
+        jobs=args.jobs,
+        stacks=None if args.stacks is None else _kinds(args.stacks),
+    )
+    population = matched_run_config(_live_spec(args)).workload.population
+    if population is not None:
+        grid["base"] = RunConfig(workload=WorkloadConfig(population=population))
+    return grid
+
+
+def _emit(text: object) -> None:
+    print(text)
+    print()
 
 
 def _maybe_export(report: FigureReport, csv_dir: Path | None) -> None:
@@ -360,6 +427,11 @@ def _maybe_export(report: FigureReport, csv_dir: Path | None) -> None:
     target = csv_dir / f"{name}.csv"
     write_sweep_csv(report.sweep, target)
     print(f"[csv] wrote {target}")
+
+
+def _export_json(sweeps: dict, path: Path) -> None:
+    write_sweeps_json(sweeps, path)
+    print(f"[json] wrote {path}")
 
 
 def _print_violations(violations: Sequence) -> None:
@@ -379,35 +451,26 @@ def _print_violations(violations: Sequence) -> None:
 
 
 def _run_nemesis_live(args: argparse.Namespace) -> int:
-    from repro.live.deploy import LiveSpec
     from repro.live.faults import DEFAULT_RESTART_DELAY, run_nemesis_live
 
+    spec = _live_spec(args)
     if args.replay is not None:
         case = nemesis_swarm.load_case(args.replay)
         print(f"replaying live: {case.describe()}")
-        faultload, stack, n = case.faultload, case.stack, case.n
+        faultload, spec = case.faultload, replace(spec, n=case.n, stack=case.stack)
     elif args.faultload is not None:
-        faultload = resolve_faultload(args.faultload, n=args.n)
-        stack, n = args.stack, args.n
+        faultload = resolve_faultload(args.faultload, n=spec.n)
     else:
         raise ConfigurationError(
             "nemesis --live needs a fixed schedule: pass --faultload SPEC "
             "(named scenario or JSON file) or --replay CASE.json"
         )
-    spec = LiveSpec(
-        n=n,
-        stack=stack,
-        load=args.load,
-        size=args.size,
-        duration=args.duration,
-        warmup=args.warmup,
-    )
     restart_delay = (
         args.restart_delay if args.restart_delay is not None
         else DEFAULT_RESTART_DELAY
     )
     report = run_nemesis_live(spec, faultload, restart_delay=restart_delay)
-    print(f"live faultload on stack={stack} n={n}:")
+    print(f"live faultload on stack={spec.stack} n={spec.n}:")
     for line in report.timeline:
         print(f"  {line}")
     recovered = (
@@ -444,18 +507,9 @@ def _run_nemesis(args: argparse.Namespace) -> int:
         _print_violations(result.violations)
         return 1
 
-    stacks_arg = (
-        args.stacks
-        if args.stacks is not None
-        else ",".join(nemesis_swarm.DEFAULT_STACKS)
+    stacks = _stacks(
+        args.stacks, nemesis_swarm.DEFAULT_STACKS, known=nemesis_swarm.STACKS
     )
-    stacks = tuple(label for label in stacks_arg.split(",") if label)
-    unknown = [label for label in stacks if label not in nemesis_swarm.STACKS]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown stack label(s) for --stacks: {', '.join(unknown)} "
-            f"(known: {', '.join(nemesis_swarm.STACKS)})"
-        )
     seed_count = args.seeds if args.seeds else 20
     seeds = range(1, seed_count + 1)
 
@@ -463,7 +517,7 @@ def _run_nemesis(args: argparse.Namespace) -> int:
         faultload = resolve_faultload(args.faultload, n=args.n)
         cases = [
             nemesis_swarm.NemesisCase(
-                stack=stack, seed=seed, n=args.n, fd="oracle", faultload=faultload
+                stack=stack, seed=seed, n=args.n, faultload=faultload
             )
             for seed in seeds
             for stack in stacks
@@ -514,28 +568,13 @@ def _live_summary(result: dict, observability: dict | None = None) -> str:
 
 def _run_live(args: argparse.Namespace) -> int:
     from repro.live.compare import comparison_table, run_comparison
-    from repro.live.deploy import LiveSpec, run_live
+    from repro.live.deploy import run_live
 
-    population = _population(args)
-    trace_cap = args.trace_cap
-    if trace_cap is None and args.trace_out is not None:
+    spec = _live_spec(args)
+    if args.trace_out is not None and not spec.trace_cap:
         from repro.obs.profile import DEFAULT_TRACE_CAP
 
-        trace_cap = DEFAULT_TRACE_CAP
-    spec = LiveSpec(
-        n=args.n,
-        stack=args.stack,
-        load=args.load,
-        size=args.size,
-        duration=args.duration,
-        warmup=args.warmup,
-        clients=population.clients if population is not None else 0,
-        zipf_s=population.zipf_s if population is not None else 1.1,
-        client_arrival=population.arrival.value
-        if population is not None
-        else "poisson",
-        trace_cap=trace_cap or 0,
-    )
+        spec = replace(spec, trace_cap=DEFAULT_TRACE_CAP)
     if args.compare:
         results = run_comparison(spec)
         if args.json:
@@ -563,7 +602,6 @@ def _run_live(args: argparse.Namespace) -> int:
 def _run_profile(args: argparse.Namespace) -> int:
     """The cost-of-modularity profiler: traced runs + attribution tables."""
     from repro.obs.profile import (
-        DEFAULT_TRACE_CAP,
         critical_path_summary,
         export_chrome_trace,
         layer_table,
@@ -571,29 +609,12 @@ def _run_profile(args: argparse.Namespace) -> int:
         summary_table,
     )
 
-    labels = tuple(
-        label
-        for label in (args.stacks or "monolithic,modular").split(",")
-        if label
-    )
-    if not labels:
-        raise ConfigurationError("--stacks must name at least one stack")
-    for label in labels:
-        stack_from_label(label)  # raises with the sorted registry
-    seed = args.seeds if args.seeds else 1
-    runs = run_profile(
-        labels,
-        n=args.n,
-        load=args.load,
-        size=args.size,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=seed,
-        trace_cap=args.trace_cap or DEFAULT_TRACE_CAP,
-    )
+    labels = _stacks(args.stacks, ("monolithic", "modular"))
+    spec = replace(_live_spec(args), seed=args.seeds if args.seeds else 1)
+    runs = run_profile(labels, spec)
     print(
-        f"profile: n={args.n} load={args.load:g} size={args.size} "
-        f"duration={args.duration:g}s seed={seed}"
+        f"profile: n={spec.n} load={spec.load:g} size={spec.size} "
+        f"duration={spec.duration:g}s seed={spec.seed}"
     )
     print()
     print(summary_table(runs))
@@ -610,90 +631,10 @@ def _run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code.
-
-    Configuration and deployment errors (unknown stack labels, bad
-    faultload files, a live group failing to come up) exit with status 2
-    and a one-line ``error:`` message, not a traceback.
-    """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"run '{parser.prog} --help' for usage", file=sys.stderr)
-        return 2
-
-
-def _seeds(args: argparse.Namespace) -> tuple[int, ...] | None:
-    """``--seeds N`` as the seeds 1..N; ``None`` leaves each command's default."""
-    return tuple(range(1, args.seeds + 1)) if args.seeds else None
-
-
-def _sweep_stacks(args: argparse.Namespace) -> tuple[StackKind, ...] | None:
-    """Resolve ``--stacks`` labels to sweepable stack kinds.
-
-    ``None`` (flag not given) keeps each sweep's paper defaults. Labels
-    must be kind-pure: ``indirect`` is a consensus-variant twist on the
-    modular *kind*, so a sweep keyed by :class:`StackKind` cannot
-    represent it as a separate curve.
-    """
-    if args.stacks is None:
-        return None
-    kinds = []
-    for label in args.stacks.split(","):
-        if not label:
-            continue
-        config = stack_from_label(label)  # raises with the sorted registry
-        if config != StackConfig(kind=config.kind):
-            raise ConfigurationError(
-                f"stack {label!r} is not sweepable: sweeps vary the stack "
-                "kind only (pick one of: "
-                + ", ".join(sorted(k.value for k in StackKind))
-                + ")"
-            )
-        kinds.append(config.kind)
-    if not kinds:
-        raise ConfigurationError("--stacks must name at least one stack")
-    return tuple(kinds)
-
-
-def _population(args: argparse.Namespace) -> ClientPopulationConfig | None:
-    """The client population requested on the command line, if any."""
-    if args.clients is None and args.zipf is None and args.client_arrival is None:
-        return None
-    kwargs: dict = {}
-    if args.clients is not None:
-        kwargs["clients"] = args.clients
-    if args.zipf is not None:
-        kwargs["zipf_s"] = args.zipf
-    if args.client_arrival is not None:
-        kwargs["arrival"] = ClientArrival(args.client_arrival)
-    return ClientPopulationConfig(**kwargs)
-
-
-def _population_base(args: argparse.Namespace) -> RunConfig | None:
-    """A sweep base config carrying the CLI's client population."""
-    population = _population(args)
-    if population is None:
-        return None
-    return RunConfig(workload=WorkloadConfig(population=population))
-
-
-def _grid(args: argparse.Namespace) -> dict:
-    """The grid options shared by the sweep and figure commands."""
-    return dict(
-        fast=args.fast, seeds=_seeds(args), jobs=args.jobs, stacks=_sweep_stacks(args)
-    )
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
     """Run the load and size sweeps without the figure rendering."""
     grid = _grid(args)
-    base = _population_base(args)
-    sweeps = {p: paper_sweep(p, base=base, **grid) for p in SWEEPS}
+    sweeps = {p: paper_sweep(p, **grid) for p in SWEEPS}
     if args.json_out is not None:
         _export_json(sweeps, args.json_out)
         return 0
@@ -718,24 +659,29 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_latencydist(args: argparse.Namespace) -> int:
     """Render the latency-distribution histogram of one sweep point.
 
-    Runs one (n, stack, load) point — ``--n``, ``--stack``, ``--load``
-    from the live option group — with the CLI's client population (a
-    default population when no flags are given; this figure exists to
-    show what a skewed client fleet experiences) and prints the full
-    log-bucketed histogram with p50/p99/p999 markers.
+    Simulates the command line's run point — group, kind-pure stack,
+    load, size, duration and warm-up — with its client population (the
+    default population when no population flag is given; this figure
+    exists to show what a skewed client fleet experiences) and prints
+    the full log-bucketed histogram with p50/p99/p999 markers.
     """
-    population = _population(args) or ClientPopulationConfig()
-    base = RunConfig(workload=WorkloadConfig(population=population))
-    stack = stack_from_label(args.stack)
+    spec = _live_spec(args)
+    population = (
+        matched_run_config(spec).workload.population or ClientPopulationConfig()
+    )
     sweep = paper_sweep(
         "offered_load",
         fast=args.fast,
         seeds=_seeds(args),
-        loads=(args.load,),
-        message_size=args.size,
-        group_sizes=(args.n,),
-        stacks=(stack.kind,),
-        base=base,
+        loads=(spec.load,),
+        message_size=spec.size,
+        group_sizes=(spec.n,),
+        stacks=_kinds(spec.stack),
+        base=RunConfig(
+            workload=WorkloadConfig(population=population),
+            duration=spec.duration,
+            warmup=spec.warmup,
+        ),
         jobs=args.jobs,
     )
     report = latency_distribution(sweep)
@@ -751,53 +697,87 @@ def _run_latencydist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _export_json(sweeps: dict, path: Path) -> None:
-    write_sweeps_json(sweeps, path)
-    print(f"[json] wrote {path}")
+def _run_figures(args: argparse.Namespace) -> int:
+    """One figure, or all four sharing their sweeps (``figures``, ``all``)."""
+    grid = _grid(args)
+    if args.command in FIGURES:
+        reports = [figure(args.command, **grid)]
+    else:
+        reports = all_figures(**grid)
+    for report in reports:
+        _emit(report)
+        _maybe_export(report, args.csv)
+    if args.json_out is not None:
+        _export_json(
+            {report.sweep.parameter: report.sweep for report in reports},
+            args.json_out,
+        )
+    return 0
+
+
+def _run_predict(args: argparse.Namespace) -> int:
+    print("Design-time prediction (no simulation; repro.analysis.predict_gap):")
+    _emit(prediction_table())
+    return 0
+
+
+def _run_analysis(args: argparse.Namespace) -> int:
+    print("Analytical evaluation (paper §5.2):")
+    _emit(analytical_table())
+    print("Simulator validation (measured vs closed-form, steady state):")
+    _emit(validation_table())
+    return 0
+
+
+def _run_ablation(args: argparse.Namespace) -> int:
+    print("Ablation of the monolithic optimizations (n=3, 16 KiB, loaded):")
+    rows = run_ablation(seeds=(1,) if args.fast else (1, 2))
+    _emit(ablation_table(rows))
+    return 0
+
+
+def _run_all(args: argparse.Namespace) -> int:
+    for run in (_run_figures, _run_predict, _run_analysis, _run_ablation):
+        run(args)
+    return 0
+
+
+#: Every command, in the order ``--help`` lists them, and what runs it:
+#: the parser's choices and :func:`_dispatch` both read this table.
+COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
+    **dict.fromkeys(FIGURES, _run_figures),
+    "figures": _run_figures,
+    "sweep": _run_sweep,
+    "analysis": _run_analysis,
+    "ablation": _run_ablation,
+    "predict": _run_predict,
+    "all": _run_all,
+    "latencydist": _run_latencydist,
+    "nemesis": _run_nemesis,
+    "live": _run_live,
+    "profile": _run_profile,
+}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    def emit(text: object) -> None:
-        print(text)
-        print()
+    return COMMANDS[args.command](args)
 
-    command = args.command
-    if command == "nemesis":
-        return _run_nemesis(args)
-    if command == "live":
-        return _run_live(args)
-    if command == "profile":
-        return _run_profile(args)
-    if command == "sweep":
-        return _run_sweep(args)
-    if command == "latencydist":
-        return _run_latencydist(args)
-    if command in FIGURES or command in ("figures", "all"):
-        if command in FIGURES:
-            reports = [figure(command, **_grid(args))]
-        else:
-            reports = all_figures(**_grid(args))
-        for report in reports:
-            emit(report)
-            _maybe_export(report, args.csv)
-        if args.json_out is not None:
-            _export_json(
-                {report.sweep.parameter: report.sweep for report in reports},
-                args.json_out,
-            )
-    if command in ("predict", "all"):
-        print("Design-time prediction (no simulation; repro.analysis.predict_gap):")
-        emit(prediction_table())
-    if command in ("analysis", "all"):
-        print("Analytical evaluation (paper §5.2):")
-        emit(analytical_table())
-        print("Simulator validation (measured vs closed-form, steady state):")
-        emit(validation_table())
-    if command in ("ablation", "all"):
-        print("Ablation of the monolithic optimizations (n=3, 16 KiB, loaded):")
-        rows = run_ablation(seeds=(1,) if args.fast else (1, 2))
-        emit(ablation_table(rows))
-    return 0
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code.
+
+    Configuration and deployment errors (unknown stack labels, bad
+    faultload files, a live group failing to come up) exit with status 2
+    and a one-line ``error:`` message, not a traceback.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"run '{parser.prog} --help' for usage", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

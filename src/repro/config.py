@@ -10,10 +10,41 @@ the calibration rationale and the resulting paper-vs-measured tables.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.errors import ConfigurationError
+
+#: The comparisons a field's declared bounds may use.
+_BOUND_TESTS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _bounded(default: Any, *bounds: tuple[str, float]) -> Any:
+    """A field defaulting to *default* whose value must pass every
+    ``(op, bound)`` of *bounds*, e.g. ``(">=", 1)`` (:func:`_check_fields`)."""
+    return field(default=default, metadata={"bounds": bounds})
+
+
+def _check_fields(config: Any) -> None:
+    """Refuse a field of *config* outside its declared bounds or choices.
+
+    ``None`` is exempt (it means "off" wherever a field allows it); NaN
+    fails every comparison and is therefore refused.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is None or not f.metadata:
+            continue
+        where = f"{type(config).__name__}.{f.name}"
+        for op, bound in f.metadata.get("bounds", ()):
+            if not _BOUND_TESTS[op](value, bound):
+                raise ConfigurationError(f"{where} must be {op} {bound}: {value}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigurationError(
+                f"{where} must be one of {', '.join(choices)}: {value!r}"
+            )
 
 
 class StackKind(enum.Enum):
@@ -108,41 +139,21 @@ class ClientPopulationConfig:
     """
 
     #: Number of logical clients across the whole group.
-    clients: int = 100_000
+    clients: int = _bounded(100_000, (">=", 1))
     #: Zipf activity-skew exponent s; P(rank r) ∝ r^-s. 0 = uniform.
-    zipf_s: float = 1.1
+    zipf_s: float = _bounded(1.1, (">=", 0))
     arrival: ClientArrival = ClientArrival.POISSON
     #: BURSTY: mean seconds of one aggregate ON (sending) period.
-    burst_on: float = 0.05
+    burst_on: float = _bounded(0.05, (">", 0))
     #: BURSTY: mean seconds of one aggregate OFF (silent) period.
-    burst_off: float = 0.15
+    burst_off: float = _bounded(0.15, (">=", 0))
     #: DIURNAL: seconds of one simulated day/night cycle.
-    diurnal_period: float = 4.0
+    diurnal_period: float = _bounded(4.0, (">", 0))
     #: DIURNAL: trough rate as a fraction of the peak rate.
-    diurnal_trough: float = 0.2
+    diurnal_trough: float = _bounded(0.2, (">", 0), ("<=", 1))
 
     def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ConfigurationError(
-                f"client population must be >= 1: {self.clients}"
-            )
-        if self.zipf_s < 0:
-            raise ConfigurationError(
-                f"zipf exponent must be >= 0: {self.zipf_s}"
-            )
-        if self.burst_on <= 0 or self.burst_off < 0:
-            raise ConfigurationError(
-                "burst_on must be positive and burst_off non-negative: "
-                f"{self.burst_on}, {self.burst_off}"
-            )
-        if self.diurnal_period <= 0:
-            raise ConfigurationError(
-                f"diurnal period must be positive: {self.diurnal_period}"
-            )
-        if not 0 < self.diurnal_trough <= 1:
-            raise ConfigurationError(
-                f"diurnal trough must be in (0, 1]: {self.diurnal_trough}"
-            )
+        _check_fields(self)
 
     @property
     def duty_cycle(self) -> float:
@@ -260,19 +271,16 @@ class FlowControlConfig:
     as optimal for both stacks.
     """
 
-    window: int = 3
+    window: int = _bounded(3, (">=", 1))
     #: Maximum number of messages ordered by one consensus execution
     #: (proposal batch cap). The paper's flow control "ensures that, on
     #: average, M = 4 messages are ordered per consensus execution" and
     #: reports M = 4 as optimal for both stacks; the cap is how we pin
     #: the same operating point. ``None`` removes the cap.
-    max_batch: int | None = 4
+    max_batch: int | None = _bounded(4, (">=", 1))
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigurationError(f"flow-control window must be >= 1: {self.window}")
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1: {self.max_batch}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,19 +295,12 @@ class BatchingConfig:
     """
 
     #: Size trigger: seal a batch at this many messages.
-    max_messages: int = 32
+    max_messages: int = _bounded(32, (">=", 1))
     #: Time trigger: seal a non-empty batch after this many seconds.
-    flush_interval: float = 0.002
+    flush_interval: float = _bounded(0.002, (">", 0))
 
     def __post_init__(self) -> None:
-        if self.max_messages < 1:
-            raise ConfigurationError(
-                f"batching max_messages must be >= 1: {self.max_messages}"
-            )
-        if self.flush_interval <= 0:
-            raise ConfigurationError(
-                f"batching flush_interval must be positive: {self.flush_interval}"
-            )
+        _check_fields(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,9 +370,9 @@ class WorkloadConfig:
     """
 
     #: Global abcast attempt rate in messages/second across all processes.
-    offered_load: float = 1000.0
+    offered_load: float = _bounded(1000.0, (">", 0))
     #: Payload size ``s`` of every abcast message, in bytes.
-    message_size: int = 1024
+    message_size: int = _bounded(1024, (">=", 0))
     arrival: ArrivalProcess = ArrivalProcess.UNIFORM
     #: Optional client-population model. When set, arrivals come from
     #: the population's aggregate law (:class:`ClientArrival`, which
@@ -380,14 +381,7 @@ class WorkloadConfig:
     population: ClientPopulationConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.offered_load <= 0:
-            raise ConfigurationError(
-                f"offered load must be positive: {self.offered_load}"
-            )
-        if self.message_size < 0:
-            raise ConfigurationError(
-                f"message size must be non-negative: {self.message_size}"
-            )
+        _check_fields(self)
 
     def per_process_rate(self, n: int) -> float:
         """Abcast rate of each individual process."""
@@ -574,7 +568,7 @@ class RunConfig:
     """Complete description of one simulation run (modulo the seed)."""
 
     #: Group size. The paper evaluates n = 3 and n = 7.
-    n: int = 3
+    n: int = _bounded(3, (">=", 2))
     stack: StackConfig = field(default_factory=StackConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     flow_control: FlowControlConfig = field(default_factory=FlowControlConfig)
@@ -585,23 +579,14 @@ class RunConfig:
     )
     faultload: FaultloadConfig = field(default_factory=FaultloadConfig)
     #: Simulated seconds measured after warm-up.
-    duration: float = 2.0
+    duration: float = _bounded(2.0, (">", 0))
     #: Simulated seconds discarded at the start (stack fills its pipeline
     #: and the flow-control window reaches its stationary occupancy).
-    warmup: float = 0.5
+    warmup: float = _bounded(0.5, (">=", 0))
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"need at least 2 processes, got n={self.n}")
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive: {self.duration}")
-        if self.warmup < 0:
-            raise ConfigurationError(f"warmup must be non-negative: {self.warmup}")
-        for crash in self.faultload.crashes:
-            if not 0 <= crash.process < self.n:
-                raise ConfigurationError(
-                    f"crash targets unknown process {crash.process} (n={self.n})"
-                )
+        _check_fields(self)
+        self._validate_processes()
         population = self.workload.population
         if population is not None and population.clients < self.n:
             raise ConfigurationError(
@@ -616,6 +601,25 @@ class RunConfig:
             )
         self._validate_link_faults()
 
+    def _validate_processes(self) -> None:
+        """Every process a fault event names must be one of the n."""
+        faults = self.faultload
+        named = {
+            "crash": [crash.process for crash in faults.crashes],
+            "partition": [p for e in faults.partitions for g in e.groups for p in g],
+            "loss burst": [p for e in faults.loss_bursts for p in (e.src, e.dst)],
+            "delay spike": [p for e in faults.delay_spikes for p in (e.src, e.dst)],
+            "wrong suspicion": [
+                p for e in faults.wrong_suspicions for p in (e.observer, e.suspect)
+            ],
+        }
+        for what, processes in named.items():
+            for process in processes:
+                if process is not None and not 0 <= process < self.n:
+                    raise ConfigurationError(
+                        f"{what} names unknown process {process} (n={self.n})"
+                    )
+
     def _validate_link_faults(self) -> None:
         for partition in self.faultload.partitions:
             if partition.heal <= partition.start:
@@ -625,10 +629,6 @@ class RunConfig:
             seen: set[int] = set()
             for group in partition.groups:
                 for process in group:
-                    if not 0 <= process < self.n:
-                        raise ConfigurationError(
-                            f"partition names unknown process {process} (n={self.n})"
-                        )
                     if process in seen:
                         raise ConfigurationError(
                             f"partition groups overlap on process {process}"
@@ -645,21 +645,11 @@ class RunConfig:
                 raise ConfigurationError(
                     f"loss retry delay must be >= 0: {burst.retry_delay}"
                 )
-            for endpoint in (burst.src, burst.dst):
-                if endpoint is not None and not 0 <= endpoint < self.n:
-                    raise ConfigurationError(
-                        f"loss burst names unknown process {endpoint} (n={self.n})"
-                    )
         for spike in self.faultload.delay_spikes:
             if spike.end <= spike.start:
                 raise ConfigurationError(f"delay spike must end after start: {spike}")
             if spike.extra_delay < 0 or spike.jitter < 0:
                 raise ConfigurationError(f"delay spike must be non-negative: {spike}")
-            for endpoint in (spike.src, spike.dst):
-                if endpoint is not None and not 0 <= endpoint < self.n:
-                    raise ConfigurationError(
-                        f"delay spike names unknown process {endpoint} (n={self.n})"
-                    )
         for suspicion in self.faultload.wrong_suspicions:
             if suspicion.observer == suspicion.suspect:
                 raise ConfigurationError(
@@ -669,11 +659,6 @@ class RunConfig:
                 raise ConfigurationError(
                     f"suspicion duration must be positive: {suspicion.duration}"
                 )
-            for process in (suspicion.observer, suspicion.suspect):
-                if not 0 <= process < self.n:
-                    raise ConfigurationError(
-                        f"wrong suspicion names unknown process {process} (n={self.n})"
-                    )
 
     @property
     def total_time(self) -> float:
@@ -731,3 +716,128 @@ def stack_from_label(label: str) -> StackConfig:
             f"unknown stack {label!r} "
             f"(registered stacks: {', '.join(sorted(STACK_REGISTRY))})"
         ) from None
+
+
+# -- live runs ----------------------------------------------------------------
+
+#: Extra wall-clock seconds after a live run's window closes, letting
+#: in-flight messages deliver so late latency samples are not truncated.
+DEFAULT_DRAIN = 0.5
+
+#: ``LiveSpec.fd`` → the group's detector: a heartbeat every 0.1 s and
+#: suspicion after 1 s of silence (a host stalls healthy workers longer
+#: than the simulator's 0.25 s), or an empty script: nothing is sent.
+LIVE_DETECTORS = {
+    "heartbeat": FailureDetectorConfig(
+        kind=FailureDetectorKind.HEARTBEAT, heartbeat_interval=0.1, timeout=1.0
+    ),
+    "none": FailureDetectorConfig(kind=FailureDetectorKind.SCRIPTED),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class LiveSpec:
+    """Knobs of one live run (defaults mirror the simulator's).
+
+    :func:`repro.live.run_live` deploys it; the command line's run-point,
+    population and trace flags take their defaults from these fields.
+    """
+
+    #: Group size.
+    n: int = 3
+    #: Stack label: a key of :data:`STACK_REGISTRY`.
+    stack: str = "monolithic"
+    #: Offered load in messages/second across the whole group.
+    load: float = 100.0
+    #: Message payload size in bytes.
+    size: int = 1024
+    #: Measurement window length in seconds.
+    duration: float = 5.0
+    #: Warm-up seconds before the window opens.
+    warmup: float = 0.5
+    #: Flow-control window (own messages in flight per process).
+    window: int = 3
+    #: Maximum messages ordered per consensus execution.
+    max_batch: int | None = 4
+    #: Failure detector: a key of :data:`LIVE_DETECTORS`.
+    fd: str = field(default="heartbeat", metadata={"choices": tuple(LIVE_DETECTORS)})
+    #: Workload phase seed (kept for result provenance).
+    seed: int = 1
+    #: Interface to bind; the default keeps everything on localhost.
+    host: str = "127.0.0.1"
+    #: Post-window drain seconds.
+    drain: float = DEFAULT_DRAIN
+    #: Which processes generate load (``None`` = all of them). The
+    #: offered load is split across the listed senders only; the
+    #: conformance tests use a single sender so the total order is
+    #: forced and directly comparable against the simulator's.
+    senders: tuple[int, ...] | None = None
+    #: Per-peer cap on unacked transport frames; at the cap the
+    #: transport signals congestion and the arrival scheduler stalls
+    #: (``backpressure_stalls``) instead of growing the queue.
+    max_unacked: int = 1024
+    #: Cap on the top module's backlog of messages awaiting ordering;
+    #: the ordering core's credit contribution to the same gate.
+    unordered_cap: int = 512
+    #: Directory for per-worker write-ahead delivery logs (crash
+    #: recovery); ``None`` disables logging — the fault-free default.
+    wal_dir: str | None = None
+    #: Logical clients multiplexed onto the worker connections by the
+    #: client-fleet driver; 0 keeps the paper's plain symmetric load.
+    #: Each worker fronts ``clients / n`` clients on its single control
+    #: connection — thousands of logical clients per connection cost
+    #: one gap sampler and one Zipf draw per arrival, nothing per
+    #: client (see :mod:`repro.workload.population`).
+    clients: int = _bounded(0, (">=", 0))
+    #: Zipf activity-skew exponent of the fleet (0 = uniform).
+    zipf_s: float = 1.1
+    #: Aggregate arrival law of the fleet: a :class:`ClientArrival` value.
+    client_arrival: str = field(
+        default="poisson", metadata={"choices": tuple(a.value for a in ClientArrival)}
+    )
+    #: Span-trace ring-buffer capacity per worker; 0 disables tracing
+    #: (the default — spans cost memory and control-channel bytes).
+    trace_cap: int = _bounded(0, (">=", 0))
+
+    def validate(self) -> None:
+        """Reject a spec the deployment cannot run, before anything spawns.
+
+        This checks the live-only knobs; everything a live run shares
+        with a simulation is checked by the :class:`RunConfig` that
+        :func:`matched_run_config` builds from it.
+        """
+        _check_fields(self)
+        matched_run_config(self)
+        if self.senders is not None and (
+            not self.senders or not all(0 <= pid < self.n for pid in self.senders)
+        ):
+            raise ConfigurationError(
+                f"LiveSpec.senders must name processes of 0..{self.n - 1}: "
+                f"{self.senders}"
+            )
+
+
+def matched_run_config(spec: LiveSpec) -> RunConfig:
+    """A live spec in the simulator's terms — the one such mapping.
+
+    Workers build stack, window, detector and client fleet from it and
+    ``repro live --compare`` simulates it: same heartbeat traffic, same
+    population. ``senders`` has no counterpart; a simulation loads every
+    process unless its caller attaches its own arrival schedules.
+    """
+    population = None
+    if spec.clients:
+        population = ClientPopulationConfig(
+            spec.clients, spec.zipf_s, ClientArrival(spec.client_arrival)
+        )
+    return RunConfig(
+        n=spec.n,
+        stack=stack_from_label(spec.stack),
+        workload=WorkloadConfig(
+            offered_load=spec.load, message_size=spec.size, population=population
+        ),
+        flow_control=FlowControlConfig(window=spec.window, max_batch=spec.max_batch),
+        failure_detector=LIVE_DETECTORS[spec.fd],
+        duration=spec.duration,
+        warmup=spec.warmup,
+    )

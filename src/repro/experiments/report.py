@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import StackKind
+from repro.experiments.crossover import gap_series
 from repro.experiments.sweeps import POINT_QUANTITIES, SweepResult
 from repro.metrics.stats import ConfidenceInterval, LatencyHistogram
 
@@ -129,11 +130,9 @@ def histogram_table(
 
 
 def gap_summary(sweep: SweepResult, metric: str, x: float, n: int) -> str:
-    """One-line modular-vs-monolithic gap at a given point."""
-    modular = sweep.point(n, StackKind.MODULAR, x)
-    mono = sweep.point(n, StackKind.MONOLITHIC, x)
+    """One-line modular-vs-monolithic gap at a given point, as
+    :func:`~repro.experiments.crossover.gap_series` defines it."""
+    gap = 100.0 * next(p.gap for p in gap_series(sweep, n, metric) if p.x == x)
     if metric == "latency":
-        gap = 100.0 * (1.0 - mono.latency.mean / modular.latency.mean)
         return f"n={n}, x={x:g}: monolithic latency {gap:.0f}% lower than modular"
-    gap = 100.0 * (mono.throughput.mean / modular.throughput.mean - 1.0)
     return f"n={n}, x={x:g}: monolithic throughput {gap:+.0f}% vs modular"

@@ -39,19 +39,18 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import AsyncIterator, Callable
 
-from repro.config import (
-    ClientArrival,
-    ClientPopulationConfig,
-    FailureDetectorConfig,
-    FailureDetectorKind,
-    FlowControlConfig,
-    RunConfig,
-    WorkloadConfig,
-    stack_from_label,
+# The spec, its detectors, drain and simulator mapping live beside
+# RunConfig; they are re-exported here, where the live API has always
+# offered them.
+from repro.config import (  # noqa: F401
+    DEFAULT_DRAIN,
+    LIVE_DETECTORS,
+    LiveSpec,
+    matched_run_config,
 )
 from repro.errors import DeploymentError
 from repro.live.transport import FrameDecoder, encode_frame
@@ -62,119 +61,8 @@ from repro.obs.attribution import LayerAttribution
 from repro.obs.telemetry import summarize_telemetry
 from repro.types import AppMessage, MessageId
 
-#: Extra wall-clock seconds after the window closes, letting in-flight
-#: messages deliver so late latency samples are not truncated.
-DEFAULT_DRAIN = 0.5
-
 #: How long workers get to come up before the deployment is abandoned.
 READY_TIMEOUT = 15.0
-
-#: ``LiveSpec.fd`` → the group's detector: a heartbeat every 0.1 s and
-#: suspicion after 1 s of silence (a host stalls healthy workers longer
-#: than the simulator's 0.25 s), or an empty script: nothing is sent.
-LIVE_DETECTORS = {
-    "heartbeat": FailureDetectorConfig(
-        kind=FailureDetectorKind.HEARTBEAT, heartbeat_interval=0.1, timeout=1.0
-    ),
-    "none": FailureDetectorConfig(kind=FailureDetectorKind.SCRIPTED),
-}
-
-
-@dataclass(frozen=True, slots=True)
-class LiveSpec:
-    """Knobs of one live run (defaults mirror the simulator's)."""
-
-    #: Group size.
-    n: int = 3
-    #: Stack label: a key of :data:`repro.config.STACK_REGISTRY`.
-    stack: str = "monolithic"
-    #: Offered load in messages/second across the whole group.
-    load: float = 100.0
-    #: Message payload size in bytes.
-    size: int = 1024
-    #: Measurement window length in seconds.
-    duration: float = 5.0
-    #: Warm-up seconds before the window opens.
-    warmup: float = 0.5
-    #: Flow-control window (own messages in flight per process).
-    window: int = 3
-    #: Maximum messages ordered per consensus execution.
-    max_batch: int | None = 4
-    #: Failure detector: "heartbeat" or "none".
-    fd: str = "heartbeat"
-    #: Workload phase seed (kept for result provenance).
-    seed: int = 1
-    #: Interface to bind; the default keeps everything on localhost.
-    host: str = "127.0.0.1"
-    #: Post-window drain seconds.
-    drain: float = DEFAULT_DRAIN
-    #: Which processes generate load (``None`` = all of them). The
-    #: offered load is split across the listed senders only; the
-    #: conformance tests use a single sender so the total order is
-    #: forced and directly comparable against the simulator's.
-    senders: tuple[int, ...] | None = None
-    #: Per-peer cap on unacked transport frames; at the cap the
-    #: transport signals congestion and the arrival scheduler stalls
-    #: (``backpressure_stalls``) instead of growing the queue.
-    max_unacked: int = 1024
-    #: Cap on the top module's backlog of messages awaiting ordering;
-    #: the ordering core's credit contribution to the same gate.
-    unordered_cap: int = 512
-    #: Directory for per-worker write-ahead delivery logs (crash
-    #: recovery); ``None`` disables logging — the fault-free default.
-    wal_dir: str | None = None
-    #: Logical clients multiplexed onto the worker connections by the
-    #: client-fleet driver; 0 keeps the paper's plain symmetric load.
-    #: Each worker fronts ``clients / n`` clients on its single control
-    #: connection — thousands of logical clients per connection cost
-    #: one gap sampler and one Zipf draw per arrival, nothing per
-    #: client (see :mod:`repro.workload.population`).
-    clients: int = 0
-    #: Zipf activity-skew exponent of the fleet (0 = uniform).
-    zipf_s: float = 1.1
-    #: Aggregate arrival law of the fleet: poisson, bursty or diurnal.
-    client_arrival: str = "poisson"
-    #: Span-trace ring-buffer capacity per worker; 0 disables tracing
-    #: (the default — spans cost memory and control-channel bytes).
-    trace_cap: int = 0
-
-    def validate(self) -> None:
-        """Reject specs the deployment cannot run."""
-        stack_from_label(self.stack)  # raises ConfigurationError
-        if self.n < 2:
-            raise DeploymentError(f"need at least two processes, got n={self.n}")
-        if self.load <= 0 or self.duration <= 0:
-            raise DeploymentError(
-                f"load and duration must be positive: {self.load}, {self.duration}"
-            )
-        if self.fd not in LIVE_DETECTORS:
-            raise DeploymentError(f"unknown live failure detector {self.fd!r}")
-        if self.clients < 0:
-            raise DeploymentError(f"clients must be >= 0: {self.clients}")
-        if self.trace_cap < 0:
-            raise DeploymentError(f"trace_cap must be >= 0: {self.trace_cap}")
-        if self.clients:
-            if self.clients < self.n:
-                raise DeploymentError(
-                    f"a fleet of {self.clients} clients cannot cover "
-                    f"n={self.n} workers (need at least one client each)"
-                )
-            if self.zipf_s < 0:
-                raise DeploymentError(
-                    f"zipf exponent must be >= 0: {self.zipf_s}"
-                )
-            if self.client_arrival not in ("poisson", "bursty", "diurnal"):
-                raise DeploymentError(
-                    f"unknown client arrival law {self.client_arrival!r}"
-                )
-        if self.senders is not None:
-            if not self.senders:
-                raise DeploymentError("senders must name at least one process")
-            bad = [pid for pid in self.senders if not 0 <= pid < self.n]
-            if bad:
-                raise DeploymentError(
-                    f"senders {bad} outside the group 0..{self.n - 1}"
-                )
 
 
 def reserve_ports(host: str, count: int) -> list[int]:
@@ -195,32 +83,6 @@ def reserve_ports(host: str, count: int) -> list[int]:
     finally:
         for sock in sockets:
             sock.close()
-
-
-def matched_run_config(spec: LiveSpec) -> RunConfig:
-    """A live spec in the simulator's terms — the one such mapping.
-
-    Workers build stack, window, detector and client fleet from it and
-    ``repro live --compare`` simulates it: same heartbeat traffic, same
-    population. ``senders`` has no counterpart; a simulation loads every
-    process unless its caller attaches its own arrival schedules.
-    """
-    population = None
-    if spec.clients:
-        population = ClientPopulationConfig(
-            spec.clients, spec.zipf_s, ClientArrival(spec.client_arrival)
-        )
-    return RunConfig(
-        n=spec.n,
-        stack=stack_from_label(spec.stack),
-        workload=WorkloadConfig(
-            offered_load=spec.load, message_size=spec.size, population=population
-        ),
-        flow_control=FlowControlConfig(window=spec.window, max_batch=spec.max_batch),
-        failure_detector=LIVE_DETECTORS[spec.fd],
-        duration=spec.duration,
-        warmup=spec.warmup,
-    )
 
 
 def worker_spec(
@@ -598,9 +460,10 @@ def run_live(
     ``trace_cap`` set) the merged wall-clock spans.
 
     Raises:
+        ConfigurationError: For any spec error (:meth:`LiveSpec.validate`),
+            before a worker is spawned.
         DeploymentError: When workers die, never become ready, or stop
             reporting.
-        ConfigurationError: For an unknown stack label.
         OrderingViolation: When the workers' delivery sequences break
             uniform integrity or total order
             (:class:`~repro.metrics.ordering.AbcastSpec`).

@@ -382,6 +382,7 @@ def run_nemesis_live(
     ``spec.wal_dir``, or a temporary directory when unset.
 
     Raises:
+        ConfigurationError: A spec error, before a worker is spawned.
         DeploymentError: Unsupported faultload features, a worker dying
             outside the schedule, or deployment-level failures.
     """

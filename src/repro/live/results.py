@@ -3,7 +3,7 @@
 The simulator returns a :class:`~repro.experiments.runner.RunResult`;
 the live orchestrator measures the same quantities but has no
 :class:`~repro.config.RunConfig` (its knobs travel as a
-:class:`~repro.live.deploy.LiveSpec`). Both reduce to the same plain
+:class:`~repro.config.LiveSpec`). Both reduce to the same plain
 dictionary here so downstream tooling — JSON output, the sim-vs-live
 comparison report — never branches on where a number came from:
 
@@ -36,7 +36,7 @@ from repro.metrics.collector import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.runner import RunResult
-    from repro.live.deploy import LiveSpec
+    from repro.config import LiveSpec
 
 #: The stack label used for a modular stack with indirect consensus.
 _INDIRECT_LABEL = "indirect"

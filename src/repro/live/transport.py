@@ -51,6 +51,8 @@ import json
 import os
 import random
 import struct
+import sys
+import time
 from collections import deque
 from functools import partial
 from itertools import islice
@@ -88,20 +90,18 @@ COUNT_BUFFER = 64 * _COUNT.size
 #: Callback invoked with every decoded protocol message.
 MessageHandler = Callable[[NetMessage], None]
 
-#: ``REPRO_LIVE_TRACE=1`` narrates connection/handshake events on
-#: stderr (same switch as the worker's recovery trace).
+#: ``REPRO_LIVE_TRACE=1`` makes the transport narrate connection and
+#: handshake events, and every worker its recovery and fault events, on
+#: stderr (the orchestrator surfaces a worker's stderr when it exits
+#: unexpectedly).
 _TRACE = bool(os.environ.get("REPRO_LIVE_TRACE"))
 
 
-def _trace(pid: int, text: str) -> None:
+def narrate(role: str, pid: int, text: str) -> None:
+    """Print ``[role pid t=…] text`` on stderr when ``REPRO_LIVE_TRACE`` is set."""
     if _TRACE:
-        import sys
-        import time
-
         print(
-            f"[transport {pid} t={time.monotonic():.3f}] {text}",
-            file=sys.stderr,
-            flush=True,
+            f"[{role} {pid} t={time.monotonic():.3f}] {text}", file=sys.stderr, flush=True
         )
 
 
@@ -343,7 +343,7 @@ class _Connection(asyncio.BufferedProtocol):
             # redials and resumes at the delivered count, i.e. at the
             # offending frame, so line corruption heals and a sender
             # that really emits garbage stays loudly disconnected.
-            _trace(self._owner.pid, f"closing connection: {exc}")
+            narrate("transport", self._owner.pid, f"closing connection: {exc}")
             self.transport.close()
             return
         rest = end - consumed
@@ -697,7 +697,8 @@ class Transport:
                 # connection; transmission restarts exactly there, so
                 # the stream is exactly-once and in-order end to end.
                 resume = await connection.resume
-                _trace(
+                narrate(
+                    "transport",
                     self.pid,
                     f"connected to p{peer}: resume={resume} "
                     f"base={link.base} queued={len(link.queue)}",
@@ -758,7 +759,8 @@ class Transport:
         """
         peer, nonce = parse_hello(frame)
         known = self._peer_nonce.get(peer) == nonce
-        _trace(
+        narrate(
+            "transport",
             self.pid,
             f"inbound hello from p{peer}: nonce "
             f"{'match' if known else 'NEW'}, "

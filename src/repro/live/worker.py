@@ -56,7 +56,7 @@ from repro.live.deploy import (
     matched_run_config,
 )
 from repro.live.runtime import LiveRuntime
-from repro.live.transport import Transport
+from repro.live.transport import Transport, narrate
 from repro.live.wal import WalState, WalWriter, load_wal_state
 from repro.net.message import NetMessage
 from repro.sim.tracing import NullTraceRecorder, TraceRecorder
@@ -84,17 +84,6 @@ SYNC_RETRY_INTERVAL = 0.25
 def send_control(writer: asyncio.StreamWriter, document: dict) -> None:
     """Frame and enqueue one control message."""
     writer.write(control_frame(document))
-
-
-#: Set the environment variable ``REPRO_LIVE_TRACE=1`` to make every
-#: worker narrate recovery/fault events on stderr (the orchestrator
-#: surfaces a worker's stderr when it exits unexpectedly).
-_TRACE = bool(os.environ.get("REPRO_LIVE_TRACE"))
-
-
-def _trace(pid: int, text: str) -> None:
-    if _TRACE:
-        print(f"[worker {pid} t={time.monotonic():.3f}] {text}", file=sys.stderr, flush=True)
 
 
 class Worker:
@@ -289,7 +278,7 @@ class Worker:
             # Re-arm before sending: a send raising must not silence
             # the retry loop (peers may simply not be reachable yet).
             self._sync_retry = loop.call_later(SYNC_RETRY_INTERVAL, request)
-            _trace(self.pid, f"SYNC_REQ from={len(self._delivered_log)}")
+            narrate("worker", self.pid, f"SYNC_REQ from={len(self._delivered_log)}")
             for dst in range(self.n):
                 if dst != self.pid:
                     self._recovery_send(
@@ -299,7 +288,7 @@ class Worker:
         request()
 
     def _on_recovery_message(self, message: NetMessage) -> None:
-        _trace(self.pid, f"recovery message {message.kind} from p{message.src}")
+        narrate("worker", self.pid, f"recovery message {message.kind} from p{message.src}")
         if message.kind == "SYNC_REQ":
             self._serve_sync_request(message.src, message.payload)
         elif message.kind == "SYNC_RESP":
@@ -312,10 +301,10 @@ class Worker:
             return  # recovering ourselves; our log is not a frontier yet
         start = int(payload["from"])
         if start > len(self._delivered_log):
-            _trace(self.pid, f"refusing SYNC_REQ: behind requester ({start})")
+            narrate("worker", self.pid, f"refusing SYNC_REQ: behind requester ({start})")
             return  # we are behind the requester; let someone else help
         entries = [[s, q] for s, q in self._delivered_log[start:]]
-        _trace(self.pid, f"answering SYNC_REQ p{requester} with {len(entries)} entries")
+        narrate("worker", self.pid, f"answering SYNC_REQ p{requester} with {len(entries)} entries")
         self._recovery_send(
             requester,
             "SYNC_RESP",
@@ -333,7 +322,7 @@ class Worker:
         if not self._gating:
             return
         if int(payload["from"]) != len(self._delivered_log):
-            _trace(self.pid, "stale SYNC_RESP ignored")
+            narrate("worker", self.pid, "stale SYNC_RESP ignored")
             return  # stale response to an earlier request
         next_instance = int(payload["next_instance"])
         now = self.runtime.now
@@ -382,7 +371,8 @@ class Worker:
         if self.wal is not None:
             self.wal.flush()
         self._recovered = True
-        _trace(
+        narrate(
+            "worker",
             self.pid,
             f"recovery complete: next_instance={next_instance} "
             f"log={len(self._delivered_log)}",

@@ -12,7 +12,9 @@ the vocabulary layer around it:
   runner (deterministic: same rng state, same schedule);
 * :func:`faultload_to_dict` / :func:`faultload_from_dict` and
   :func:`load_faultload` / :func:`dump_faultload` — a JSON form so a
-  shrunk counterexample can be saved and replayed with one command.
+  shrunk counterexample can be saved and replayed with one command;
+  both directions are read off the dataclass fields, which is also how
+  :mod:`repro.nemesis.swarm` stores a whole replay case.
 
 Everything here is pure data manipulation; compiling a schedule onto the
 simulator's fault hooks lives in :mod:`repro.nemesis.partitions` and
@@ -24,7 +26,8 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
@@ -218,60 +221,38 @@ def generate_faultload(
 
 # -- JSON round-trip --------------------------------------------------------
 #
-# Both directions are read off the event dataclasses in repro.config: a
-# new field (or a sixth event list) is one edit there, plus a row below
-# if its declared type is new.
-
-#: Faultload list name → the event dataclass of its entries.
-_EVENT_CLASSES: dict[str, type] = {
-    name: get_args(hint)[0]
-    for name, hint in get_type_hints(FaultloadConfig).items()
-}
+# Both directions are read off the dataclasses — the fault events in
+# repro.config and the nemesis replay case: a new field (or a sixth
+# event list) is one edit there, plus a row below if its declared type
+# is new.
 
 
-def _plain(value: Any) -> Any:
-    """JSON form of one event field: enums by value, tuples as lists."""
+def plain(value: Any) -> Any:
+    """JSON form of a dataclass, field by field: enums by value, tuples
+    as lists."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, tuple):
-        return [_plain(item) for item in value]
+        return [plain(item) for item in value]
     return value
 
 
 def faultload_to_dict(faultload: FaultloadConfig) -> dict[str, Any]:
     """Plain-dict form of a faultload, suitable for ``json.dump``."""
-    return {
-        name: [
-            {f.name: _plain(getattr(event, f.name)) for f in fields(event)}
-            for event in getattr(faultload, name)
-        ]
-        for name in _EVENT_CLASSES
-    }
-
-
-def _entries(data: dict[str, Any], key: str) -> list[tuple[str, dict[str, Any]]]:
-    """The list under *key*, as ``(where, entry)`` pairs, schema-checked."""
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigurationError(
-            f"faultload field {key!r} must be a list, "
-            f"got {type(value).__name__}"
-        )
-    pairs = []
-    for index, entry in enumerate(value):
-        where = f"{key}[{index}]"
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"faultload field {where!r} must be an object, "
-                f"got {type(entry).__name__}"
-            )
-        pairs.append((where, entry))
-    return pairs
+    return plain(faultload)
 
 
 def _number(value: Any, path: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"field {path!r} must be a number, got {value!r}")
+    return value
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"field {path!r} must be a string, got {value!r}")
     return value
 
 
@@ -314,27 +295,63 @@ def _groups(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
-#: Declared type of an event field, as spelled in :mod:`repro.config`
-#: (its annotations are strings) → the checker of its JSON value.
+#: The event dataclass of each faultload list, in declaration order.
+_EVENT_CLASSES = [get_args(hint)[0] for hint in get_type_hints(FaultloadConfig).values()]
+
+
+def _events(cls: type, value: Any, path: str) -> tuple[Any, ...]:
+    """One faultload event list: a JSON list of *cls* objects."""
+    if not isinstance(value, list):
+        raise ConfigurationError(
+            f"field {path!r} must be a list, got {type(value).__name__}"
+        )
+    return tuple(
+        read_fields(cls, entry, f"{path}[{index}]") for index, entry in enumerate(value)
+    )
+
+
+#: Declared type of a field, as spelled in its module (the annotations
+#: are strings) → the checker of its JSON value.
 _CHECKERS = {
+    "str": _string,
     "float": _number,
     "int": _integer,
     "int | None": _optional_process,
     "LinkFaultMode": _link_mode,
     "tuple[tuple[int, ...], ...]": _groups,
+    "FaultloadConfig": lambda value, path: read_fields(FaultloadConfig, value, path),
+    # One row per faultload event list, e.g. "tuple[CrashEvent, ...]".
+    **{f"tuple[{cls.__name__}, ...]": partial(_events, cls) for cls in _EVENT_CLASSES},
 }
 
 
-def _event(cls: type, where: str, entry: dict[str, Any]) -> Any:
-    """One event of class *cls* from its JSON object at path *where*."""
+def read_fields(cls: type, entry: Any, where: str = "") -> Any:
+    """One *cls* from its JSON object *entry*, found at path *where*
+    (empty at the top of a document).
+
+    Each key is schema-checked by its field's declared type; a missing
+    key takes the field's default, and an unknown key or a missing
+    required one is refused by name.
+    """
+    what = where or "the document"
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(entry).__name__}"
+        )
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(entry) - set(names))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) in {what}: {', '.join(map(repr, unknown))} "
+            f"(known: {', '.join(names)})"
+        )
     values = {}
     for f in fields(cls):
         if f.name in entry:
-            values[f.name] = _CHECKERS[f.type](entry[f.name], f"{where}.{f.name}")
-        elif f.default is MISSING:
-            raise ConfigurationError(
-                f"field {where!r} is missing required key {f.name!r}"
-            )
+            path = f"{where}.{f.name}" if where else f.name
+            values[f.name] = _CHECKERS[f.type](entry[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{what} is missing required key {f.name!r}")
     return cls(**values)
 
 
@@ -348,25 +365,24 @@ def faultload_from_dict(data: dict[str, Any]) -> FaultloadConfig:
     ``KeyError`` — these dicts come from user-supplied
     ``--faultload``/``--replay`` files.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"a faultload document must be a JSON object, "
-            f"got {type(data).__name__}"
-        )
-    unknown = sorted(set(data) - set(_EVENT_CLASSES))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown faultload field(s): {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(_EVENT_CLASSES)})"
-        )
-    return FaultloadConfig(
-        **{
-            name: tuple(
-                _event(cls, where, entry) for where, entry in _entries(data, name)
-            )
-            for name, cls in _EVENT_CLASSES.items()
-        }
-    )
+    return read_fields(FaultloadConfig, data)
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document in the file at *path* (invalid JSON is a
+    :class:`~repro.errors.ConfigurationError` naming the file)."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def write_json(document: Any, path: str | Path) -> None:
+    """Write *document* to *path* as sorted, indented JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def load_faultload(path: str | Path) -> FaultloadConfig:
@@ -376,21 +392,12 @@ def load_faultload(path: str | Path) -> FaultloadConfig:
         ConfigurationError: The file is not valid JSON or does not match
             the faultload schema; the message names the problem.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path} is not valid JSON: {exc}"
-            ) from exc
-    return faultload_from_dict(data)
+    return faultload_from_dict(read_json(path))
 
 
 def dump_faultload(faultload: FaultloadConfig, path: str | Path) -> None:
     """Write a faultload schedule to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(faultload_to_dict(faultload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(faultload_to_dict(faultload), path)
 
 
 def resolve_faultload(spec: str, n: int = 3) -> FaultloadConfig:

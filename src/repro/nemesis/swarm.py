@@ -19,7 +19,6 @@ Import this module explicitly (``repro.nemesis.swarm``); the package
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -45,10 +44,11 @@ from repro.nemesis.invariants import (
     Violation,
 )
 from repro.nemesis.schedule import (
-    _integer,
-    faultload_from_dict,
-    faultload_to_dict,
     generate_faultload,
+    plain,
+    read_fields,
+    read_json,
+    write_json,
 )
 from repro.nemesis.shrink import shrink_faultload
 from repro.sim.rng import RngRegistry
@@ -110,6 +110,13 @@ DEFAULT_STACKS = tuple(
 )
 
 
+#: ``NemesisCase.fd`` → the failure detector the case runs under.
+CASE_DETECTORS = {
+    "oracle": FailureDetectorConfig(kind=FailureDetectorKind.ORACLE),
+    "heartbeat": FailureDetectorConfig(kind=FailureDetectorKind.HEARTBEAT),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class NemesisCase:
     """One fully determined adversarial run (its own repro recipe)."""
@@ -117,8 +124,16 @@ class NemesisCase:
     stack: str
     seed: int
     n: int
-    fd: str  # "oracle" | "heartbeat"
-    faultload: FaultloadConfig
+    #: A key of :data:`CASE_DETECTORS`.
+    fd: str = "oracle"
+    faultload: FaultloadConfig = field(default_factory=FaultloadConfig)
+
+    def __post_init__(self) -> None:
+        if self.fd not in CASE_DETECTORS:
+            raise ConfigurationError(
+                f"NemesisCase.fd must be one of {', '.join(CASE_DETECTORS)}: "
+                f"{self.fd!r}"
+            )
 
     def describe(self) -> str:
         events = self.faultload.events()
@@ -211,20 +226,13 @@ def generate_case(stack: str, seed: int, n: int = 3) -> NemesisCase:
 
 def build_config(case: NemesisCase) -> RunConfig:
     """The :class:`~repro.config.RunConfig` a case runs under."""
-    _spec(case.stack)  # validate the label early
-    if case.fd == "oracle":
-        fd_config = FailureDetectorConfig(kind=FailureDetectorKind.ORACLE)
-    elif case.fd == "heartbeat":
-        fd_config = FailureDetectorConfig(kind=FailureDetectorKind.HEARTBEAT)
-    else:
-        raise ConfigurationError(f"unknown nemesis fd {case.fd!r}")
     return RunConfig(
         n=case.n,
-        stack=STACKS[case.stack].config,
+        stack=_spec(case.stack).config,
         workload=WorkloadConfig(
             offered_load=NEMESIS_LOAD, message_size=NEMESIS_MESSAGE_SIZE
         ),
-        failure_detector=fd_config,
+        failure_detector=CASE_DETECTORS[case.fd],
         faultload=case.faultload,
         warmup=NEMESIS_WARMUP,
         duration=NEMESIS_DURATION,
@@ -382,57 +390,23 @@ def sweep(
 
 def case_to_dict(case: NemesisCase) -> dict[str, Any]:
     """Plain-dict form of a case, suitable for ``json.dump``."""
-    return {
-        "stack": case.stack,
-        "seed": case.seed,
-        "n": case.n,
-        "fd": case.fd,
-        "faultload": faultload_to_dict(case.faultload),
-    }
+    return plain(case)
 
 
 def case_from_dict(data: dict[str, Any]) -> NemesisCase:
-    """Inverse of :func:`case_to_dict`.
+    """Inverse of :func:`case_to_dict`, read off :class:`NemesisCase`'s fields.
 
-    Schema violations raise :class:`~repro.errors.ConfigurationError`
-    naming the offending field — these dicts come from user-supplied
-    ``--replay`` files.
+    A missing ``fd`` or ``faultload`` takes the dataclass default; schema
+    violations raise :class:`~repro.errors.ConfigurationError` naming the
+    offending field — these dicts come from user-supplied ``--replay``
+    files.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"a replay case must be a JSON object, got {type(data).__name__}"
-        )
-    for key in ("stack", "seed", "n"):
-        if key not in data:
-            raise ConfigurationError(
-                f"replay case is missing required field {key!r}"
-            )
-    stack = data["stack"]
-    if not isinstance(stack, str):
-        raise ConfigurationError(
-            f"replay case field 'stack' must be a string, got {stack!r}"
-        )
-    fd = data.get("fd", "oracle")
-    if fd not in ("oracle", "heartbeat"):
-        raise ConfigurationError(
-            f"replay case field 'fd' must be 'oracle' or 'heartbeat', "
-            f"got {fd!r}"
-        )
-    faultload = data.get("faultload", {})
-    return NemesisCase(
-        stack=stack,
-        seed=_integer(data["seed"], "seed"),
-        n=_integer(data["n"], "n"),
-        fd=fd,
-        faultload=faultload_from_dict(faultload),
-    )
+    return read_fields(NemesisCase, data)
 
 
 def save_case(case: NemesisCase, path: str | Path) -> None:
     """Write a case to a JSON file a ``--replay`` can consume."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(case_to_dict(case), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(case_to_dict(case), path)
 
 
 def load_case(path: str | Path) -> NemesisCase:
@@ -442,14 +416,7 @@ def load_case(path: str | Path) -> NemesisCase:
         ConfigurationError: The file is not valid JSON or does not match
             the case schema; the message names the problem.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path} is not valid JSON: {exc}"
-            ) from exc
-    return case_from_dict(data)
+    return case_from_dict(read_json(path))
 
 
 def repro_command(path: str | Path) -> str:

@@ -16,10 +16,10 @@ and renders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.config import RunConfig, WorkloadConfig, stack_from_label
+from repro.config import FailureDetectorConfig, LiveSpec, matched_run_config
 from repro.experiments.report import format_table
 from repro.experiments.runner import RunResult, run_simulation
 from repro.obs.attribution import BOUNDARY_LAYER
@@ -46,29 +46,23 @@ class ProfileRun:
 
 
 def run_profile(
-    labels: tuple[str, ...] | list[str],
-    *,
-    n: int = 3,
-    load: float = 100.0,
-    size: int = 1024,
-    duration: float = 5.0,
-    warmup: float = 0.5,
-    seed: int = 1,
-    trace_cap: int = DEFAULT_TRACE_CAP,
+    labels: tuple[str, ...] | list[str], spec: LiveSpec = LiveSpec()
 ) -> list[ProfileRun]:
-    """Run one traced simulation per stack label at a common point."""
+    """Run one traced simulation per stack label at *spec*'s run point.
+
+    Group, workload, client population, window and timing are the ones
+    :func:`~repro.config.matched_run_config` maps *spec* to; the detector
+    stays the simulator's default. Every run uses ``spec.seed``, and
+    ``spec.trace_cap`` (0: :data:`DEFAULT_TRACE_CAP`) caps each trace.
+    """
     runs = []
     for label in labels:
-        stack = stack_from_label(label)
-        config = RunConfig(
-            n=n,
-            stack=stack,
-            workload=WorkloadConfig(offered_load=load, message_size=size),
-            duration=duration,
-            warmup=warmup,
+        config = replace(
+            matched_run_config(replace(spec, stack=label)),
+            failure_detector=FailureDetectorConfig(),
         )
-        trace = TraceRecorder(cap=trace_cap)
-        result = run_simulation(config, seed=seed, trace=trace)
+        trace = TraceRecorder(cap=spec.trace_cap or DEFAULT_TRACE_CAP)
+        result = run_simulation(config, seed=spec.seed, trace=trace)
         runs.append(ProfileRun(label=label, result=result, trace=trace))
     return runs
 

@@ -8,7 +8,7 @@ interpreter start-up for three workers.
 
 import pytest
 
-from repro.errors import ConfigurationError, DeploymentError
+from repro.errors import ConfigurationError
 from repro.live.deploy import LiveSpec, run_live
 
 #: Keys every result dict must carry (the sim RunResult schema).
@@ -79,7 +79,7 @@ class TestClientFleet:
         assert 0 < metrics["active_clients"] <= 3600
 
     def test_fleet_smaller_than_group_rejected(self):
-        with pytest.raises(DeploymentError):
+        with pytest.raises(ConfigurationError):
             run_live(smoke_spec(clients=2))
 
 
@@ -89,9 +89,9 @@ class TestSpecValidation:
             run_live(smoke_spec(stack="bogus"))
 
     def test_nonpositive_load_rejected(self):
-        with pytest.raises(DeploymentError):
+        with pytest.raises(ConfigurationError):
             run_live(smoke_spec(load=0.0))
 
     def test_unknown_fd_rejected(self):
-        with pytest.raises(DeploymentError):
+        with pytest.raises(ConfigurationError):
             run_live(smoke_spec(fd="oracle"))

@@ -199,3 +199,136 @@ def test_csv_flag_writes_figure_data(monkeypatch, tmp_path, capsys):
     target = tmp_path / "figure8.csv"
     assert target.exists()
     assert "offered_load" in target.read_text()
+
+
+# -- one schema: the run point, the population, the stacks, the commands -----
+
+
+def parse(*argv):
+    return cli._build_parser().parse_args(list(argv))
+
+
+def test_no_flags_give_exactly_the_default_live_spec():
+    from repro.config import LiveSpec
+
+    for command in ("live", "profile", "latencydist", "nemesis"):
+        assert cli._live_spec(parse(command)) == LiveSpec()
+
+
+@pytest.mark.parametrize(
+    "argv,population",
+    [
+        # README / EXPERIMENTS latencydist and sweep, CI's population step.
+        (
+            ["--clients", "100000", "--zipf", "1.2", "--client-arrival", "bursty"],
+            (100_000, 1.2, "bursty"),
+        ),
+        # EXPERIMENTS' live fleet.
+        (
+            ["--clients", "3600", "--zipf", "1.1", "--client-arrival", "bursty"],
+            (3600, 1.1, "bursty"),
+        ),
+        (["--clients", "5000"], (5000, 1.1, "poisson")),
+        # Without --clients the shape flags keep meaning the default size.
+        (["--zipf", "1.2"], (100_000, 1.2, "poisson")),
+        (["--zipf", "1.1"], (100_000, 1.1, "poisson")),
+        (["--client-arrival", "diurnal"], (100_000, 1.1, "diurnal")),
+        ([], None),
+    ],
+)
+def test_population_flags_give_the_populations_they_always_gave(argv, population):
+    from repro.config import ClientArrival, ClientPopulationConfig, matched_run_config
+
+    expected = None
+    if population is not None:
+        clients, zipf_s, arrival = population
+        expected = ClientPopulationConfig(clients, zipf_s, ClientArrival(arrival))
+    for command in ("sweep", "live"):
+        spec = cli._live_spec(parse(command, *argv))
+        assert matched_run_config(spec).workload.population == expected
+    base = cli._grid(parse("sweep", *argv)).get("base")
+    assert (base and base.workload.population) == expected
+
+
+def test_figure_commands_take_the_population_too(monkeypatch):
+    seen = {}
+    monkeypatch.setattr(
+        cli, "figure", lambda name, **grid: seen.update(grid) or FakeReport()
+    )
+    cli.main(["figure8", "--fast", "--clients", "4000"])
+    assert seen["base"].workload.population.clients == 4000
+
+
+def test_latencydist_simulates_the_whole_run_point(monkeypatch):
+    from repro.config import ClientPopulationConfig, StackKind
+    from repro.errors import ConfigurationError
+
+    seen = {}
+
+    def fake_sweep(parameter, **options):
+        seen.update(options, parameter=parameter)
+        raise ConfigurationError("stop here")
+
+    monkeypatch.setattr(cli, "paper_sweep", fake_sweep)
+    argv = [
+        "latencydist", "--n", "5", "--stack", "sequencer", "--load", "300",
+        "--size", "64", "--duration", "1.5", "--warmup", "0.25",
+    ]
+    assert cli.main(argv) == 2
+    assert seen["parameter"] == "offered_load"
+    assert seen["group_sizes"] == (5,) and seen["stacks"] == (StackKind.SEQUENCER,)
+    assert seen["loads"] == (300.0,) and seen["message_size"] == 64
+    base = seen["base"]
+    assert (base.duration, base.warmup) == (1.5, 0.25)
+    # No population flag: the figure's default fleet.
+    assert base.workload.population == ClientPopulationConfig()
+
+
+def test_latencydist_refuses_a_stack_its_sweep_cannot_name(capsys):
+    # "indirect" is the modular kind with another consensus; the sweep
+    # behind the figure is keyed by kind and used to run plain modular.
+    assert cli.main(["latencydist", "--stack", "indirect", "--fast"]) == 2
+    assert "not sweepable" in capsys.readouterr().err
+
+
+def test_profile_runs_the_command_lines_spec(monkeypatch, capsys):
+    import repro.obs.profile as profile
+
+    seen = {}
+
+    def fake_run_profile(labels, spec):
+        seen.update(labels=labels, spec=spec)
+        return []
+
+    monkeypatch.setattr(profile, "run_profile", fake_run_profile)
+    argv =["profile", "--n", "4", "--load", "250", "--clients", "800", "--seeds", "7"]
+    assert cli.main(argv) == 0
+    assert seen["labels"] == ("monolithic", "modular")
+    spec = seen["spec"]
+    assert (spec.n, spec.load, spec.clients, spec.seed) == (4, 250.0, 800, 7)
+    assert "profile: n=4 load=250 size=1024 duration=5s seed=7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure8", "nemesis", "profile"])
+def test_one_stacks_reader_for_every_command(command, capsys):
+    assert cli.main([command, "--fast", "--stacks", "no-such-stack"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown stack label(s): no-such-stack (known: " in err
+    assert cli.main([command, "--fast", "--stacks", ","]) == 2
+    assert "--stacks must name at least one stack" in capsys.readouterr().err
+
+
+def test_one_table_of_commands_feeds_the_parser_and_the_dispatch(monkeypatch, capsys):
+    parser = cli._build_parser()
+    (command,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(command.choices) == list(cli.COMMANDS)
+    monkeypatch.setattr(cli, "all_figures", lambda **grid: [FakeReport()])
+    monkeypatch.setattr(cli, "prediction_table", lambda: "PREDICTION")
+    monkeypatch.setattr(cli, "analytical_table", lambda: "ANALYTICAL")
+    monkeypatch.setattr(cli, "validation_table", lambda: "VALIDATION")
+    monkeypatch.setattr(cli, "run_ablation", lambda seeds: ["row"])
+    monkeypatch.setattr(cli, "ablation_table", lambda rows: "ABLATION")
+    assert cli.main(["all", "--fast"]) == 0
+    out = capsys.readouterr().out
+    marks = ["FAKE FIGURE REPORT", "PREDICTION", "ANALYTICAL", "VALIDATION", "ABLATION"]
+    assert [out.index(mark) for mark in marks] == sorted(out.index(m) for m in marks)

@@ -1,0 +1,69 @@
+"""A live spec error is one ``ConfigurationError``, raised before any
+worker process is spawned, and the live runtime's stderr narration has
+one switch and one format."""
+
+import re
+
+import pytest
+
+import repro.config
+import repro.live.deploy as deploy
+import repro.live.transport as transport
+from repro.errors import ConfigurationError
+from repro.live.deploy import LiveSpec
+
+
+@pytest.fixture
+def no_spawning(monkeypatch):
+    def spawn(document):
+        raise AssertionError(f"worker {document['pid']} spawned for a bad spec")
+
+    monkeypatch.setattr(deploy, "_spawn_worker", spawn)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(window=0),
+        dict(warmup=-1.0),
+        dict(size=-1),
+        dict(max_batch=0),
+        dict(n=1),
+        dict(load=0.0),
+        dict(zipf_s=-0.5, clients=300),
+        dict(fd="oracle"),
+        dict(stack="bogus"),
+        dict(senders=()),
+    ],
+    ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_run_live_refuses_a_bad_spec_before_spawning(no_spawning, overrides):
+    with pytest.raises(ConfigurationError):
+        deploy.run_live(LiveSpec(**overrides))
+
+
+def test_the_spec_is_importable_from_the_live_api_as_before():
+    from repro.live.deploy import (  # noqa: F401
+        DEFAULT_DRAIN,
+        LIVE_DETECTORS,
+        matched_run_config,
+        run_live,
+    )
+
+    assert LiveSpec is repro.config.LiveSpec
+    assert matched_run_config is repro.config.matched_run_config
+    assert DEFAULT_DRAIN == LiveSpec().drain
+
+
+@pytest.mark.parametrize("role", ["transport", "worker"])
+def test_narration_prints_one_prefixed_line_only_when_switched_on(
+    monkeypatch, capsys, role
+):
+    monkeypatch.setattr(transport, "_TRACE", False)
+    transport.narrate(role, 2, "quiet")
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(transport, "_TRACE", True)
+    transport.narrate(role, 2, "SYNC_REQ from=7")
+    assert re.fullmatch(
+        rf"\[{role} 2 t=\d+\.\d{{3}}\] SYNC_REQ from=7\n", capsys.readouterr().err
+    )

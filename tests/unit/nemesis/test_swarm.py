@@ -1,5 +1,7 @@
 """Unit tests for the swarm runner and the shrinker."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.config import CrashEvent, FaultloadConfig, WrongSuspicion
@@ -117,6 +119,32 @@ def test_case_json_round_trip(tmp_path):
     save_case(case, path)
     assert load_case(path) == case
     assert str(path) in repro_command(path)
+
+
+GOLDEN = Path(__file__).resolve().parents[2] / "data" / "nemesis"
+
+
+def test_a_case_without_fd_or_faultload_takes_the_dataclass_defaults():
+    case = case_from_dict({"stack": "modular", "seed": 4, "n": 3})
+    assert case == NemesisCase("modular", 4, 3)
+    assert case.fd == "oracle" and case.faultload == FaultloadConfig()
+
+
+def test_an_unknown_fd_is_refused_at_load_naming_the_field():
+    with pytest.raises(ConfigurationError, match=r"NemesisCase\.fd must be one of"):
+        case_from_dict({"stack": "modular", "seed": 4, "n": 3, "fd": "psychic"})
+    with pytest.raises(ConfigurationError, match="'stack' must be a string"):
+        case_from_dict({"stack": 7, "seed": 4, "n": 3})
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in GOLDEN.glob("*.json") if not p.name.startswith("faultload-")),
+    ids=lambda path: path.name,
+)
+def test_every_saved_case_round_trips_unchanged(path, tmp_path):
+    save_case(load_case(path), tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_bytes() == path.read_bytes()
 
 
 # -- execution --------------------------------------------------------------

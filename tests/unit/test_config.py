@@ -1,12 +1,17 @@
 """Unit tests for configuration validation and helpers."""
 
+import math
+from dataclasses import fields, is_dataclass
+
 import pytest
 
+import repro.config
 from repro.config import (
     CpuCosts,
     CrashEvent,
     FaultloadConfig,
     FlowControlConfig,
+    LiveSpec,
     RunConfig,
     StackKind,
     WorkloadConfig,
@@ -104,3 +109,73 @@ def test_recv_cost_scales_with_size():
 def test_crashed_processes_set():
     faultload = FaultloadConfig(crashes=(CrashEvent(0.1, 2), CrashEvent(0.5, 2)))
     assert faultload.crashed_processes() == frozenset({2})
+
+
+# -- declared bounds ----------------------------------------------------------
+
+
+def _declared_bounds():
+    """Every ``(class, field, op, bound)`` a config dataclass declares."""
+    for cls in vars(repro.config).values():
+        if isinstance(cls, type) and is_dataclass(cls):
+            for f in fields(cls):
+                for op, bound in f.metadata.get("bounds", ()):
+                    yield pytest.param(
+                        cls, f, op, bound, id=f"{cls.__name__}.{f.name}{op}{bound}"
+                    )
+
+
+def _build(cls, name, value):
+    """*cls* with one field set, checked (a live spec checks on validate)."""
+    instance = cls(**{name: value})
+    if isinstance(instance, LiveSpec):
+        instance.validate()
+    return instance
+
+
+def test_the_single_field_ranges_are_declared():
+    assert len(list(_declared_bounds())) >= 17
+
+
+@pytest.mark.parametrize("cls,f,op,bound", _declared_bounds())
+def test_every_declared_bound_bites(cls, f, op, bound):
+    kind = type(f.default)
+    where = rf"{cls.__name__}\.{f.name} must be"
+    if op == ">":
+        with pytest.raises(ConfigurationError, match=where):
+            _build(cls, f.name, kind(bound))
+    else:
+        assert getattr(_build(cls, f.name, kind(bound)), f.name) == bound
+    below = op in (">", ">=")  # the refused side of the bound
+    if kind is int:
+        beyond = bound - 1 if below else bound + 1
+    else:
+        beyond = math.nextafter(float(bound), -math.inf if below else math.inf)
+    with pytest.raises(ConfigurationError, match=where):
+        _build(cls, f.name, beyond)
+    if kind is float:
+        with pytest.raises(ConfigurationError, match=where):
+            _build(cls, f.name, math.nan)
+
+
+def test_a_range_error_names_the_class_and_field():
+    with pytest.raises(ConfigurationError) as caught:
+        WorkloadConfig(offered_load=0.0)
+    assert str(caught.value) == "WorkloadConfig.offered_load must be > 0: 0.0"
+
+
+@pytest.mark.parametrize("name", ["fd", "client_arrival"])
+def test_a_live_spec_label_outside_its_declared_choices_is_refused(name):
+    with pytest.raises(ConfigurationError, match=rf"LiveSpec\.{name} must be one of"):
+        LiveSpec(**{name: "bogus"}).validate()
+
+
+def test_live_spec_validation_is_the_run_configs():
+    # Shared knobs are checked once, by the RunConfig the spec maps to.
+    with pytest.raises(ConfigurationError, match=r"FlowControlConfig\.window"):
+        LiveSpec(window=0).validate()
+    with pytest.raises(ConfigurationError, match="cannot cover n=3"):
+        LiveSpec(clients=2).validate()
+    with pytest.raises(ConfigurationError, match=r"LiveSpec\.senders"):
+        LiveSpec(senders=(0, 3)).validate()
+    LiveSpec(senders=(2,), clients=3).validate()
