@@ -19,7 +19,7 @@ Quickstart::
     print(result.metrics.latency_mean, result.metrics.throughput)
 """
 
-from repro.analysis import compare as analytical_compare
+from repro.analysis import predict_gap as analytical_compare
 from repro.config import (
     ArrivalProcess,
     ConsensusVariant,

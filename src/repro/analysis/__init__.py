@@ -1,35 +1,19 @@
-"""Analytical models: the paper's §5.2 closed forms plus a design-time
-performance predictor pricing full consensus executions against the
-cost model."""
+"""The analytical model: each stack's good-run consensus walked once,
+giving the paper's §5.2 message counts and data volumes and the
+design-time prediction of what they cost."""
 
-from repro.analysis.performance_model import (
+from repro.analysis.model import (
     ModularityPrediction,
     StackPrediction,
     predict_gap,
     predict_modular,
     predict_monolithic,
 )
-from repro.analysis.model import (
-    AnalyticalComparison,
-    compare,
-    modular_data_per_consensus,
-    modular_messages_per_consensus,
-    modularity_data_overhead,
-    monolithic_data_per_consensus,
-    monolithic_messages_per_consensus,
-)
 
 __all__ = [
-    "AnalyticalComparison",
     "ModularityPrediction",
     "StackPrediction",
     "predict_gap",
     "predict_modular",
     "predict_monolithic",
-    "compare",
-    "modular_data_per_consensus",
-    "modular_messages_per_consensus",
-    "modularity_data_overhead",
-    "monolithic_data_per_consensus",
-    "monolithic_messages_per_consensus",
 ]

@@ -84,7 +84,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Collection, Sequence
 
-from repro.analysis.performance_model import predict_gap
 from repro.config import (
     STACK_LABELS,
     STACK_REGISTRY,
@@ -109,35 +108,13 @@ from repro.experiments.figures import (
     paper_sweep,
 )
 from repro.experiments.report import TABLE_QUANTITIES, format_table, sweep_table
-from repro.experiments.tables import analytical_table, validation_table
+from repro.experiments.tables import analytical_table, prediction_table, validation_table
 from repro.nemesis import swarm as nemesis_swarm
 from repro.nemesis.schedule import SCENARIOS, resolve_faultload
 
 #: :class:`LiveSpec`'s fields by name: the type, default and choices of
 #: the flag that sets each.
 _SPEC_FIELDS = {f.name: f for f in fields(LiveSpec)}
-
-
-def prediction_table(
-    group_sizes: tuple[int, ...] = (3, 7),
-    sizes: tuple[int, ...] = (64, 1024, 16384),
-) -> str:
-    """Design-time saturation-throughput predictions (no simulation)."""
-    headers = ["n", "size (B)", "T modular (msg/s)", "T monolithic (msg/s)", "gain"]
-    rows = []
-    for n in group_sizes:
-        for size in sizes:
-            gap = predict_gap(n, 4, size)
-            rows.append(
-                [
-                    str(n),
-                    str(size),
-                    f"{gap.modular.saturation_throughput:.0f}",
-                    f"{gap.monolithic.saturation_throughput:.0f}",
-                    f"+{100 * gap.throughput_gain:.0f}%",
-                ]
-            )
-    return format_table(headers, rows)
 
 
 class _ShapesPopulation(argparse.Action):

@@ -7,8 +7,8 @@ Submodules:
   ``POINT_QUANTITIES``, the one table of what a sweep point reports;
 * :mod:`~repro.experiments.figures` — the paper's Figs. 8-11 as a
   four-row table and one driver;
-* :mod:`~repro.experiments.tables` — the §5.2 analytical tables plus
-  simulator validation;
+* :mod:`~repro.experiments.tables` — the design-time prediction and
+  §5.2 analytical tables plus simulator validation;
 * :mod:`~repro.experiments.ablation` — per-optimization ablation (§4);
 * :mod:`~repro.experiments.report` — text-table rendering;
 * :mod:`~repro.experiments.export` — CSV and canonical-JSON export;

@@ -1,31 +1,51 @@
-"""Reproduction of the paper's analytical evaluation (§5.2) as tables,
-with validation of the closed forms against the simulator's counters.
+"""The paper's analytical evaluation (§5.2) and the design-time
+prediction as tables, all read off :mod:`repro.analysis.model`.
 
-Two artifacts:
+Three artifacts:
 
-* :func:`analytical_table` — the §5.2 formulas evaluated for the paper's
-  configurations (message counts, data volumes, the (n-1)/(n+1)
-  overhead).
+* :func:`prediction_table` — predicted saturation throughput of both
+  stacks and the monolith's gain (no simulation).
+* :func:`analytical_table` — the §5.2 message counts, data volumes and
+  the (n-1)/(n+1) overhead for the paper's configurations.
 * :func:`validation_table` — steady-state good runs of both stacks whose
   *measured* per-consensus message counts and payload volumes are put
-  next to the formulas' predictions, using the measured M. This is the
-  experiment showing the simulator actually sends what the paper counts.
+  next to the model's, using the measured M. This is the experiment
+  showing the simulator actually sends what the paper counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.model import (
-    compare,
-    modular_data_per_consensus,
-    modular_messages_per_consensus,
-    monolithic_data_per_consensus,
-    monolithic_messages_per_consensus,
-)
-from repro.config import RunConfig, StackKind, WorkloadConfig, modular_stack, monolithic_stack
+from repro.analysis.model import predict_gap, predict_modular, predict_monolithic
+from repro.config import RunConfig, StackConfig, StackKind, WorkloadConfig
 from repro.experiments.report import format_table
 from repro.experiments.runner import RunResult, run_simulation
+
+#: The model of each stack the §5.2 tables cover.
+_PREDICTORS = {StackKind.MODULAR: predict_modular, StackKind.MONOLITHIC: predict_monolithic}
+
+
+def prediction_table(
+    group_sizes: tuple[int, ...] = (3, 7),
+    sizes: tuple[int, ...] = (64, 1024, 16384),
+) -> str:
+    """Design-time saturation-throughput predictions (no simulation)."""
+    headers = ["n", "size (B)", "T modular (msg/s)", "T monolithic (msg/s)", "gain"]
+    rows = []
+    for n in group_sizes:
+        for size in sizes:
+            gap = predict_gap(n, 4, size)
+            rows.append(
+                [
+                    str(n),
+                    str(size),
+                    f"{gap.modular.saturation_throughput:.0f}",
+                    f"{gap.monolithic.saturation_throughput:.0f}",
+                    f"+{100 * gap.throughput_gain:.0f}%",
+                ]
+            )
+    return format_table(headers, rows)
 
 
 def analytical_table(
@@ -45,16 +65,16 @@ def analytical_table(
     ]
     rows = []
     for n in group_sizes:
-        c = compare(n, messages_per_consensus, message_size)
+        gap = predict_gap(n, messages_per_consensus, message_size)
         rows.append(
             [
                 str(n),
                 f"{messages_per_consensus:g}",
-                f"{c.modular_messages:.0f}",
-                f"{c.monolithic_messages:.0f}",
-                f"{c.modular_data:.0f}",
-                f"{c.monolithic_data:.0f}",
-                f"{100 * c.data_overhead:.0f}%",
+                f"{gap.modular.messages:.0f}",
+                f"{gap.monolithic.messages:.0f}",
+                f"{gap.modular.data:.0f}",
+                f"{gap.monolithic.data:.0f}",
+                f"{100 * gap.data_overhead:.0f}%",
             ]
         )
     return format_table(headers, rows)
@@ -104,32 +124,24 @@ def validate_stack(
     abcast payload bytes, which is what the network's payload counter
     tracks net of the per-message metadata overhead.
     """
-    stack_config = (
-        modular_stack() if stack is StackKind.MODULAR else monolithic_stack()
-    )
     config = RunConfig(
         n=n,
-        stack=stack_config,
+        stack=StackConfig(kind=stack),
         workload=WorkloadConfig(offered_load=offered_load, message_size=message_size),
         duration=duration,
         warmup=0.4,
     )
     run = run_simulation(config, seed=seed)
     measured_m = run.delivered_per_consensus or 0.0
-    if stack is StackKind.MODULAR:
-        predicted_messages = modular_messages_per_consensus(n, measured_m)
-        predicted_payload = modular_data_per_consensus(n, measured_m, message_size)
-    else:
-        predicted_messages = monolithic_messages_per_consensus(n)
-        predicted_payload = monolithic_data_per_consensus(n, measured_m, message_size)
+    predicted = _PREDICTORS[stack](n, measured_m, message_size)
     return ValidationRow(
         n=n,
         stack=stack,
         measured_m=measured_m,
         measured_messages=run.messages_per_consensus or 0.0,
-        predicted_messages=predicted_messages,
+        predicted_messages=predicted.messages,
         measured_payload_bytes=run.payload_bytes_per_consensus or 0.0,
-        predicted_payload_bytes=predicted_payload,
+        predicted_payload_bytes=predicted.data,
         run=run,
     )
 
@@ -149,7 +161,7 @@ def validation_table(
     ]
     rows = []
     for n in group_sizes:
-        for stack in (StackKind.MODULAR, StackKind.MONOLITHIC):
+        for stack in _PREDICTORS:
             v = validate_stack(n, stack, message_size=message_size)
             rows.append(
                 [

@@ -63,8 +63,8 @@ from repro.sim.tracing import NullTraceRecorder, TraceRecorder
 from repro.stack.events import AbcastRequest
 from repro.stack.module import Microprotocol
 from repro.types import AppMessage, MessageId
-from repro.workload.generator import FlowControlledSender
-from repro.workload.population import ClientPool, population_gap_sampler
+from repro.workload.generator import FlowControlledSender, make_gap_sampler
+from repro.workload.population import ClientPool
 
 #: How often buffered samples are flushed to the orchestrator.
 FLUSH_INTERVAL = 0.25
@@ -446,16 +446,13 @@ class Worker:
         active = spec.senders or range(self.n)
         if self.pid not in active:
             return
-        rate = spec.load / len(active)
-        interval = 1.0 / rate
         stop_at = spec.warmup + spec.duration
         rng = random.Random(spec.seed * 1000 + self.pid)
         loop = self.runtime.loop
 
-        sampler = None
+        sampler = make_gap_sampler(self.config.workload, len(active), rng)
         population = self.config.workload.population
         if population is not None:
-            sampler = population_gap_sampler(population, rate, rng)
             self._pool = ClientPool(
                 population,
                 self.pid,
@@ -469,10 +466,7 @@ class Worker:
         # spec's whatever a tick costs. After a stall the overdue ticks
         # fire back to back and meet a full flow-control window, which
         # counts them as blocked attempts; none enters the stack.
-        if sampler is not None:
-            due = max(self.runtime.now, sampler.first_delay())
-        else:
-            due = max(self.runtime.now, rng.random() * interval)
+        due = max(self.runtime.now, sampler.first_delay())
 
         def tick() -> None:
             nonlocal due
@@ -487,7 +481,7 @@ class Worker:
                 self._backpressure_stalls += 1
             else:
                 self.sender.offer()
-            due += sampler.gap(due) if sampler is not None else interval
+            due += sampler.gap(due)
             loop.call_later(due - self.runtime.now, tick)
 
         loop.call_later(due - self.runtime.now, tick)

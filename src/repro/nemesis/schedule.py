@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
@@ -247,6 +248,11 @@ def faultload_to_dict(faultload: FaultloadConfig) -> dict[str, Any]:
 def _number(value: Any, path: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"field {path!r} must be a number, got {value!r}")
+    # json reads NaN and Infinity, and NaN passes every range comparison.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(
+            f"field {path!r} must be a finite number, got {value!r}"
+        )
     return value
 
 

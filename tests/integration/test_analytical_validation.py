@@ -8,7 +8,6 @@ stack, 2(n-1) for the monolithic one — and the §5.2.2 data volumes.
 
 import pytest
 
-from repro.analysis.model import modularity_data_overhead
 from repro.config import StackKind
 from repro.experiments.tables import validate_stack
 
@@ -49,7 +48,7 @@ def test_measured_data_overhead_approaches_paper_value(n):
     per_message_modular = modular.measured_payload_bytes / modular.measured_m
     per_message_mono = mono.measured_payload_bytes / mono.measured_m
     overhead = (per_message_modular - per_message_mono) / per_message_mono
-    assert overhead == pytest.approx(modularity_data_overhead(n), abs=0.12)
+    assert overhead == pytest.approx((n - 1) / (n + 1), abs=0.12)
 
 
 def test_modular_sends_4x_the_messages_at_n3():

@@ -2,15 +2,16 @@
 
 The predictor prices one good-run consensus from the cost model and the
 measured batch size M; its saturation-throughput prediction must land
-near the simulated Fig.-10 plateau. Modular predictions are tight
-(the coordinator CPU is the clean bottleneck); monolithic ones carry
-more slack because part of its pipeline is latency- rather than
-resource-bound.
+near the simulated Fig.-10 plateau. Modular predictions are tight, at
++0.3 … +11 % of the plateau for seed 1 (the coordinator CPU is the clean
+bottleneck); monolithic ones are an optimistic bound, +34 … +67 % at
+n = 3 and −2 … +16 % at n = 7, because part of its pipeline is latency-
+rather than resource-bound.
 """
 
 import pytest
 
-from repro.analysis.performance_model import (
+from repro.analysis.model import (
     predict_gap,
     predict_modular,
     predict_monolithic,
@@ -37,7 +38,7 @@ def measure_plateau(n, kind, size):
 def test_modular_prediction_matches_simulated_plateau(n, size):
     measured, m = measure_plateau(n, StackKind.MODULAR, size)
     predicted = predict_modular(n, m, size).saturation_throughput
-    assert predicted == pytest.approx(measured, rel=0.25)
+    assert predicted == pytest.approx(measured, rel=0.15)
 
 
 @pytest.mark.parametrize("n", [3, 7])

@@ -6,10 +6,21 @@ deployment.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro.cli import main
+from repro.config import (
+    CrashEvent,
+    DelaySpike,
+    FaultloadConfig,
+    LossBurst,
+    PartitionEvent,
+    WrongSuspicion,
+)
+from repro.errors import ConfigurationError
+from repro.nemesis.schedule import faultload_from_dict, plain
 
 
 def run_cli(capsys, *argv):
@@ -134,3 +145,61 @@ class TestMalformedReplayCase:
         code, captured = run_cli(capsys, "nemesis", "--replay", path)
         assert code == 2
         assert "fd" in captured.err
+
+
+#: One valid event for each faultload list, at n = 3.
+VALID_EVENTS = {
+    "crashes": CrashEvent(time=0.5, process=1),
+    "partitions": PartitionEvent(start=0.1, heal=0.2, groups=((0,), (1, 2))),
+    "loss_bursts": LossBurst(start=0.1, end=0.2, probability=0.5),
+    "delay_spikes": DelaySpike(start=0.1, end=0.2, extra_delay=0.01),
+    "wrong_suspicions": WrongSuspicion(time=0.3, observer=1, suspect=0),
+}
+
+#: (event list, field) for every float field, read off the dataclasses
+#: the way the faultload reader reads them.
+FLOAT_FIELDS = [
+    (events, f.name)
+    for events, event in VALID_EVENTS.items()
+    for f in fields(event)
+    if f.type == "float"
+]
+
+
+def with_token(events, field, token):
+    """A one-event faultload whose *field* is the JSON literal *token*."""
+    entry = plain(VALID_EVENTS[events])
+    entry[field] = "@"
+    return json.dumps({events: [entry]}).replace('"@"', token)
+
+
+class TestNonFiniteNumbers:
+    def test_every_event_list_has_a_valid_example(self):
+        assert list(VALID_EVENTS) == [f.name for f in fields(FaultloadConfig)]
+        faultload_from_dict({k: [plain(v)] for k, v in VALID_EVENTS.items()})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("events, field", FLOAT_FIELDS)
+    def test_refused_at_load_naming_the_field(
+        self, tmp_path, capsys, events, field, token
+    ):
+        text = with_token(events, field, token)
+        where = f"{events}[0].{field}"
+        with pytest.raises(ConfigurationError, match="must be a finite number") as info:
+            faultload_from_dict(json.loads(text))
+        assert where in str(info.value)
+        path = write(tmp_path, "f.json", text)
+        code, captured = run_cli(
+            capsys, "nemesis", "--faultload", path, "--stacks", "modular"
+        )
+        assert code == 2
+        assert where in captured.err
+
+    def test_refused_in_a_replay_case(self, tmp_path, capsys):
+        text = with_token("crashes", "time", "NaN")
+        case = f'{{"stack": "modular", "seed": 1, "n": 3, "faultload": {text}}}'
+        code, captured = run_cli(
+            capsys, "nemesis", "--replay", write(tmp_path, "case.json", case)
+        )
+        assert code == 2
+        assert "faultload.crashes[0].time" in captured.err

@@ -2,8 +2,12 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.errors import DeploymentError
 from repro.live.wal import (
@@ -110,6 +114,47 @@ class TestWriterAndRecovery:
         records, torn = read_wal(path)
         assert [r["q"] for r in records] == [0, 1, 2, 3]
         assert torn == 0
+
+
+class TestHostileTail:
+    """Whatever a crash leaves after k intact records, reload keeps
+    exactly those k, cuts the file back to them, and appending resumes."""
+
+    @given(
+        st.integers(0, 6),
+        st.one_of(
+            st.binary(min_size=1, max_size=64).map(lambda tail: ("bytes", tail)),
+            st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+        ),
+    )
+    def test_reload_keeps_exactly_the_intact_prefix(self, k, damage):
+        records = [deliver(k % 3, q, i=q + 1, at=q / 8) for q in range(k)]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "w.wal"
+            writer = WalWriter(path)
+            for record in records:
+                writer.append(record, sync=True)
+            writer.close()
+            intact = path.stat().st_size
+            if damage[0] == "bytes":
+                tail = damage[1]
+                assume(not decode_records(tail)[0])  # not itself a valid record
+            else:
+                __, position, mask = damage
+                tail = bytearray(encode_record(accept(1, k, at=0.5)))
+                tail[position % len(tail)] ^= mask
+            with open(path, "ab") as handle:
+                handle.write(tail)
+
+            recovered, torn = recover_wal(path)
+            assert recovered == records
+            assert torn == len(tail)
+            assert path.stat().st_size == intact
+
+            writer = WalWriter(path)
+            writer.append(accept(1, k), sync=True)
+            writer.close()
+            assert read_wal(path) == (records + [accept(1, k)], 0)
 
 
 class TestWalState:

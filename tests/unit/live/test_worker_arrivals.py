@@ -7,6 +7,7 @@ nominal rate for a handler taking 30 % of the interval).
 """
 
 import heapq
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from repro.flowcontrol.window import BacklogWindow
 from repro.live.deploy import LiveSpec, worker_spec
 from repro.live.worker import Worker
-from repro.workload.generator import FlowControlledSender
+from repro.workload.generator import FlowControlledSender, make_gap_sampler
 
 
 class FakeLoop:
@@ -62,7 +63,7 @@ class FakeRuntime:
         self._on_inject(event.message)
 
 
-def ticking_worker(rate_per_process: float, duration: float, on_inject):
+def ticking_worker(rate_per_process: float, duration: float, on_inject, **spec_fields):
     spec = LiveSpec(
         n=3,
         load=3 * rate_per_process,
@@ -71,6 +72,7 @@ def ticking_worker(rate_per_process: float, duration: float, on_inject):
         duration=duration,
         seed=5,
         unordered_cap=0,  # no ordering-core credit: the fake runtime has no stack
+        **spec_fields,
     )
     addresses = {pid: ("127.0.0.1", 1) for pid in range(3)}
     loop = FakeLoop()
@@ -131,3 +133,26 @@ def test_catch_up_burst_after_a_stall_meets_the_window_not_the_stack():
     assert sender.accepted <= 10 + 3
     assert sender.window.total_blocked >= stall_ticks - 3
     assert loop.most_pending == 1
+
+
+@pytest.mark.parametrize(
+    "population",
+    [{}, {"clients": 1000, "client_arrival": "bursty"}],
+    ids=["plain", "bursty-population"],
+)
+def test_arrivals_follow_the_simulators_gap_sampler(population):
+    instants = []
+
+    def handler(message):
+        instants.append(loop.now)
+        worker.sender.on_own_delivery(message)
+
+    worker, loop = ticking_worker(200.0, 2.0, handler, **population)
+    worker._schedule_arrivals()
+    loop.run_until(3.0)
+    rng = random.Random(worker.spec.seed * 1000 + worker.pid)
+    sampler = make_gap_sampler(worker.config.workload, 3, rng)
+    expected = [sampler.first_delay()]
+    while len(expected) < 50:
+        expected.append(expected[-1] + sampler.gap(expected[-1]))
+    assert instants[:50] == pytest.approx(expected, rel=0, abs=1e-9)
