@@ -766,7 +766,7 @@ class LiveSpec:
     #: Interface to bind; the default keeps everything on localhost.
     host: str = "127.0.0.1"
     #: Post-window drain seconds.
-    drain: float = DEFAULT_DRAIN
+    drain: float = _bounded(DEFAULT_DRAIN, (">=", 0))
     #: Which processes generate load (``None`` = all of them). The
     #: offered load is split across the listed senders only; the
     #: conformance tests use a single sender so the total order is
@@ -774,11 +774,11 @@ class LiveSpec:
     senders: tuple[int, ...] | None = None
     #: Per-peer cap on unacked transport frames; at the cap the
     #: transport signals congestion and the arrival scheduler stalls
-    #: (``backpressure_stalls``) instead of growing the queue.
-    max_unacked: int = 1024
+    #: (``backpressure_stalls``) instead of growing the queue; 0 = no cap.
+    max_unacked: int = _bounded(1024, (">=", 0))
     #: Cap on the top module's backlog of messages awaiting ordering;
-    #: the ordering core's credit contribution to the same gate.
-    unordered_cap: int = 512
+    #: the ordering core's credit contribution to the same gate; 0 = no cap.
+    unordered_cap: int = _bounded(512, (">=", 0))
     #: Directory for per-worker write-ahead delivery logs (crash
     #: recovery); ``None`` disables logging — the fault-free default.
     wal_dir: str | None = None

@@ -12,13 +12,15 @@ connection are one :class:`asyncio.BufferedProtocol` class
 (:class:`_Connection`): the event loop reads the socket straight into
 the connection's own preallocated buffer, and frames (inbound end) or
 cumulative acks (outbound end) are parsed and acted on inside that read
-callback. Each peer has one FIFO queue and one transmit cursor into it,
-advanced by one function (:meth:`Transport._flush`), which makes
-per-(src, dst) ordering structural rather than accidental: ``send()``
-calls it directly while the link is up and unfaulted (the frame reaches
-the socket inside the handler that produced it), and the peer's sender
-task calls it after a (re)connect, a released HOLD, a delay sleep or a
-write buffer that drained.
+callback. Each peer has one :class:`_Link`: a FIFO queue, a transmit
+cursor into it, the connection it writes to and the link's fault state.
+Every transition of that state is a synchronous ``_Link`` method run
+inside one event-loop callback (``send()``, a read callback, a fault
+hook, a timer), and one of them, :meth:`_Link.flush`, is the only code
+that writes queued frames — which makes per-(src, dst) ordering
+structural rather than accidental. The peer's sender task only dials:
+it connects, writes the HELLO, waits for the connection to be lost and
+backs off.
 
 Framing: each frame is a 4-byte big-endian length prefix followed by
 the body (see :func:`encode_frame` / :class:`FrameDecoder`; the decoder
@@ -54,6 +56,7 @@ import struct
 import sys
 import time
 from collections import deque
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
 from typing import Callable
@@ -209,35 +212,40 @@ def parse_hello(frame: bytes) -> tuple[int, int]:
         raise NetworkError(f"malformed transport HELLO: {exc}") from exc
 
 
+@dataclass(slots=True)
 class TransportStats:
     """Mutable per-transport counters (schema mirrors NetworkStats)."""
 
-    def __init__(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.payload_bytes_sent = 0
-        self.messages_received = 0
-        self.reconnects = 0
-        self.messages_dropped = 0
+    messages_sent: int = 0
+    bytes_sent: int = 0
+    payload_bytes_sent: int = 0
+    messages_received: int = 0
+    reconnects: int = 0
+    messages_dropped: int = 0
 
     def snapshot(self) -> dict:
         """A plain-dict copy for control-channel reporting."""
-        return {
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "payload_bytes_sent": self.payload_bytes_sent,
-            "messages_received": self.messages_received,
-            "reconnects": self.reconnects,
-            "messages_dropped": self.messages_dropped,
-        }
+        return asdict(self)
 
 
 class _Link:
-    """Outbound state towards one peer."""
+    """Outbound state towards one peer, and every transition of it.
 
-    __slots__ = ("queue", "base", "next", "writer", "paused", "wake")
+    Each method runs to completion inside one event-loop callback, so
+    no transition ever sees another half done; :meth:`flush` is the one
+    gate every queued frame leaves through.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = (
+        "pid", "peer", "rng", "queue", "base", "next", "writer", "paused",
+        "held", "dropped", "delay", "timer",
+    )
+
+    def __init__(self, pid: int, peer: int, rng: random.Random) -> None:
+        self.pid = pid
+        self.peer = peer
+        #: Draws the jitter of a delay spike.
+        self.rng = rng
         #: Frames sent (or waiting to be) and not yet acked, oldest first.
         self.queue: deque[bytes] = deque()
         #: Global stream index of ``queue[0]`` — how many frames to this
@@ -253,10 +261,75 @@ class _Link:
         #: ``resume_writing``: the socket buffer is above its high-water
         #: mark, so frames stay in ``queue`` instead of piling up there.
         self.paused = False
-        #: Wakes the sender task: work it must do itself (a frame for a
-        #: link that is down, held, delayed or paused), a released HOLD,
-        #: a drained write buffer, a dead connection, or shutdown.
-        self.wake = asyncio.Event()
+        #: Fault injection, HOLD-mode partition: frames queue up and flow
+        #: on release.
+        self.held = False
+        #: Fault injection, DROP mode: new frames are discarded.
+        self.dropped = False
+        #: Fault injection: ``(extra, jitter)`` of a delay spike — each
+        #: write waits ``extra + U(0, jitter)`` seconds first.
+        self.delay: tuple[float, float] | None = None
+        #: Armed while a delay spike's wait runs; its end flushes.
+        self.timer: asyncio.TimerHandle | None = None
+
+    def flush(self, waited: bool = False) -> None:
+        """Write every queued frame from the cursor on, in one write.
+
+        The one gate: nothing is written while the link is disconnected,
+        held or paused by the event loop's write back-pressure (whoever
+        lifts that state calls this again). Under a delay spike the
+        first call arms one wait, and everything queued until it ends
+        leaves together when the timer calls back with *waited* set.
+        """
+        if waited:
+            self.timer = None
+        if self.writer is None or self.held or self.paused:
+            return
+        queue = self.queue
+        offset = self.next - self.base
+        pending = len(queue) - offset
+        if pending <= 0:
+            return
+        if self.delay is not None and not waited:
+            if self.timer is None:
+                extra, jitter = self.delay
+                self.timer = asyncio.get_running_loop().call_later(
+                    extra + self.rng.uniform(0.0, jitter), self.flush, True
+                )
+            return
+        self.writer.write(b"".join(islice(queue, offset, None)))
+        self.next += pending
+
+    def ack(self, count: int) -> None:
+        """Dequeue every frame the receiver has now delivered."""
+        queue = self.queue
+        while self.base < count and queue:
+            queue.popleft()
+            self.base += 1
+
+    def connect(self, writer: asyncio.WriteTransport, resume: int) -> None:
+        """Start writing to *writer* at the receiver's resume point.
+
+        The resume point is how many of our frames the receiver has
+        delivered. Anything below it was received even if the ack got
+        lost with the previous connection; transmission restarts exactly
+        there, so the stream is exactly-once and in-order end to end.
+        """
+        narrate(
+            "transport",
+            self.pid,
+            f"connected to p{self.peer}: resume={resume} "
+            f"base={self.base} queued={len(self.queue)}",
+        )
+        self.ack(resume)
+        # A resume point below our base means the peer endpoint is fresh
+        # (fail-stop processes do not restart; a new endpoint at the old
+        # address starts a new incarnation): frames already acked by the
+        # predecessor are gone, so transmission continues from the first
+        # unacked frame.
+        self.next = max(resume, self.base)
+        self.writer = writer
+        self.flush()
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -264,9 +337,8 @@ class _Connection(asyncio.BufferedProtocol):
 
     The dialing end (*link* given) writes a HELLO and then frames, and
     reads cumulative frame counts: the first is the receiver's resume
-    point, handed to the sender task through :attr:`resume`; the rest
-    are acks. The accepting end (no *link*) reads the HELLO and then
-    frames, and writes those counts.
+    point, which connects the link; the rest are acks. The accepting end
+    (no *link*) reads the HELLO and then frames, and writes those counts.
 
     Buffer ownership: the connection owns its receive buffer. The event
     loop fills the view :meth:`get_buffer` returned and reports through
@@ -289,9 +361,9 @@ class _Connection(asyncio.BufferedProtocol):
             self._parse = self._read_frames
         else:
             self._parse = self._read_counts
-            #: Resolves to the receiver's resume point, or fails with a
-            #: ``ConnectionResetError`` if the connection dies first.
-            self.resume: asyncio.Future[int] = self._loop.create_future()
+            #: Resolves when the connection is gone; the sender task
+            #: awaits it and then redials.
+            self.lost: asyncio.Future[None] = self._loop.create_future()
         self.transport: asyncio.Transport | None = None
         #: Accepting end: the dialing pid once its HELLO was read.
         self.peer: int | None = None
@@ -311,15 +383,13 @@ class _Connection(asyncio.BufferedProtocol):
                 self.ack_timer.cancel()
             self._owner._inbound.discard(self)
             return
-        if not self.resume.done():
-            self.resume.set_exception(
-                ConnectionResetError("peer closed the connection")
-            )
-        # Disconnected now, not when the sender task gets to run: send()
-        # must stop writing through to a dead socket.
-        if link.writer is self.transport:
-            link.writer = None
-        link.wake.set()
+        # Disconnected now, not when the sender task gets to run: no
+        # flush may write through to a dead socket.
+        link.writer = None
+        link.paused = False
+        # Cancelling the sender task (close()) cancels this future too.
+        if not self.lost.done():
+            self.lost.set_result(None)
 
     def pause_writing(self) -> None:
         if self._link is not None:
@@ -329,7 +399,7 @@ class _Connection(asyncio.BufferedProtocol):
         link = self._link
         if link is not None:
             link.paused = False
-            link.wake.set()
+            link.flush()
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self._view[self._filled :]
@@ -361,12 +431,13 @@ class _Connection(asyncio.BufferedProtocol):
     def _read_counts(self, end: int) -> tuple[int, int]:
         """Dialing end: take every complete cumulative count."""
         consumed = end - end % _COUNT.size
+        link = self._link
         for offset in range(0, consumed, _COUNT.size):
             (count,) = _COUNT.unpack_from(self._view, offset)
-            if self.resume.done():
-                self._owner._apply_ack(self._link, count)
+            if link.writer is self.transport:
+                link.ack(count)
             else:
-                self.resume.set_result(count)
+                link.connect(self.transport, count)
         return consumed, 0
 
     def _read_frames(self, end: int) -> tuple[int, int]:
@@ -448,7 +519,7 @@ class Transport:
         #: its predecessor never used.
         self.nonce = int.from_bytes(os.urandom(8), "big")
         self._links: dict[int, _Link] = {
-            peer: _Link() for peer in addresses if peer != pid
+            peer: _Link(pid, peer, self._rng) for peer in addresses if peer != pid
         }
         #: Serialize-once rule for fan-out (the live twin of the
         #: simulator's ``first_copy``): the payload most recently encoded
@@ -471,14 +542,6 @@ class Transport:
         self._sender_tasks: list[asyncio.Task] = []
         self._inbound: set[_Connection] = set()
         self._closed = False
-        #: Peers whose outbound frames are held back (fault injection:
-        #: HOLD-mode partition — frames queue up and flow on release).
-        self._held: set[int] = set()
-        #: Peers whose outbound frames are discarded (DROP-mode).
-        self._dropped: set[int] = set()
-        #: Per-peer (extra_delay, jitter) slept before each write to the
-        #: socket (fault injection: delay spikes).
-        self._extra_delay: dict[int, tuple[float, float]] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -488,14 +551,14 @@ class Transport:
         self._server = await asyncio.get_running_loop().create_server(
             partial(_Connection, self), host, port
         )
-        for peer in self._links:
+        for peer, link in self._links.items():
             task = asyncio.create_task(
-                self._sender_loop(peer), name=f"transport.p{self.pid}->p{peer}"
+                self._dial(link), name=f"transport.p{self.pid}->p{peer}"
             )
             self._sender_tasks.append(task)
 
     async def close(self) -> None:
-        """Stop dialing, close the server and every open connection.
+        """Stop dialing and delay waits, close the server and every connection.
 
         A pending cumulative ack is written first, so a graceful
         shutdown leaves the senders' retransmit queues trimmed to what
@@ -506,6 +569,9 @@ class Transport:
             task.cancel()
         await asyncio.gather(*self._sender_tasks, return_exceptions=True)
         self._sender_tasks.clear()
+        for link in self._links.values():
+            if link.timer is not None:
+                link.timer.cancel()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -517,12 +583,34 @@ class Transport:
             inbound.transport.close()
         self._inbound.clear()
 
-    @property
-    def listen_port(self) -> int:
-        """The actual bound port (useful when configured with port 0)."""
-        if self._server is None:
-            raise NetworkError("transport is not started")
-        return self._server.sockets[0].getsockname()[1]
+    async def _dial(self, link: _Link) -> None:
+        """Keep one connection to *link*'s peer open: dial, HELLO, redial.
+
+        The connection's read callback connects the link when the
+        receiver's resume point arrives; from then on frames go out
+        through :meth:`_Link.flush`, never through this task.
+        """
+        loop = asyncio.get_running_loop()
+        backoff = self._initial_backoff
+        while not self._closed:
+            try:
+                writer, connection = await loop.create_connection(
+                    partial(_Connection, self, link), *self._addresses[link.peer]
+                )
+            except OSError:
+                pass
+            else:
+                backoff = self._initial_backoff
+                try:
+                    writer.write(encode_frame(hello_frame(self.pid, self.nonce)))
+                    await connection.lost
+                finally:
+                    writer.close()
+                self.stats.reconnects += 1
+            await asyncio.sleep(backoff)
+            backoff = next_backoff(
+                self._rng, self._initial_backoff, backoff, self._max_backoff
+            )
 
     # -- sending -----------------------------------------------------------
 
@@ -530,19 +618,18 @@ class Transport:
         """Queue *message* and, link permitting, write it out (never blocks).
 
         FIFO per destination: frames enter the peer's queue in ``send()``
-        call order and :meth:`_flush` is the only thing that moves the
-        transmit cursor, always forward over that queue. While the link
-        is connected and neither held, delayed nor paused by the event
-        loop's write back-pressure, the frame is written to the socket
-        here; otherwise the sender task does it when the link allows.
+        call order and :meth:`_Link.flush` is the only thing that moves
+        the transmit cursor, always forward over that queue. While the
+        link is connected and neither held, delayed nor paused by the
+        event loop's write back-pressure, the frame is written to the
+        socket here; otherwise whoever lifts that state flushes it.
         """
         if self._closed:
             return
-        dst = message.dst
-        link = self._links.get(dst)
+        link = self._links.get(message.dst)
         if link is None:
             raise NetworkError(f"message to unknown process: {message}")
-        if dst in self._dropped:
+        if link.dropped:
             self.stats.messages_dropped += 1
             return
         payload = message.payload
@@ -556,31 +643,7 @@ class Transport:
         stats.messages_sent += 1
         stats.bytes_sent += message.wire_size
         stats.payload_bytes_sent += message.payload_size
-        if (
-            link.writer is not None
-            and dst not in self._held
-            and dst not in self._extra_delay
-        ):
-            self._flush(link)
-        else:
-            link.wake.set()
-
-    def _flush(self, link: _Link) -> None:
-        """Write every queued frame from the cursor on, in one write.
-
-        Not while the socket buffer is above its high-water mark: the
-        connection's ``resume_writing`` wakes the sender task, which
-        flushes what accumulated in the meantime, in queue order.
-        """
-        if link.paused:
-            return
-        offset = link.next - link.base
-        queue = link.queue
-        pending = len(queue) - offset
-        if pending <= 0:
-            return
-        link.writer.write(b"".join(islice(queue, offset, None)))
-        link.next += pending
+        link.flush()
 
     def unacked_to(self, peer: int) -> int:
         """Frames to *peer* not yet acked by its receiver (== queued)."""
@@ -609,6 +672,10 @@ class Transport:
 
     # -- fault injection hooks (driven by `repro nemesis --live`) ----------
 
+    def _links_to(self, peers: set[int] | frozenset[int]) -> list[_Link]:
+        """The links towards *peers* (other pids are ignored)."""
+        return [link for peer, link in self._links.items() if peer in peers]
+
     def hold_links(self, peers: set[int] | frozenset[int]) -> None:
         """Stop transmitting to *peers*; frames queue until release.
 
@@ -616,139 +683,42 @@ class Transport:
         quasi-reliable (nothing is lost, everything is late), matching
         the simulator's semantics so the same faultload is comparable.
         """
-        self._held.update(peers)
+        for link in self._links_to(peers):
+            link.held = True
 
     def release_links(self, peers: set[int] | frozenset[int]) -> None:
         """Heal a HOLD: resume transmitting queued frames to *peers*."""
-        self._held.difference_update(peers)
-        for peer in peers:
-            link = self._links.get(peer)
-            if link is not None:
-                link.wake.set()
+        for link in self._links_to(peers):
+            link.held = False
+            link.flush()
 
     def drop_links(self, peers: set[int] | frozenset[int]) -> None:
         """Silently discard every new frame to *peers* (DROP mode)."""
-        self._dropped.update(peers)
+        for link in self._links_to(peers):
+            link.dropped = True
 
     def undrop_links(self, peers: set[int] | frozenset[int]) -> None:
         """Stop discarding frames to *peers*."""
-        self._dropped.difference_update(peers)
+        for link in self._links_to(peers):
+            link.dropped = False
 
     def set_link_delay(
         self, peers: set[int] | frozenset[int], extra: float, jitter: float = 0.0
     ) -> None:
-        """Sleep ``extra + U(0, jitter)`` before each write to *peers*.
+        """Wait ``extra + U(0, jitter)`` before each write to *peers*.
 
-        Frames queued during one sleep leave together after it, so a
+        Frames queued during one wait leave together after it, so a
         spike adds latency to every frame without capping the link's
-        rate at one frame per sleep.
+        rate at one frame per wait.
         """
-        for peer in peers:
-            self._extra_delay[peer] = (extra, jitter)
+        for link in self._links_to(peers):
+            link.delay = (extra, jitter)
 
     def clear_link_delay(self, peers: set[int] | frozenset[int]) -> None:
         """Remove the extra per-frame delay towards *peers*."""
-        for peer in peers:
-            self._extra_delay.pop(peer, None)
-
-    async def drain(self, timeout: float = 5.0, poll: float = 0.01) -> bool:
-        """Wait until every send queue is empty (best effort)."""
-        deadline = asyncio.get_running_loop().time() + timeout
-        while any(link.queue for link in self._links.values()):
-            if asyncio.get_running_loop().time() > deadline:
-                return False
-            await asyncio.sleep(poll)
-        return True
-
-    def _apply_ack(self, link: _Link, count: int) -> None:
-        """Dequeue every frame the receiver has now delivered."""
-        queue = link.queue
-        while link.base < count and queue:
-            queue.popleft()
-            link.base += 1
-
-    async def _sender_loop(self, peer: int) -> None:
-        """Dial *peer*, handshake, and transmit whatever ``send()`` may not.
-
-        While the link is up and unfaulted this task sleeps on
-        ``link.wake``: frames go out through ``send()``'s write-through.
-        """
-        link = self._links[peer]
-        loop = asyncio.get_running_loop()
-        backoff = self._initial_backoff
-        while not self._closed:
-            host, port = self._addresses[peer]
-            try:
-                writer, connection = await loop.create_connection(
-                    partial(_Connection, self, link), host, port
-                )
-            except OSError:
-                await asyncio.sleep(backoff)
-                backoff = next_backoff(
-                    self._rng, self._initial_backoff, backoff, self._max_backoff
-                )
-                continue
-            backoff = self._initial_backoff
-            try:
-                writer.write(encode_frame(hello_frame(self.pid, self.nonce)))
-                # The receiver opens with its resume point: how many of
-                # our frames it has delivered. Anything below it was
-                # received even if the ack got lost with the previous
-                # connection; transmission restarts exactly there, so
-                # the stream is exactly-once and in-order end to end.
-                resume = await connection.resume
-                narrate(
-                    "transport",
-                    self.pid,
-                    f"connected to p{peer}: resume={resume} "
-                    f"base={link.base} queued={len(link.queue)}",
-                )
-                self._apply_ack(link, resume)
-                # A resume point below our base means the peer endpoint
-                # is fresh (fail-stop processes do not restart; a new
-                # endpoint at the old address starts a new incarnation):
-                # frames already acked by the predecessor are gone, so
-                # transmission continues from the first unacked frame.
-                link.next = max(resume, link.base)
-                link.writer = writer
-                while not self._closed:
-                    if writer.is_closing():
-                        raise ConnectionResetError("peer closed the connection")
-                    # No await between this test and wait(): a send()
-                    # that needs this task cannot slip in unseen.
-                    link.wake.clear()
-                    if (
-                        peer in self._held
-                        or link.paused
-                        or link.next >= link.base + len(link.queue)
-                    ):
-                        await link.wake.wait()
-                        continue
-                    pause = self._extra_delay.get(peer)
-                    if pause is not None:
-                        extra, jitter = pause
-                        await asyncio.sleep(extra + self._rng.uniform(0.0, jitter))
-                        # The link may have been held, or the connection
-                        # lost (link.writer is None then), meanwhile:
-                        # back to the tests at the top of the loop.
-                        if peer in self._held or writer.is_closing():
-                            continue
-                    # Acks that landed during a sleep moved the base;
-                    # _flush indexes from the cursor, never from an
-                    # offset computed before an await (a stale offset
-                    # skips frames, and a skipped frame is lost forever:
-                    # the stream has no other retransmission path).
-                    self._flush(link)
-            except (ConnectionError, OSError):
-                self.stats.reconnects += 1
-                await asyncio.sleep(backoff)
-                backoff = next_backoff(
-                    self._rng, self._initial_backoff, backoff, self._max_backoff
-                )
-            finally:
-                link.writer = None
-                link.paused = False
-                writer.close()
+        for link in self._links_to(peers):
+            link.delay = None
+            link.flush()
 
     # -- receiving ---------------------------------------------------------
 

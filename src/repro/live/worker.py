@@ -155,7 +155,6 @@ class Worker:
                 self._delivered_ids = set(self._delivered_log)
             self.wal = WalWriter(self._wal_path)
         self._gating = self._recovering
-        transport_holder: list[Transport] = []
 
         def on_message(message: Any) -> None:
             assert self.runtime is not None
@@ -174,14 +173,13 @@ class Worker:
             resume_points=self._wal_state.resume_counts,
             max_unacked=self.spec.max_unacked or None,
         )
-        transport_holder.append(self.transport)
 
         def make_runtime(modules: list[Microprotocol]) -> LiveRuntime:
             return LiveRuntime(
                 self.pid,
                 self.n,
                 modules,
-                transport_holder[0],
+                self.transport,
                 on_crash=lambda: os._exit(CRASH_EXIT_CODE),
                 trace=self.trace if self.trace.enabled else None,
             )
@@ -569,16 +567,11 @@ class Worker:
             "instances_at_warmup": self._instances_at_warmup,
             "instances_at_end": self.runtime.modules[0].next_instance,
             "blocked_attempts": self.sender.window.total_blocked,
-            "messages_received": self.transport.stats.messages_received,
             "backpressure_stalls": self._backpressure_stalls,
             "recovered": self._recovered,
             "wal_truncated_bytes": self._wal_truncated,
             "active_clients": (
                 self._pool.active_clients if self._pool is not None else 0
-            ),
-            "fleet_clients": self._pool.size if self._pool is not None else 0,
-            "fleet_arrivals": (
-                self._pool.arrivals if self._pool is not None else 0
             ),
             "boundary_crossings": self.runtime.boundary_crossings,
             "wal_fsyncs": self.wal.fsyncs if self.wal is not None else 0,

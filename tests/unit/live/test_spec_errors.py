@@ -42,6 +42,21 @@ def test_run_live_refuses_a_bad_spec_before_spawning(no_spawning, overrides):
         deploy.run_live(LiveSpec(**overrides))
 
 
+@pytest.mark.parametrize("value", [-1, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("name", ["max_unacked", "unordered_cap", "drain"])
+def test_caps_and_drain_are_refused_out_of_range_before_spawning(
+    no_spawning, name, value
+):
+    """A negative cap stalls every arrival, a negative drain stops the
+    run before its window closes, and a NaN drain never stops it."""
+    with pytest.raises(ConfigurationError, match=rf"LiveSpec\.{name} must be >= 0"):
+        deploy.run_live(LiveSpec(**{name: value}))
+
+
+def test_zero_caps_and_drain_stay_legal():
+    LiveSpec(max_unacked=0, unordered_cap=0, drain=0.0).validate()
+
+
 def test_the_spec_is_importable_from_the_live_api_as_before():
     from repro.live.deploy import (  # noqa: F401
         DEFAULT_DRAIN,

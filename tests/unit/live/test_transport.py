@@ -310,6 +310,28 @@ class TestReconnect:
 
         asyncio.run(run())
 
+    def test_one_peer_restart_counts_one_reconnect(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received, initial_backoff=0.01, max_backoff=0.05)
+            try:
+                await b.close()  # the peer dies...
+                a.send(message(0, 1, 0))
+                await asyncio.sleep(0.05)  # ...and refused redials are no reconnects
+                b2 = Transport(1, a._addresses, received[1].append)
+                await b2.start()
+                try:
+                    await wait_for(lambda: received[1])
+                    assert a.stats.reconnects == 1
+                finally:
+                    await b2.close()
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == [0]
+
+        asyncio.run(run())
+
     def test_wal_resume_points_skip_already_delivered_frames(self):
         """A restarted receiver answers with its persisted resume point."""
 
@@ -552,19 +574,91 @@ class TestWriteThrough:
         asyncio.run(run())
 
 
+class TestOneGate:
+    """``_Link.flush`` is the only way out of the queue: a delay wait,
+    a HOLD and a cleared delay all end in it, and none of them can move
+    the cursor past the queue or write a frame twice."""
+
+    def test_a_delay_that_ends_while_held_writes_nothing_until_one_more_wait(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                link = a._links[1]
+                a.set_link_delay({1}, 0.03)
+                for seq in range(3):
+                    a.send(message(0, 1, seq))
+                cursor = link.next
+                assert link.timer is not None  # one wait for all three
+                a.hold_links({1})
+                await wait_for(lambda: link.timer is None)  # the wait ends, held
+                assert link.next == cursor
+                assert received[1] == []
+                a.release_links({1})
+                # No await since the release: the backlog waits once more.
+                assert link.timer is not None
+                assert link.next == cursor
+                await wait_for(lambda: len(received[1]) == 3)
+                await asyncio.sleep(0.05)  # nothing leaves twice
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == [0, 1, 2]
+
+        asyncio.run(run())
+
+    def test_set_clear_and_set_a_delay_within_one_wait(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            link = a._links[1]
+
+            def cursor_within_queue():
+                assert link.next <= link.base + len(link.queue)
+                return True
+
+            try:
+                a.set_link_delay({1}, 0.05)
+                for seq in range(3):
+                    a.send(message(0, 1, seq))
+                assert link.next == link.base + len(link.queue) - 3
+                a.clear_link_delay({1})
+                assert link.next == link.base + len(link.queue)  # out at once
+                a.set_link_delay({1}, 0.05)
+                for seq in range(3, 6):
+                    a.send(message(0, 1, seq))
+                    cursor_within_queue()
+                await wait_for(
+                    lambda: cursor_within_queue() and len(received[1]) == 6
+                )
+                await wait_for(lambda: cursor_within_queue() and link.timer is None)
+                await asyncio.sleep(0.08)  # every armed wait has ended
+                cursor_within_queue()
+            finally:
+                await a.close()
+                await b.close()
+            assert [m.payload for m in received[1]] == list(range(6))
+
+        asyncio.run(run())
+
+
 class TestCoalescedAcks:
-    def test_back_to_back_frames_share_acks_and_the_queue_still_drains(self):
+    def test_back_to_back_frames_share_acks_and_the_queue_still_drains(
+        self, monkeypatch
+    ):
         async def run():
             received = {0: [], 1: []}
             a, b = await started_pair(received)
             acks = []
-            apply_ack = a._apply_ack
+            link = a._links[1]
+            apply_ack = transport_module._Link.ack
 
-            def counting(link, count):
-                acks.append(count)
-                apply_ack(link, count)
+            def counting(self, count):
+                if self is link:
+                    acks.append(count)
+                apply_ack(self, count)
 
-            a._apply_ack = counting
+            monkeypatch.setattr(transport_module._Link, "ack", counting)
             total = 300
             try:
                 for seq in range(total):
@@ -861,9 +955,9 @@ class TestReceivePath:
             connection.connection_made(RecordingSocket())
             counts = b"".join(struct.pack(">Q", c) for c in (2, 3, 5, 9))
             fill(connection, counts[:5])  # the resume point, torn
-            assert not connection.resume.done()
+            assert link.writer is not connection.transport
             fill(connection, counts[5:19])  # its rest, one ack, a torn ack
-            assert connection.resume.result() == 2
+            assert link.writer is connection.transport
             assert (link.base, owner.unacked_to(1)) == (3, 7)
             fill(connection, counts[19:])
             assert (link.base, owner.unacked_to(1)) == (9, 1)
