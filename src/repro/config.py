@@ -10,9 +10,12 @@ the calibration rationale and the resulting paper-vs-measured tables.
 from __future__ import annotations
 
 import enum
+import math
 import operator
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from itertools import repeat
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigurationError
 
@@ -45,6 +48,119 @@ def _check_fields(config: Any) -> None:
             raise ConfigurationError(
                 f"{where} must be one of {', '.join(choices)}: {value!r}"
             )
+
+
+# -- JSON documents ------------------------------------------------------------
+#
+# Every document that crosses a process boundary — a faultload, a replay
+# case, a live worker's spec and control messages — is a dataclass that
+# plain writes and read_fields reads back, by its fields' declared types.
+
+
+def plain(value: Any) -> Any:
+    """JSON form of a dataclass, field by field: enums by value, tuples
+    as lists; lists and dicts are left as they are."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [plain(item) for item in value]
+    return value
+
+
+def read_fields(cls: type, entry: Any, where: str = "") -> Any:
+    """One *cls* from its JSON object *entry*, found at path *where*
+    (empty at the top of a document).
+
+    Each key is read as its field's declared type; a missing key takes
+    the field's default, and an unknown key or a missing required one is
+    refused by name.
+    """
+    what = where or "the document"
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(entry).__name__}"
+        )
+    hints = get_type_hints(cls)
+    unknown = sorted(repr(key) for key in entry if key not in hints)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) in {what}: {', '.join(unknown)} "
+            f"(known: {', '.join(hints)})"
+        )
+    values = {}
+    for f in fields(cls):
+        if f.name in entry:
+            path = f"{where}.{f.name}" if where else f.name
+            values[f.name] = _read(hints[f.name], entry[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{what} is missing required key {f.name!r}")
+    return cls(**values)
+
+
+def _refused(path: str, what: str, value: Any) -> ConfigurationError:
+    return ConfigurationError(f"field {path!r} must be {what}, got {value!r}")
+
+
+def _read(hint: Any, value: Any, path: str) -> Any:
+    """The JSON *value* found at *path*, read as the declared type *hint*."""
+    # Scalars first: they are most of what is read (every row of a
+    # live worker's samples).
+    if hint is int or hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _refused(path, "a number", value)
+        # json reads NaN and Infinity, and NaN passes every range
+        # comparison. Only a float can be either: a 400-digit integer is
+        # legal JSON, and math.isfinite would overflow on it.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _refused(path, "a finite number", value)
+        if hint is int and not isinstance(value, int):
+            raise _refused(path, "an integer", value)
+        return value
+    if hint is bool or hint is str:
+        if not isinstance(value, hint):
+            raise _refused(path, "a boolean" if hint is bool else "a string", value)
+        return value
+    if is_dataclass(hint):
+        return read_fields(hint, value, path)
+    origin, args = get_origin(hint) or hint, get_args(hint)
+    if origin is UnionType:  # X | None
+        return None if value is None else _read(args[0], value, path)
+    if origin is tuple or origin is list:
+        if not isinstance(value, list):
+            raise _refused(path, "a list", value)
+        if not args:  # a bare list: its items stay as JSON has them
+            return value
+        if origin is list or args[1:] == (...,):
+            hints = repeat(args[0])
+        elif len(value) == len(args):
+            hints = args
+        else:
+            raise _refused(path, f"a list of {len(args)} items", value)
+        items = [
+            _read(item_hint, item, f"{path}[{index}]")
+            for index, (item_hint, item) in enumerate(zip(hints, value))
+        ]
+        return items if origin is list else tuple(items)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise _refused(path, "a JSON object", value)
+        key_hint, item_hint = args
+        try:  # JSON keys are strings; an int key is converted
+            keys = [key_hint(key) for key in value]
+        except ValueError:
+            raise _refused(path, f"keyed by {key_hint.__name__}", value) from None
+        return {
+            key: _read(item_hint, item, f"{path}[{key}]")
+            for key, item in zip(keys, value.values())
+        }
+    assert issubclass(hint, enum.Enum), f"no JSON reader for {hint!r}"
+    try:
+        return hint(value)  # by value
+    except ValueError:
+        choices = ", ".join(member.value for member in hint)
+        raise _refused(path, f"one of {choices}", value) from None
 
 
 class StackKind(enum.Enum):

@@ -37,10 +37,6 @@ class ProtocolError(ReproError):
     """
 
 
-class CrashedProcessError(ReproError):
-    """Raised when code attempts to drive a process that has crashed."""
-
-
 class DeploymentError(ReproError):
     """Raised when a live deployment fails to come up or report back.
 

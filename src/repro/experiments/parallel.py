@@ -20,7 +20,6 @@ submission order, again so serial and parallel runs behave alike.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -34,11 +33,6 @@ _R = TypeVar("_R")
 
 #: A single simulation task: the fully resolved config plus its seed.
 SimTask = tuple[RunConfig, int]
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` value for this machine (its CPU count)."""
-    return os.cpu_count() or 1
 
 
 def run_tasks(

@@ -16,7 +16,9 @@ testbed methodology:
   ``python -m repro.live.worker``);
 * :mod:`repro.live.deploy` — the orchestrator: spawns workers, drives
   the open-loop workload, collects samples over a control channel and
-  reduces them to the same schema as the simulator's ``RunResult``;
+  reduces them to the same schema as the simulator's ``RunResult``; it
+  declares every document of that channel, and each worker's spec, as
+  a dataclass that :func:`repro.config.read_fields` reads back;
 * :mod:`repro.live.wal` — the per-worker write-ahead delivery log
   (CRC-framed, fsync-batched) crash recovery reads back;
 * :mod:`repro.live.faults` — ``nemesis --live``: compile a faultload

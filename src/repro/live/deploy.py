@@ -26,12 +26,15 @@ Sequence:
 6. feed the buffered samples through the *same*
    :class:`~repro.metrics.collector.MetricsCollector` the simulator
    uses, and assemble the result dict.
+
+The spec and each of those documents is a dataclass declared below.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import enum
 import json
 import os
 import signal
@@ -39,9 +42,9 @@ import socket
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import dataclass
 from pathlib import Path
-from typing import AsyncIterator, Callable
+from typing import Any, AsyncIterator, Callable
 
 # The spec, its detectors, drain and simulator mapping live beside
 # RunConfig; they are re-exported here, where the live API has always
@@ -51,10 +54,13 @@ from repro.config import (  # noqa: F401
     LIVE_DETECTORS,
     LiveSpec,
     matched_run_config,
+    plain,
+    read_fields,
 )
-from repro.errors import DeploymentError
+from repro.errors import ConfigurationError, DeploymentError
+from repro.experiments.runner import RunResult
 from repro.live.transport import FrameDecoder, encode_frame
-from repro.live.results import live_result_dict
+from repro.live.results import sim_result_to_dict
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.ordering import OrderingChecker
 from repro.obs.attribution import LayerAttribution
@@ -85,6 +91,122 @@ def reserve_ports(host: str, count: int) -> list[int]:
             sock.close()
 
 
+@dataclass(frozen=True, slots=True)
+class WorkerSpec:
+    """A worker's ``argv[1]``: the deployment, the worker's place in it,
+    its write-ahead log (if any) and whether it is a restarted
+    incarnation, which reloads that log and rejoins before taking load."""
+
+    spec: LiveSpec
+    pid: int
+    addresses: dict[int, tuple[str, int]]
+    control: tuple[str, int]
+    wal: str | None
+    recover: bool
+
+
+@dataclass(frozen=True, slots=True)
+class Ready:
+    """Worker → orchestrator: the data-plane listener is up."""
+
+    pid: int
+
+
+@dataclass(frozen=True, slots=True)
+class Start:
+    """Orchestrator → worker: the shared time origin (``time.monotonic()``)."""
+
+    epoch: float
+
+
+class FaultOp(enum.Enum):
+    """What a :class:`Fault` does to the links towards its peers."""
+
+    HOLD = "hold"
+    RELEASE = "release"
+    DROP = "drop"
+    UNDROP = "undrop"
+    DELAY = "delay"
+    CLEAR_DELAY = "clear_delay"
+
+
+@dataclass(frozen=True, slots=True)
+class Fault:
+    """Orchestrator → worker: a link fault directive; ``delay`` waits
+    ``extra`` plus up to ``jitter`` seconds before each frame."""
+
+    op: FaultOp
+    peers: tuple[int, ...]
+    extra: float = 0.0
+    jitter: float = 0.0
+
+
+@dataclass(frozen=True, slots=True)
+class Samples:
+    """Worker → orchestrator, every ~250 ms: ``(sender, seq, size, abcast
+    time)`` of each accept, ``(sender, seq, time)`` of each adelivery and
+    the arrivals offered since the previous batch."""
+
+    pid: int
+    accepts: list[tuple[int, int, int, float]]
+    delivers: list[tuple[int, int, float]]
+    offered: int
+
+
+@dataclass(frozen=True, slots=True)
+class Telemetry:
+    """Worker → orchestrator, every ~250 ms: the gauges and flag as read
+    now, then counters since the worker started (reduced by
+    :func:`~repro.obs.telemetry.summarize_telemetry`)."""
+
+    pid: int
+    queue_depth: int
+    unacked: int
+    congested: bool
+    backpressure_stalls: int
+    reconnects: int
+    wal_fsyncs: int
+
+
+@dataclass(frozen=True, slots=True)
+class Stop:
+    """Orchestrator → worker: the measurement is over."""
+
+
+@dataclass(frozen=True, slots=True)
+class Recovered:
+    """Worker → orchestrator: a restarted worker has caught up."""
+
+    pid: int
+
+
+@dataclass(frozen=True, slots=True)
+class Done:
+    """Worker → orchestrator, last: final counters, transport counters
+    over the window and traced spans as ``(time, category, pid, detail)``."""
+
+    pid: int
+    network: dict[str, int]
+    cpu_utilization: float
+    instances_at_warmup: int
+    instances_at_end: int
+    blocked_attempts: int
+    backpressure_stalls: int
+    recovered: bool
+    wal_truncated_bytes: int
+    active_clients: int
+    boundary_crossings: int
+    spans: list[tuple[float, str, int, list]]
+    trace_dropped: int
+
+
+#: The control documents by the ``type`` their frames carry.
+CONTROL_TYPES = {
+    cls.__name__.lower(): cls
+    for cls in (Ready, Start, Fault, Samples, Telemetry, Stop, Recovered, Done)
+}
+
+
 def worker_spec(
     spec: LiveSpec,
     pid: int,
@@ -92,8 +214,8 @@ def worker_spec(
     control_port: int,
     *,
     recover: bool = False,
-) -> dict:
-    """The JSON document handed to one worker on its command line.
+) -> WorkerSpec:
+    """The spec handed to one worker on its command line.
 
     With ``recover=True`` the worker is a restarted incarnation: it
     reloads its write-ahead log (same path as its predecessor) and runs
@@ -102,27 +224,30 @@ def worker_spec(
     wal = None
     if spec.wal_dir is not None:
         wal = os.path.join(spec.wal_dir, f"worker-{pid}.wal")
-    return {
-        "spec": asdict(spec),
-        "pid": pid,
-        "addresses": {str(p): list(addr) for p, addr in addresses.items()},
-        "control": [spec.host, control_port],
-        "wal": wal,
-        "recover": recover,
-    }
+    control = (spec.host, control_port)
+    return WorkerSpec(spec, pid, dict(addresses), control, wal, recover)
 
 
-def control_frame(document: dict) -> bytes:
-    """One control message as it travels: a length-prefixed JSON document."""
-    return encode_frame(json.dumps(document).encode("utf-8"))
+def control_frame(document: Any) -> bytes:
+    """One control document as it travels: length-prefixed JSON."""
+    body = {"type": type(document).__name__.lower(), **plain(document)}
+    return encode_frame(json.dumps(body).encode("utf-8"))
 
 
-async def control_documents(reader: asyncio.StreamReader) -> AsyncIterator[dict]:
-    """The control messages arriving on *reader*, until it reaches EOF."""
+async def control_documents(reader: asyncio.StreamReader) -> AsyncIterator[Any]:
+    """The control documents arriving on *reader*, until it reaches EOF
+    (:class:`~repro.errors.ConfigurationError` names a malformed one)."""
     decoder = FrameDecoder()
     while data := await reader.read(64 * 1024):
         for frame in decoder.feed(data):
-            yield json.loads(frame.decode("utf-8"))
+            body = json.loads(frame.decode("utf-8"))
+            kind = body.pop("type", None) if isinstance(body, dict) else None
+            if not isinstance(kind, str) or kind not in CONTROL_TYPES:
+                raise ConfigurationError(
+                    f"unknown control message type {kind!r} "
+                    f"(known: {', '.join(CONTROL_TYPES)})"
+                )
+            yield read_fields(CONTROL_TYPES[kind], body, kind)
 
 
 class _ControlServer:
@@ -131,11 +256,10 @@ class _ControlServer:
     def __init__(self, n: int) -> None:
         self.n = n
         self.ready: dict[int, asyncio.StreamWriter] = {}
-        self.samples: list[dict] = []
-        #: Buffered telemetry snapshots, in arrival order (see
-        #: :mod:`repro.obs.telemetry` for the schema).
-        self.telemetry: list[dict] = []
-        self.done: dict[int, dict] = {}
+        self.samples: list[Samples] = []
+        #: Buffered telemetry snapshots, in arrival order.
+        self.telemetry: list[Telemetry] = []
+        self.done: dict[int, Done] = {}
         self.all_ready = asyncio.Event()
         self.all_done = asyncio.Event()
         self._recovered_events: dict[int, asyncio.Event] = {}
@@ -156,28 +280,26 @@ class _ControlServer:
             # the run reduced; nothing is lost, exit quietly.
             return
 
-    def _dispatch(self, document: dict, writer: asyncio.StreamWriter) -> None:
-        kind = document.get("type")
-        if kind == "ready":
-            pid = int(document["pid"])
-            self.ready[pid] = writer
+    def _dispatch(self, document: Any, writer: asyncio.StreamWriter) -> None:
+        if isinstance(document, Ready):
+            self.ready[document.pid] = writer
             if len(self.ready) == self.n:
                 self.all_ready.set()
             if self.epoch is not None:
                 # Late (restarted) worker: the run already started.
-                self.send_to(pid, {"type": "start", "epoch": self.epoch})
-        elif kind == "samples":
+                self.send_to(document.pid, Start(self.epoch))
+        elif isinstance(document, Samples):
             self.samples.append(document)
-        elif kind == "telemetry":
+        elif isinstance(document, Telemetry):
             self.telemetry.append(document)
-        elif kind == "recovered":
-            self.recovery_event(int(document["pid"])).set()
-        elif kind == "done":
-            self.done[int(document["pid"])] = document
+        elif isinstance(document, Recovered):
+            self.recovery_event(document.pid).set()
+        elif isinstance(document, Done):
+            self.done[document.pid] = document
             if len(self.done) == self.n:
                 self.all_done.set()
         else:
-            raise DeploymentError(f"unknown control message {document!r}")
+            raise DeploymentError(f"unexpected control message {document!r}")
 
     def recovery_event(self, pid: int) -> asyncio.Event:
         """Set once worker *pid* reports WAL recovery complete.
@@ -191,15 +313,15 @@ class _ControlServer:
 
     def total(self, counter: str) -> int:
         """Sum of one counter over the workers' final reports."""
-        return sum(int(d.get(counter, 0)) for d in self.done.values())
+        return sum(getattr(done, counter) for done in self.done.values())
 
-    def broadcast(self, document: dict) -> None:
-        if document.get("type") == "start":
-            self.epoch = float(document["epoch"])
+    def broadcast(self, document: Start | Stop) -> None:
+        if isinstance(document, Start):
+            self.epoch = document.epoch
         for pid in self.ready:
             self.send_to(pid, document)
 
-    def send_to(self, pid: int, document: dict) -> None:
+    def send_to(self, pid: int, document: Any) -> None:
         """Send one directive to one worker (fault injection)."""
         writer = self.ready.get(pid)
         if writer is None:
@@ -212,7 +334,7 @@ class _ControlServer:
             pass
 
 
-def _spawn_worker(document: dict) -> subprocess.Popen:
+def _spawn_worker(document: WorkerSpec) -> subprocess.Popen:
     src_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
@@ -220,7 +342,7 @@ def _spawn_worker(document: dict) -> subprocess.Popen:
         str(src_root) + os.pathsep + existing if existing else str(src_root)
     )
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.live.worker", json.dumps(document)],
+        [sys.executable, "-m", "repro.live.worker", json.dumps(plain(document))],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         env=env,
@@ -314,14 +436,14 @@ def _reduce(
     )
     delivers: list[tuple[float, int, MessageId]] = []
     for batch in control.samples:
-        pid = int(batch["pid"])
-        collector.on_offered(int(batch.get("offered", 0)))
-        for sender, seq, size, t0 in batch.get("accepts", ()):
+        pid = batch.pid
+        collector.on_offered(batch.offered)
+        for sender, seq, size, t0 in batch.accepts:
             message = AppMessage(MessageId(sender, seq), size=size, abcast_time=t0)
             collector.on_accept(message)
             if checker is not None:
                 checker.on_abcast(message)
-        for sender, seq, when in batch.get("delivers", ()):
+        for sender, seq, when in batch.delivers:
             msg_id = MessageId(sender, seq)
             delivers.append((when, pid, msg_id))
             if delivery_log is not None:
@@ -349,30 +471,24 @@ def _reduce(
     if observability is not None:
         observability["telemetry"] = summarize_telemetry(control.telemetry)
         spans: list[list] = []
-        for document in control.done.values():
-            spans.extend(document.get("spans", ()))
+        for done in control.done.values():
+            spans.extend(done.spans)
         spans.sort(key=lambda row: (row[0], row[2]))
         observability["spans"] = spans
         observability["trace_dropped"] = control.total("trace_dropped")
 
     network: dict[str, int] = {}
-    for document in control.done.values():
-        for key, value in document.get("network", {}).items():
-            network[key] = network.get(key, 0) + int(value)
-    instances = max(
-        int(d.get("instances_at_end", 0)) for d in control.done.values()
-    ) - max(int(d.get("instances_at_warmup", 0)) for d in control.done.values())
-    cpu = [
-        float(control.done[pid].get("cpu_utilization", 0.0))
-        for pid in sorted(control.done)
-    ]
-    return live_result_dict(
-        spec,
-        metrics,
-        network=network,
-        cpu_utilization=cpu,
-        instances_decided=instances,
+    for done in control.done.values():
+        for key, value in done.network.items():
+            network[key] = network.get(key, 0) + value
+    instances = max(d.instances_at_end for d in control.done.values()) - max(
+        d.instances_at_warmup for d in control.done.values()
     )
+    cpu = tuple(control.done[pid].cpu_utilization for pid in sorted(control.done))
+    result = RunResult(
+        matched_run_config(spec), spec.seed, metrics, network, cpu, instances, 0
+    )
+    return {**sim_result_to_dict(result), "mode": "live"}
 
 
 @contextlib.asynccontextmanager
@@ -405,9 +521,9 @@ async def _deployment(
             workers, READY_TIMEOUT, event=control.all_ready, what="workers ready"
         )
         epoch = time.monotonic()
-        control.broadcast({"type": "start", "epoch": epoch})
+        control.broadcast(Start(epoch))
         yield control, workers, epoch, spawn
-        control.broadcast({"type": "stop"})
+        control.broadcast(Stop())
         await _watch(
             workers, READY_TIMEOUT, expected_dead,
             event=control.all_done, what="final worker reports",

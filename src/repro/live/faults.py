@@ -47,7 +47,7 @@ from pathlib import Path
 
 from repro.config import FaultloadConfig, LinkFaultMode
 from repro.errors import DeploymentError
-from repro.live.deploy import LiveSpec, _deployment, _reduce, _watch
+from repro.live.deploy import Fault, FaultOp, LiveSpec, _deployment, _reduce, _watch
 from repro.live.wal import read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
 from repro.types import AppMessage, MessageId
@@ -80,8 +80,8 @@ class LiveFaultAction:
     kind: str
     #: Victim pid for kill/restart actions.
     pid: int | None = None
-    #: ``(target pid, control document)`` pairs for ``fault`` actions.
-    directives: tuple[tuple[int, dict], ...] = ()
+    #: ``(target pid, directive)`` pairs for ``fault`` actions.
+    directives: tuple[tuple[int, Fault], ...] = ()
     #: Human-readable form for the report timeline.
     describe: str = ""
 
@@ -139,12 +139,12 @@ def compile_live_faultload(
             )
         )
 
-    def link_fault(applies, *phases: tuple[float, str, str, dict]) -> None:
+    def link_fault(applies, *phases: tuple[float, str, FaultOp, dict]) -> None:
         """One action per ``(at, describe, op, extra)`` phase of a link
         fault: a directive to every process with an affected peer."""
-        cut: dict[int, list[int]] = {}
+        cut: dict[int, tuple[int, ...]] = {}
         for src in range(n):
-            peers = [dst for dst in range(n) if dst != src and applies(src, dst)]
+            peers = tuple(dst for dst in range(n) if dst != src and applies(src, dst))
             if peers:
                 cut[src] = peers
         for at, describe, op, extra in phases:
@@ -153,7 +153,7 @@ def compile_live_faultload(
                     at=at,
                     kind="fault",
                     directives=tuple(
-                        (pid, {"type": "fault", "op": op, "peers": peers, **extra})
+                        (pid, Fault(op, peers, **extra))
                         for pid, peers in cut.items()
                     ),
                     describe=describe,
@@ -162,11 +162,13 @@ def compile_live_faultload(
 
     for partition in faultload.partitions:
         held = partition.mode is LinkFaultMode.HOLD
-        op_on, op_off = ("hold", "release") if held else ("drop", "undrop")
+        op_on, op_off = (
+            (FaultOp.HOLD, FaultOp.RELEASE) if held else (FaultOp.DROP, FaultOp.UNDROP)
+        )
         groups = "|".join(",".join(map(str, g)) for g in partition.groups)
         link_fault(
             partition.severs,
-            (partition.start, f"partition [{groups}] up ({op_on})", op_on, {}),
+            (partition.start, f"partition [{groups}] up ({op_on.value})", op_on, {}),
             (partition.heal, f"partition [{groups}] healed", op_off, {}),
         )
     for spike in faultload.delay_spikes:
@@ -174,8 +176,8 @@ def compile_live_faultload(
         shape = {"extra": spike.extra_delay, "jitter": spike.jitter}
         link_fault(
             spike.matches,
-            (spike.start, up, "delay", shape),
-            (spike.end, "delay spike over", "clear_delay", {}),
+            (spike.start, up, FaultOp.DELAY, shape),
+            (spike.end, "delay spike over", FaultOp.CLEAR_DELAY, {}),
         )
     return sorted(actions, key=lambda action: action.at)
 
@@ -348,8 +350,8 @@ async def _run_nemesis_live_async(
     recovered = tuple(
         sorted(
             pid
-            for pid, document in control.done.items()
-            if document.get("recovered")
+            for pid, done in control.done.items()
+            if done.recovered
         )
     )
     return LiveNemesisReport(

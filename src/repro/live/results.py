@@ -1,11 +1,12 @@
 """One result schema for simulated and live runs.
 
 The simulator returns a :class:`~repro.experiments.runner.RunResult`;
-the live orchestrator measures the same quantities but has no
-:class:`~repro.config.RunConfig` (its knobs travel as a
-:class:`~repro.config.LiveSpec`). Both reduce to the same plain
-dictionary here so downstream tooling — JSON output, the sim-vs-live
-comparison report — never branches on where a number came from:
+the live orchestrator measures the same quantities and builds one too,
+for the :class:`~repro.config.RunConfig` its
+:class:`~repro.config.LiveSpec` maps to. Both reduce to the same plain
+dictionary here, the live one tagged ``"mode": "live"``, so downstream
+tooling — JSON output, the sim-vs-live comparison report — never
+branches on where a number came from:
 
 ``mode``
     ``"sim"`` or ``"live"``.
@@ -32,19 +33,11 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from repro.metrics.collector import RunMetrics
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.experiments.runner import RunResult
-    from repro.config import LiveSpec
 
 #: The stack label used for a modular stack with indirect consensus.
 _INDIRECT_LABEL = "indirect"
-
-
-def metrics_to_dict(metrics: RunMetrics) -> dict:
-    """A :class:`RunMetrics` as a JSON-ready dict."""
-    return asdict(metrics)
 
 
 def sim_result_to_dict(result: "RunResult") -> dict:
@@ -67,37 +60,9 @@ def sim_result_to_dict(result: "RunResult") -> dict:
             "warmup": result.config.warmup,
         },
         "seed": result.seed,
-        "metrics": metrics_to_dict(result.metrics),
+        "metrics": asdict(result.metrics),
         "network": dict(result.network),
         "cpu_utilization": list(result.cpu_utilization),
         "instances_decided": result.instances_decided,
         "events_executed": result.events_executed,
-    }
-
-
-def live_result_dict(
-    spec: "LiveSpec",
-    metrics: RunMetrics,
-    *,
-    network: dict,
-    cpu_utilization: list[float],
-    instances_decided: int,
-) -> dict:
-    """Assemble a live run's measurements in the shared schema."""
-    return {
-        "mode": "live",
-        "config": {
-            "n": spec.n,
-            "stack": spec.stack,
-            "load": spec.load,
-            "message_size": spec.size,
-            "duration": spec.duration,
-            "warmup": spec.warmup,
-        },
-        "seed": spec.seed,
-        "metrics": metrics_to_dict(metrics),
-        "network": network,
-        "cpu_utilization": cpu_utilization,
-        "instances_decided": instances_decided,
-        "events_executed": 0,
     }

@@ -175,11 +175,6 @@ class WalState:
     #: delivery (0 for an empty log).
     next_instance: int = 0
 
-    @property
-    def delivered_set(self) -> set[tuple[int, int]]:
-        """The delivered pairs as a set (dedup / membership checks)."""
-        return set(self.delivered)
-
     def max_own_seq(self, pid: int) -> int:
         """Highest own sequence number ever accepted (-1 if none)."""
         own = [q for s, q, __ in self.accepted if s == pid]

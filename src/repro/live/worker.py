@@ -8,25 +8,25 @@ and streams measurement samples to the orchestrator over a control
 connection (length-prefixed JSON frames, same framing as the data
 plane).
 
-Control protocol (worker perspective)::
+Control protocol (worker perspective), one dataclass of
+:mod:`repro.live.deploy` per document::
 
-    -> {"type": "ready", "pid": ...}            after the listener is up
-    <- {"type": "start", "epoch": ...}          shared time origin
-    <- {"type": "fault", "op": ..., ...}        link fault directives
-                                                (nemesis --live only)
-    -> {"type": "samples", "accepts": [...], "delivers": [...],
-        "offered": k}                           every ~250 ms
-    <- {"type": "stop"}                         measurement over
-    -> {"type": "done", ...final counters...}   then the process exits
+    -> Ready                  after the listener is up
+    <- Start                  shared time origin
+    <- Fault                  link fault directives (nemesis --live only)
+    -> Samples, Telemetry     every ~250 ms
+    -> Recovered              a restarted worker has caught up
+    <- Stop                   measurement over
+    -> Done                   final counters, then the process exits
 
 The deployment's :class:`~repro.live.deploy.LiveSpec` and this worker's
-place in it (pid, addresses, control port, WAL) arrive as one JSON
-document in ``argv[1]`` — :func:`~repro.live.deploy.worker_spec` writes
-it.
+place in it (pid, addresses, control port, WAL) arrive as one
+:class:`~repro.live.deploy.WorkerSpec` in ``argv[1]`` —
+:func:`~repro.live.deploy.worker_spec` writes it.
 
 Crash recovery (see PROTOCOLS.md, "Crash recovery in the live
-runtime"): with ``"wal"`` in the document the worker write-ahead-logs
-accepted and delivered messages; with ``"recover"`` additionally set it
+runtime"): with a ``wal`` in its spec the worker write-ahead-logs
+accepted and delivered messages; with ``recover`` additionally set it
 is a restarted incarnation: it reloads the log, resumes the transport
 at the persisted resume points, state-transfers the deliveries it
 missed from a live peer (``SYNC_REQ``/``SYNC_RESP`` on the reserved
@@ -46,11 +46,20 @@ import time
 from typing import Any
 
 from repro.abcast.factory import build_process
-from repro.config import FailureDetectorKind
+from repro.config import FailureDetectorKind, read_fields
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.flowcontrol.window import BacklogWindow
 from repro.live.deploy import (
-    LiveSpec,
+    Done,
+    Fault,
+    FaultOp,
+    Ready,
+    Recovered,
+    Samples,
+    Start,
+    Stop,
+    Telemetry,
+    WorkerSpec,
     control_documents,
     control_frame,
     matched_run_config,
@@ -81,36 +90,25 @@ RECOVERY_MODULE = "recovery"
 SYNC_RETRY_INTERVAL = 0.25
 
 
-def send_control(writer: asyncio.StreamWriter, document: dict) -> None:
-    """Frame and enqueue one control message."""
-    writer.write(control_frame(document))
-
-
 class Worker:
     """Wires one process: transport, runtime, workload, control client."""
 
-    def __init__(self, document: dict) -> None:
-        fields = dict(document["spec"])
-        if fields["senders"] is not None:
-            fields["senders"] = tuple(fields["senders"])  # JSON has no tuples
-        self.spec = LiveSpec(**fields)
+    def __init__(self, document: WorkerSpec) -> None:
+        self.spec = document.spec
         #: The spec in the simulator's terms: stack, window, detector,
         #: population — what ``repro live --compare`` simulates.
         self.config = matched_run_config(self.spec)
-        self.pid = int(document["pid"])
+        self.pid = document.pid
         self.n = self.spec.n
-        self.addresses = {
-            int(pid): (host, int(port))
-            for pid, (host, port) in document["addresses"].items()
-        }
-        self._control_address: tuple[str, int] = tuple(document["control"])
-        self._wal_path: str | None = document["wal"]
+        self.addresses = document.addresses
+        self._control_address = document.control
+        self._wal_path = document.wal
         self.runtime: LiveRuntime | None = None
         self.transport: Transport | None = None
         self.sender: FlowControlledSender | None = None
         self.wal: WalWriter | None = None
-        self._accepts: list[list] = []
-        self._delivers: list[list] = []
+        self._accepts: list[tuple[int, int, int, float]] = []
+        self._delivers: list[tuple[int, int, float]] = []
         self._offered_reported = 0
         self._cpu_at_warmup = 0.0
         self._instances_at_warmup = 0
@@ -125,7 +123,7 @@ class Worker:
         #: buffered until catch-up completes.
         self._wal_state = WalState()
         self._wal_truncated = 0
-        self._recovering = bool(document["recover"]) and bool(self._wal_path)
+        self._recovering = document.recover and bool(self._wal_path)
         self._gating = False
         self._gated: list[NetMessage] = []
         self._sync_retry: asyncio.TimerHandle | None = None
@@ -227,7 +225,7 @@ class Worker:
                 sync=True,
             )
         self._accepts.append(
-            [message.msg_id.sender, message.msg_id.seq, message.size, message.abcast_time]
+            (message.msg_id.sender, message.msg_id.seq, message.size, message.abcast_time)
         )
 
     def _on_adeliver(self, pid: int, message: Any, when: float) -> None:
@@ -245,7 +243,7 @@ class Worker:
                     "i": self.runtime.modules[0].next_instance,
                 }
             )
-        self._delivers.append([pair[0], pair[1], when])
+        self._delivers.append((pair[0], pair[1], when))
         if pair[0] == self.pid and self.sender is not None:
             self.sender.on_own_delivery(message)
 
@@ -335,7 +333,7 @@ class Worker:
                     {"t": "deliver", "s": pair[0], "q": pair[1],
                      "at": now, "i": next_instance}
                 )
-            self._delivers.append([pair[0], pair[1], now])
+            self._delivers.append((pair[0], pair[1], now))
         self._complete_recovery(next_instance)
 
     def _complete_recovery(self, next_instance: int) -> None:
@@ -379,30 +377,25 @@ class Worker:
             # Tell the orchestrator: it holds the measurement window
             # open until every restarted worker has caught up (process
             # start-up alone can eat the scheduled quiet margin).
-            send_control(
-                self._control_writer, {"type": "recovered", "pid": self.pid}
-            )
+            self._control_writer.write(control_frame(Recovered(self.pid)))
         self._start_workload()
 
     # -- fault directives (nemesis --live) ---------------------------------
 
-    def _apply_fault(self, document: dict) -> None:
+    def _apply_fault(self, fault: Fault) -> None:
         assert self.transport is not None
-        op = document["op"]
-        peers = {int(p) for p in document.get("peers", ())}
-        if op == "hold":
+        op, peers = fault.op, set(fault.peers)
+        if op is FaultOp.HOLD:
             self.transport.hold_links(peers)
-        elif op == "release":
+        elif op is FaultOp.RELEASE:
             self.transport.release_links(peers)
-        elif op == "drop":
+        elif op is FaultOp.DROP:
             self.transport.drop_links(peers)
-        elif op == "undrop":
+        elif op is FaultOp.UNDROP:
             self.transport.undrop_links(peers)
-        elif op == "delay":
-            self.transport.set_link_delay(
-                peers, float(document["extra"]), float(document.get("jitter", 0.0))
-            )
-        elif op == "clear_delay":
+        elif op is FaultOp.DELAY:
+            self.transport.set_link_delay(peers, fault.extra, fault.jitter)
+        else:
             self.transport.clear_link_delay(peers)
 
     # -- workload ----------------------------------------------------------
@@ -499,25 +492,19 @@ class Worker:
 
     # -- reporting ---------------------------------------------------------
 
-    def _drain_samples(self) -> dict | None:
+    def _drain_samples(self) -> Samples | None:
         assert self.sender is not None
         offered_delta = self.sender.offered - self._offered_reported
         if not self._accepts and not self._delivers and offered_delta == 0:
             return None
         self._offered_reported = self.sender.offered
-        document = {
-            "type": "samples",
-            "pid": self.pid,
-            "accepts": self._accepts,
-            "delivers": self._delivers,
-            "offered": offered_delta,
-        }
+        samples = Samples(self.pid, self._accepts, self._delivers, offered_delta)
         self._accepts = []
         self._delivers = []
-        return document
+        return samples
 
-    def _telemetry_document(self) -> dict:
-        """One counter/gauge snapshot (schema: :mod:`repro.obs.telemetry`)."""
+    def _telemetry_document(self) -> Telemetry:
+        """One counter/gauge snapshot."""
         assert self.runtime is not None and self.transport is not None
         unacked = max(
             (
@@ -527,29 +514,25 @@ class Worker:
             ),
             default=0,
         )
-        return {
-            "type": "telemetry",
-            "pid": self.pid,
-            "t": self.runtime.now,
-            "queue_depth": self.runtime.modules[0].unordered_count,
-            "unacked": int(unacked),
-            "congested": bool(self.transport.congested),
-            "backpressure_stalls": self._backpressure_stalls,
-            "reconnects": self.transport.stats.reconnects,
-            "wal_fsyncs": self.wal.fsyncs if self.wal is not None else 0,
-        }
+        return Telemetry(
+            pid=self.pid,
+            queue_depth=self.runtime.modules[0].unordered_count,
+            unacked=unacked,
+            congested=self.transport.congested,
+            backpressure_stalls=self._backpressure_stalls,
+            reconnects=self.transport.stats.reconnects,
+            wal_fsyncs=self.wal.fsyncs if self.wal is not None else 0,
+        )
 
-    def _span_rows(self) -> list[list]:
-        """Serialize traced spans as ``[time, category, pid, detail]``."""
-        rows = []
-        for record in self.trace.records():
-            if record.category.startswith("span."):
-                rows.append(
-                    [record.time, record.category, record.process, list(record.detail)]
-                )
-        return rows
+    def _span_rows(self) -> list[tuple[float, str, int, list]]:
+        """Serialize traced spans as ``(time, category, pid, detail)``."""
+        return [
+            (record.time, record.category, record.process, list(record.detail))
+            for record in self.trace.records()
+            if record.category.startswith("span.")
+        ]
 
-    def _done_document(self) -> dict:
+    def _done_document(self) -> Done:
         assert self.runtime is not None and self.transport is not None
         assert self.sender is not None
         duration = self.spec.duration
@@ -559,25 +542,23 @@ class Worker:
             for key in network
         }
         cpu_busy = time.process_time() - self._cpu_at_warmup
-        return {
-            "type": "done",
-            "pid": self.pid,
-            "network": window_network,
-            "cpu_utilization": min(1.0, cpu_busy / duration) if duration > 0 else 0.0,
-            "instances_at_warmup": self._instances_at_warmup,
-            "instances_at_end": self.runtime.modules[0].next_instance,
-            "blocked_attempts": self.sender.window.total_blocked,
-            "backpressure_stalls": self._backpressure_stalls,
-            "recovered": self._recovered,
-            "wal_truncated_bytes": self._wal_truncated,
-            "active_clients": (
+        return Done(
+            pid=self.pid,
+            network=window_network,
+            cpu_utilization=min(1.0, cpu_busy / duration) if duration > 0 else 0.0,
+            instances_at_warmup=self._instances_at_warmup,
+            instances_at_end=self.runtime.modules[0].next_instance,
+            blocked_attempts=self.sender.window.total_blocked,
+            backpressure_stalls=self._backpressure_stalls,
+            recovered=self._recovered,
+            wal_truncated_bytes=self._wal_truncated,
+            active_clients=(
                 self._pool.active_clients if self._pool is not None else 0
             ),
-            "boundary_crossings": self.runtime.boundary_crossings,
-            "wal_fsyncs": self.wal.fsyncs if self.wal is not None else 0,
-            "spans": self._span_rows() if self.trace.enabled else [],
-            "trace_dropped": self.trace.dropped_records,
-        }
+            boundary_crossings=self.runtime.boundary_crossings,
+            spans=self._span_rows() if self.trace.enabled else [],
+            trace_dropped=self.trace.dropped_records,
+        )
 
     def _wal_checkpoint(self) -> None:
         """Snapshot transport resume points and flush batched records."""
@@ -607,23 +588,23 @@ class Worker:
 
         reader, writer = await self._connect_control(*self._control_address)
         self._control_writer = writer
-        send_control(writer, {"type": "ready", "pid": self.pid})
+        writer.write(control_frame(Ready(self.pid)))
         await writer.drain()
 
         flusher: asyncio.Task | None = None
         try:
             async for document in control_documents(reader):
-                if document["type"] == "start":
-                    self.runtime.set_epoch(float(document["epoch"]))
+                if isinstance(document, Start):
+                    self.runtime.set_epoch(document.epoch)
                     self.runtime.start()
                     flusher = asyncio.create_task(self._flush_loop(writer))
                     if self._gating:
                         self._begin_recovery()
                     else:
                         self._start_workload()
-                elif document["type"] == "fault":
+                elif isinstance(document, Fault):
                     self._apply_fault(document)
-                elif document["type"] == "stop":
+                elif isinstance(document, Stop):
                     break
             else:
                 # Control channel gone: orchestrator died; don't linger.
@@ -636,8 +617,8 @@ class Worker:
 
         final = self._drain_samples()
         if final is not None:
-            send_control(writer, final)
-        send_control(writer, self._done_document())
+            writer.write(control_frame(final))
+        writer.write(control_frame(self._done_document()))
         await writer.drain()
         if self.wal is not None:
             self._wal_checkpoint()
@@ -666,8 +647,8 @@ class Worker:
             self._wal_checkpoint()
             document = self._drain_samples()
             if document is not None:
-                send_control(writer, document)
-            send_control(writer, self._telemetry_document())
+                writer.write(control_frame(document))
+            writer.write(control_frame(self._telemetry_document()))
             await writer.drain()
 
 
@@ -677,7 +658,7 @@ def main(argv: list[str] | None = None) -> int:
     if len(args) != 1:
         print("usage: python -m repro.live.worker '<spec json>'", file=sys.stderr)
         return 2
-    spec = json.loads(args[0])
+    spec = read_fields(WorkerSpec, json.loads(args[0]))
     return asyncio.run(Worker(spec).run())
 
 

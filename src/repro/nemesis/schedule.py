@@ -23,14 +23,10 @@ simulator's fault hooks lives in :mod:`repro.nemesis.partitions` and
 
 from __future__ import annotations
 
-import enum
 import json
-import math
 import random
-from dataclasses import MISSING, fields, is_dataclass
-from functools import partial
 from pathlib import Path
-from typing import Any, get_args, get_type_hints
+from typing import Any
 
 from repro.config import (
     CrashEvent,
@@ -40,6 +36,8 @@ from repro.config import (
     LossBurst,
     PartitionEvent,
     WrongSuspicion,
+    plain,
+    read_fields,
 )
 from repro.errors import ConfigurationError
 
@@ -223,142 +221,13 @@ def generate_faultload(
 # -- JSON round-trip --------------------------------------------------------
 #
 # Both directions are read off the dataclasses — the fault events in
-# repro.config and the nemesis replay case: a new field (or a sixth
-# event list) is one edit there, plus a row below if its declared type
-# is new.
-
-
-def plain(value: Any) -> Any:
-    """JSON form of a dataclass, field by field: enums by value, tuples
-    as lists."""
-    if is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [plain(item) for item in value]
-    return value
+# repro.config and the nemesis replay case — by repro.config's plain and
+# read_fields: a new field (or a sixth event list) is one edit there.
 
 
 def faultload_to_dict(faultload: FaultloadConfig) -> dict[str, Any]:
     """Plain-dict form of a faultload, suitable for ``json.dump``."""
     return plain(faultload)
-
-
-def _number(value: Any, path: str) -> Any:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"field {path!r} must be a number, got {value!r}")
-    # json reads NaN and Infinity, and NaN passes every range comparison.
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(
-            f"field {path!r} must be a finite number, got {value!r}"
-        )
-    return value
-
-
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(f"field {path!r} must be a string, got {value!r}")
-    return value
-
-
-def _integer(value: Any, path: str) -> int:
-    if not isinstance(_number(value, path), int):
-        raise ConfigurationError(
-            f"field {path!r} must be an integer, got {value!r}"
-        )
-    return value
-
-
-def _optional_process(value: Any, path: str) -> int | None:
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigurationError(
-            f"field {path!r} must be an integer process id or null, got {value!r}"
-        )
-    return value
-
-
-def _link_mode(value: Any, path: str) -> LinkFaultMode:
-    try:
-        return LinkFaultMode(value)
-    except ValueError:
-        choices = ", ".join(mode.value for mode in LinkFaultMode)
-        raise ConfigurationError(
-            f"field {path!r} must be one of {choices}, got {value!r}"
-        ) from None
-
-
-def _groups(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(group, list) for group in value
-    ):
-        raise ConfigurationError(
-            f"field {path!r} must be a list of lists of process ids, got {value!r}"
-        )
-    return tuple(
-        tuple(_integer(member, f"{path}[{g}]") for member in group)
-        for g, group in enumerate(value)
-    )
-
-
-#: The event dataclass of each faultload list, in declaration order.
-_EVENT_CLASSES = [get_args(hint)[0] for hint in get_type_hints(FaultloadConfig).values()]
-
-
-def _events(cls: type, value: Any, path: str) -> tuple[Any, ...]:
-    """One faultload event list: a JSON list of *cls* objects."""
-    if not isinstance(value, list):
-        raise ConfigurationError(
-            f"field {path!r} must be a list, got {type(value).__name__}"
-        )
-    return tuple(
-        read_fields(cls, entry, f"{path}[{index}]") for index, entry in enumerate(value)
-    )
-
-
-#: Declared type of a field, as spelled in its module (the annotations
-#: are strings) → the checker of its JSON value.
-_CHECKERS = {
-    "str": _string,
-    "float": _number,
-    "int": _integer,
-    "int | None": _optional_process,
-    "LinkFaultMode": _link_mode,
-    "tuple[tuple[int, ...], ...]": _groups,
-    "FaultloadConfig": lambda value, path: read_fields(FaultloadConfig, value, path),
-    # One row per faultload event list, e.g. "tuple[CrashEvent, ...]".
-    **{f"tuple[{cls.__name__}, ...]": partial(_events, cls) for cls in _EVENT_CLASSES},
-}
-
-
-def read_fields(cls: type, entry: Any, where: str = "") -> Any:
-    """One *cls* from its JSON object *entry*, found at path *where*
-    (empty at the top of a document).
-
-    Each key is schema-checked by its field's declared type; a missing
-    key takes the field's default, and an unknown key or a missing
-    required one is refused by name.
-    """
-    what = where or "the document"
-    if not isinstance(entry, dict):
-        raise ConfigurationError(
-            f"{what} must be a JSON object, got {type(entry).__name__}"
-        )
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(entry) - set(names))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) in {what}: {', '.join(map(repr, unknown))} "
-            f"(known: {', '.join(names)})"
-        )
-    values = {}
-    for f in fields(cls):
-        if f.name in entry:
-            path = f"{where}.{f.name}" if where else f.name
-            values[f.name] = _CHECKERS[f.type](entry[f.name], path)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigurationError(f"{what} is missing required key {f.name!r}")
-    return cls(**values)
 
 
 def faultload_from_dict(data: dict[str, Any]) -> FaultloadConfig:

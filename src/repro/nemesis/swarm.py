@@ -33,6 +33,8 @@ from repro.config import (
     StackConfig,
     StackKind,
     WorkloadConfig,
+    plain,
+    read_fields,
 )
 from repro.errors import ConfigurationError, ReproError, StationarityWarning
 from repro.experiments.parallel import run_tasks
@@ -45,8 +47,6 @@ from repro.nemesis.invariants import (
 )
 from repro.nemesis.schedule import (
     generate_faultload,
-    plain,
-    read_fields,
     read_json,
     write_json,
 )

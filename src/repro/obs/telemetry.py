@@ -1,24 +1,22 @@
 """Live-runtime telemetry: periodic counter/gauge snapshots.
 
-Each live worker ships a small ``telemetry`` document on the control
-channel at every sample flush (~4/s): gauges (ordering-core queue
-depth, peak unacked transport frames, congestion flag) read at the
-snapshot instant and cumulative counters (backpressure stalls,
-transport reconnects, WAL fsyncs) since the worker started. The
-orchestrator buffers them and reduces the whole run's stream with
-:func:`summarize_telemetry`; ``python -m repro live`` surfaces the
-summary under the metrics table.
-
-Snapshot schema (one JSON object per worker per flush)::
-
-    {"type": "telemetry", "pid": 0, "t": 1.25,
-     "queue_depth": 3, "unacked": 12, "congested": false,
-     "backpressure_stalls": 0, "reconnects": 0, "wal_fsyncs": 17}
+Each live worker ships a small
+:class:`~repro.live.deploy.Telemetry` snapshot on the control channel
+at every sample flush (~4/s): gauges (ordering-core queue depth, peak
+unacked transport frames, congestion flag) read at the snapshot instant
+and cumulative counters (backpressure stalls, transport reconnects, WAL
+fsyncs) since the worker started. That dataclass is the snapshot's
+schema. The orchestrator buffers them and reduces the whole run's
+stream with :func:`summarize_telemetry`; ``python -m repro live``
+surfaces the summary under the metrics table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - the live layer imports this module
+    from repro.live.deploy import Telemetry
 
 #: Gauge fields: summarized by their peak across snapshots.
 GAUGES = ("queue_depth", "unacked")
@@ -27,33 +25,28 @@ GAUGES = ("queue_depth", "unacked")
 COUNTERS = ("backpressure_stalls", "reconnects", "wal_fsyncs")
 
 
-def summarize_telemetry(snapshots: Iterable[Mapping]) -> dict:
+def summarize_telemetry(snapshots: Iterable[Telemetry]) -> dict:
     """Reduce a run's telemetry stream to one summary dict.
 
     Returns a dict with ``snapshots`` (count), ``<gauge>_peak`` for
     each gauge, ``congested_snapshots`` and the summed final value of
     each cumulative counter. Empty input gives an all-zero summary.
     """
-    count = 0
-    peaks = {gauge: 0 for gauge in GAUGES}
-    congested = 0
-    finals: dict[str, dict[int, int]] = {counter: {} for counter in COUNTERS}
-    for snapshot in snapshots:
-        count += 1
-        pid = int(snapshot.get("pid", -1))
-        for gauge in GAUGES:
-            peaks[gauge] = max(peaks[gauge], int(snapshot.get(gauge, 0)))
-        if snapshot.get("congested"):
-            congested += 1
-        for counter in COUNTERS:
-            value = int(snapshot.get(counter, 0))
-            per_pid = finals[counter]
-            per_pid[pid] = max(per_pid.get(pid, 0), value)
-    summary: dict = {"snapshots": count, "congested_snapshots": congested}
+    snapshots = list(snapshots)
+    summary: dict = {
+        "snapshots": len(snapshots),
+        "congested_snapshots": sum(snapshot.congested for snapshot in snapshots),
+    }
     for gauge in GAUGES:
-        summary[f"{gauge}_peak"] = peaks[gauge]
+        summary[f"{gauge}_peak"] = max(
+            (getattr(snapshot, gauge) for snapshot in snapshots), default=0
+        )
     for counter in COUNTERS:
-        summary[counter] = sum(finals[counter].values())
+        finals: dict[int, int] = {}
+        for snapshot in snapshots:
+            value = getattr(snapshot, counter)
+            finals[snapshot.pid] = max(finals.get(snapshot.pid, 0), value)
+        summary[counter] = sum(finals.values())
     return summary
 
 

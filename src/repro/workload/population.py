@@ -277,10 +277,6 @@ class ClientPool:
         """Distinct clients of this pool that sent at least once."""
         return len(self._arrivals_by_rank)
 
-    def rank_counts(self) -> dict[int, int]:
-        """Arrival counts keyed by local rank (1 = hottest)."""
-        return dict(self._arrivals_by_rank)
-
 
 class ClientPopulation:
     """All client pools of one run, one per process.

@@ -12,6 +12,7 @@ from repro.config import (
     WrongSuspicion,
 )
 from repro.errors import DeploymentError
+from repro.live.deploy import Fault, FaultOp
 from repro.live.faults import check_merged_logs, compile_live_faultload
 from repro.live.wal import WalWriter
 
@@ -37,11 +38,11 @@ class TestCompile:
         # Every severed direction gets a directive; none cross within a
         # group.
         ops = {pid: doc for pid, doc in up.directives}
-        assert ops[0] == {"type": "fault", "op": "hold", "peers": [1, 2]}
-        assert ops[1] == {"type": "fault", "op": "hold", "peers": [0]}
-        assert ops[2] == {"type": "fault", "op": "hold", "peers": [0]}
-        heal_ops = {pid: doc["op"] for pid, doc in down.directives}
-        assert set(heal_ops.values()) == {"release"}
+        assert ops[0] == Fault(FaultOp.HOLD, (1, 2))
+        assert ops[1] == Fault(FaultOp.HOLD, (0,))
+        assert ops[2] == Fault(FaultOp.HOLD, (0,))
+        heal_ops = {pid: doc.op for pid, doc in down.directives}
+        assert set(heal_ops.values()) == {FaultOp.RELEASE}
 
     def test_drop_partition_uses_drop_directives(self):
         faultload = FaultloadConfig(
@@ -52,8 +53,8 @@ class TestCompile:
             )
         )
         up, down = compile_live_faultload(faultload, 3)
-        assert all(doc["op"] == "drop" for __, doc in up.directives)
-        assert all(doc["op"] == "undrop" for __, doc in down.directives)
+        assert all(doc.op is FaultOp.DROP for __, doc in up.directives)
+        assert all(doc.op is FaultOp.UNDROP for __, doc in down.directives)
 
     def test_delay_spike_compiles_to_delay_directives(self):
         faultload = FaultloadConfig(
@@ -64,10 +65,10 @@ class TestCompile:
         up, down = compile_live_faultload(faultload, 2)
         assert up.at == 0.3 and down.at == 0.8
         for __, doc in up.directives:
-            assert doc["op"] == "delay"
-            assert doc["extra"] == 0.01
-            assert doc["jitter"] == 0.002
-        assert all(doc["op"] == "clear_delay" for __, doc in down.directives)
+            assert doc.op is FaultOp.DELAY
+            assert doc.extra == 0.01
+            assert doc.jitter == 0.002
+        assert all(doc.op is FaultOp.CLEAR_DELAY for __, doc in down.directives)
 
     def test_schedule_is_time_sorted_across_fault_kinds(self):
         faultload = FaultloadConfig(

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from repro.config import ClientArrival, FailureDetectorKind
+from repro.config import ClientArrival, FailureDetectorKind, plain, read_fields
 from repro.experiments.runner import run_simulation
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.live.compare import matched_run_config
-from repro.live.deploy import LiveSpec, worker_spec
+from repro.live.deploy import LiveSpec, WorkerSpec, worker_spec
 from repro.live.worker import Worker
 
 ADDRESSES = {pid: ("127.0.0.1", 1) for pid in range(3)}
@@ -17,8 +17,9 @@ FLEET = LiveSpec(clients=3000, client_arrival="bursty", fd="none")
 
 
 def worker_of(spec: LiveSpec, pid: int = 0) -> Worker:
-    """Worker *pid* of *spec*, handed its document as argv carries it."""
-    return Worker(json.loads(json.dumps(worker_spec(spec, pid, ADDRESSES, 1))))
+    """Worker *pid* of *spec*, handed its spec as argv carries it."""
+    document = json.loads(json.dumps(plain(worker_spec(spec, pid, ADDRESSES, 1))))
+    return Worker(read_fields(WorkerSpec, document))
 
 
 def test_the_worker_reads_back_the_spec_it_was_handed():

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import OrderingViolation
 from repro.live import deploy
-from repro.live.deploy import LiveSpec, _ControlServer, _reduce
+from repro.live.deploy import Done, LiveSpec, Samples, _ControlServer, _reduce
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.ordering import OrderingChecker
 from repro.types import MessageId
@@ -25,17 +25,19 @@ SPEC = LiveSpec(n=2, stack="monolithic", load=10.0, duration=1.0, warmup=0.0)
 def control_with(*batches):
     control = _ControlServer(SPEC.n)
     control.samples.extend(batches)
-    control.done.update({pid: {"pid": pid} for pid in range(SPEC.n)})
+    for pid in range(SPEC.n):
+        # A worker that reports every final counter as zero.
+        control.done[pid] = Done(pid, {}, 0.0, 0, 0, 0, 0, False, 0, 0, 0, [], 0)
     return control
 
 
-def batch(pid, accepts=(), delivers=()):
-    return {
-        "type": "samples",
-        "pid": pid,
-        "accepts": [[sender, seq, 64, at] for sender, seq, at in accepts],
-        "delivers": [list(entry) for entry in delivers],
-    }
+def batch(pid, accepts=(), delivers=(), offered=0):
+    return Samples(
+        pid,
+        [(sender, seq, 64, at) for sender, seq, at in accepts],
+        list(delivers),
+        offered,
+    )
 
 
 @pytest.mark.filterwarnings("ignore::repro.errors.StationarityWarning")
@@ -81,13 +83,13 @@ class TestReduceRecordsForTheChecker:
 def test_offered_rate_adds_the_sample_counts_it_used_to_count_out():
     """Each worker sample carries how many arrivals it saw; the rate is
     their sum over the window, as when every arrival was one call."""
-    samples = [batch(0), batch(1), batch(0), batch(1), batch(0)]
-    for sample, offered in zip(samples, (20_000, 0, 17, None, 3)):
-        if offered is not None:  # workers may omit the count
-            sample["offered"] = offered
+    samples = [
+        batch(pid, offered=offered)
+        for pid, offered in zip((0, 1, 0, 1, 0), (20_000, 0, 17, 0, 3))
+    ]
     reference = MetricsCollector(SPEC.n, window_start=0.0, window_end=1.0)
     for sample in samples:
-        for __ in range(int(sample.get("offered", 0))):
+        for __ in range(sample.offered):
             reference.on_offered()
     result = _reduce(SPEC, control_with(*samples))
     assert result["metrics"]["offered_rate"] == reference.finalize().offered_rate

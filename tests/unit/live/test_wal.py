@@ -168,7 +168,7 @@ class TestWalState:
         ]
         state = WalState.from_records(records)
         assert state.delivered == [(0, 0), (1, 0)]
-        assert state.delivered_set == {(0, 0), (1, 0)}
+        assert set(state.delivered) == {(0, 0), (1, 0)}
         assert state.accepted == [(1, 0, 0.1), (1, 1, 0.5)]
         assert state.next_instance == 2
         assert state.resume_counts == {0: (7, 40), 2: (9, 13)}
