@@ -292,7 +292,8 @@ class FailureDetectorKind(enum.Enum):
     #: Heartbeat-based eventually-strong detector exchanging real network
     #: messages; used by the fault-tolerance tests and examples.
     HEARTBEAT = "heartbeat"
-    #: Fully scripted suspicions, for deterministic unit tests.
+    #: The base detector: suspects nothing on its own and sends nothing;
+    #: only the faultload's wrong suspicions move it.
     SCRIPTED = "scripted"
 
 
@@ -842,7 +843,7 @@ DEFAULT_DRAIN = 0.5
 
 #: ``LiveSpec.fd`` → the group's detector: a heartbeat every 0.1 s and
 #: suspicion after 1 s of silence (a host stalls healthy workers longer
-#: than the simulator's 0.25 s), or an empty script: nothing is sent.
+#: than the simulator's 0.25 s), or the base detector: nothing is sent.
 LIVE_DETECTORS = {
     "heartbeat": FailureDetectorConfig(
         kind=FailureDetectorKind.HEARTBEAT, heartbeat_interval=0.1, timeout=1.0

@@ -17,16 +17,14 @@ from functools import partial
 from typing import Callable
 
 from repro.abcast.factory import build_process, build_stack
-from repro.config import FailureDetectorKind, RunConfig
+from repro.config import FailureDetectorKind, RunConfig, WrongSuspicion
 from repro.errors import ConfigurationError, StationarityWarning
 from repro.fd.base import FailureDetector
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.fd.oracle import OracleFailureDetector
-from repro.fd.scripted import ScriptedFailureDetector
 from repro.flowcontrol.window import BacklogWindow
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.nemesis.partitions import install_link_faults
-from repro.nemesis.suspicion import install_wrong_suspicions
 from repro.net.faults import FaultInjector
 from repro.net.network import Network
 from repro.net.stats import NetworkStats
@@ -229,7 +227,7 @@ class Simulation:
                 fd_config.heartbeat_interval, fd_config.timeout
             )
         elif fd_config.kind is FailureDetectorKind.SCRIPTED:
-            detector = ScriptedFailureDetector()
+            detector = FailureDetector()
         else:  # pragma: no cover - enum is exhaustive
             raise ConfigurationError(f"unknown FD kind {fd_config.kind!r}")
         self.detectors.append(detector)
@@ -277,11 +275,33 @@ class Simulation:
                 detector.observe_crash(pid)
 
     def _schedule_faultload(self) -> None:
-        for crash in self.config.faultload.crashes:
+        faultload = self.config.faultload
+        for crash in faultload.crashes:
             self.kernel.schedule_at(
                 crash.time, lambda pid=crash.process: self.crash(pid)
             )
-        install_wrong_suspicions(self)
+        for event in faultload.wrong_suspicions:
+            self.kernel.schedule_at(event.time, partial(self._suspect, event))
+            self.kernel.schedule_at(
+                event.time + event.duration, partial(self._retract, event)
+            )
+
+    def _suspect(self, event: WrongSuspicion) -> None:
+        """Make a live observer suspect *event.suspect*, who may be alive.
+
+        ◇S permits detectors to be wrong for arbitrary finite periods;
+        a heartbeat detector may retract earlier on its own when the
+        suspect is next heard from, which is correct ◇S behaviour too.
+        """
+        if self.runtimes[event.observer].alive:
+            self.detectors[event.observer].force_suspect(event.suspect)
+
+    def _retract(self, event: WrongSuspicion) -> None:
+        """End *event*'s suspicion unless the suspect really crashed:
+        un-suspecting a dead coordinator would stall liveness."""
+        alive = self.runtimes[event.observer].alive
+        if alive and not self.faults.is_crashed(event.suspect):
+            self.detectors[event.observer].retract_suspicion(event.suspect)
 
     # -- measurement boundaries ------------------------------------------------
 

@@ -1,21 +1,19 @@
 """Failure detectors (the paper's FD module, §2.1).
 
-Three implementations behind one interface: an omniscient oracle for
-clean performance runs, a scripted detector for deterministic tests of
-wrong suspicions, and a heartbeat-based ◇S detector exchanging real
-network messages.
+Two implementations behind one interface: an omniscient oracle for
+clean performance runs and a heartbeat-based ◇S detector exchanging real
+network messages. The base :class:`FailureDetector` suspects nothing on
+its own; wrong suspicions reach any detector only through the
+faultload's :class:`~repro.config.WrongSuspicion` events.
 """
 
 from repro.fd.base import FailureDetector
 from repro.fd.heartbeat import HEARTBEAT_SIZE, HeartbeatFailureDetector
 from repro.fd.oracle import OracleFailureDetector
-from repro.fd.scripted import ScriptedFailureDetector, SuspicionEdit
 
 __all__ = [
     "HEARTBEAT_SIZE",
     "FailureDetector",
     "HeartbeatFailureDetector",
     "OracleFailureDetector",
-    "ScriptedFailureDetector",
-    "SuspicionEdit",
 ]

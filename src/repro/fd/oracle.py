@@ -9,8 +9,8 @@ fault-tolerance integration tests.
 
 In failure-detector terms this implements an eventually perfect detector
 (◇P ⊆ ◇S), which is stronger than the ◇S the algorithms require —
-acceptable because the experiments never rely on wrong suspicions (use
-:class:`~repro.fd.scripted.ScriptedFailureDetector` for those).
+acceptable because the experiments never rely on wrong suspicions (a
+faultload's :class:`~repro.config.WrongSuspicion` events inject those).
 """
 
 from __future__ import annotations

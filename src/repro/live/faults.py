@@ -15,7 +15,7 @@ fault event            simulator compilation                      live compilati
 ``DelaySpike``         add latency in the network model           per-frame sleep in the transport
                                                                   sender loops
 ``LossBurst``          probabilistic per-message loss             *unsupported live* (rejected)
-``WrongSuspicion``     scripted FD override                       *unsupported live* (rejected)
+``WrongSuspicion``     force, then retract, the observer's FD     *unsupported live* (rejected)
 =====================  =========================================  ====================================
 
 One semantic divergence is deliberate: the simulator's crash is
@@ -48,7 +48,7 @@ from pathlib import Path
 from repro.config import FaultloadConfig, LinkFaultMode
 from repro.errors import DeploymentError
 from repro.live.deploy import Fault, FaultOp, LiveSpec, _deployment, _reduce, _watch
-from repro.live.wal import read_wal
+from repro.live.wal import _Accept, _Deliver, _read_records, read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
 from repro.types import AppMessage, MessageId
 
@@ -235,20 +235,12 @@ def check_merged_logs(
     last_delivery = [0.0] * n
     for pid in range(n):
         records, __ = read_wal(wal_dir / f"worker-{pid}.wal")
-        for record in records:
-            kind = record.get("t")
-            if kind == "accept":
-                accepts.append(
-                    (
-                        float(record.get("at", 0.0)),
-                        MessageId(int(record["s"]), int(record["q"])),
-                    )
-                )
-            elif kind == "deliver":
-                when = float(record.get("at", 0.0))
-                delivers.append(
-                    (when, pid, MessageId(int(record["s"]), int(record["q"])))
-                )
+        for record in _read_records(records):
+            if isinstance(record, _Accept):
+                accepts.append((float(record.at), MessageId(record.s, record.q)))
+            elif isinstance(record, _Deliver):
+                when = float(record.at)
+                delivers.append((when, pid, MessageId(record.s, record.q)))
                 last_delivery[pid] = max(last_delivery[pid], when)
     monitor = InvariantMonitor(n)
     for at, msg_id in sorted(accepts, key=lambda entry: entry[0]):

@@ -35,8 +35,10 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from repro.errors import DeploymentError
+from repro.config import read_fields
+from repro.errors import ConfigurationError, DeploymentError
 
 _HEADER = struct.Struct(">II")  # (body length, CRC32 of body)
 
@@ -160,6 +162,66 @@ def recover_wal(path: str | Path) -> tuple[list[dict], int]:
     return records, torn
 
 
+@dataclass(frozen=True, slots=True)
+class _Accept:
+    """An ``accept`` record: own message ``(s, q)`` entered the stack at ``at``."""
+
+    s: int
+    q: int
+    at: float
+
+
+@dataclass(frozen=True, slots=True)
+class _Deliver:
+    """A ``deliver`` record: ``(s, q)`` was adelivered at ``at``, and the
+    top module's next consensus instance was then ``i``."""
+
+    s: int
+    q: int
+    at: float
+    i: int
+
+
+@dataclass(frozen=True, slots=True)
+class _Resume:
+    """A ``resume`` record: ``peer -> [incarnation nonce, frame count]``."""
+
+    counts: dict[int, tuple[int, int]]
+    at: float = 0.0
+
+
+_RECORD_TYPES = {"accept": _Accept, "deliver": _Deliver, "resume": _Resume}
+
+
+def _read_records(records: list[dict]) -> Iterator[_Accept | _Deliver | _Resume]:
+    """Each parsed record as its typed form, in log order.
+
+    The one reader behind both readers of a log: the restart fold
+    (:meth:`WalState.from_records`) and the merged-log check of
+    :mod:`repro.live.faults`. A CRC-valid record can still hold anything
+    JSON can: an unknown ``t``, a missing or ill-typed field, or a time
+    too large for a float. Each is refused with :class:`DeploymentError`
+    naming the record's index and the field.
+    """
+    for index, record in enumerate(records):
+        where = f"WAL record {index}"
+        kind = record.get("t")
+        record_type = _RECORD_TYPES.get(kind) if isinstance(kind, str) else None
+        if record_type is None:
+            raise DeploymentError(f"unknown WAL record type {kind!r} in {where}")
+        body = {key: value for key, value in record.items() if key != "t"}
+        try:
+            typed = read_fields(record_type, body, where)
+            float(typed.at)  # a 400-digit JSON integer reads, but is no time
+        except ConfigurationError as error:
+            raise DeploymentError(str(error)) from None
+        except OverflowError:
+            raise DeploymentError(
+                f"field '{where}.at' must be a finite number, got {typed.at!r}"
+            ) from None
+        yield typed
+
+
 @dataclass
 class WalState:
     """The recovered state a restarted worker resumes from."""
@@ -185,28 +247,18 @@ class WalState:
         """Fold a parsed record list into the resumable state."""
         state = cls()
         seen: set[tuple[int, int]] = set()
-        for record in records:
-            kind = record.get("t")
-            if kind == "accept":
-                state.accepted.append(
-                    (int(record["s"]), int(record["q"]), float(record.get("at", 0.0)))
-                )
-            elif kind == "deliver":
-                pair = (int(record["s"]), int(record["q"]))
+        for record in _read_records(records):
+            if isinstance(record, _Accept):
+                state.accepted.append((record.s, record.q, float(record.at)))
+            elif isinstance(record, _Deliver):
+                pair = (record.s, record.q)
                 if pair in seen:
                     continue  # re-synced after a partial flush; keep first
                 seen.add(pair)
                 state.delivered.append(pair)
-                state.next_instance = max(
-                    state.next_instance, int(record.get("i", 0))
-                )
-            elif kind == "resume":
-                state.resume_counts = {
-                    int(peer): (int(nonce), int(count))
-                    for peer, (nonce, count) in record.get("counts", {}).items()
-                }
+                state.next_instance = max(state.next_instance, record.i)
             else:
-                raise DeploymentError(f"unknown WAL record type {kind!r}")
+                state.resume_counts = record.counts
         return state
 
 

@@ -4,10 +4,10 @@ The nemesis subsystem has three layers:
 
 1. **Faultload schedules** (:mod:`~repro.nemesis.schedule`) — named
    scenarios, seeded random generation and a JSON round-trip for the
-   declarative :class:`~repro.config.FaultloadConfig` DSL. Compilation
-   onto the simulator's hooks lives in
-   :mod:`~repro.nemesis.partitions` (link faults) and
-   :mod:`~repro.nemesis.suspicion` (failure-detector faults).
+   declarative :class:`~repro.config.FaultloadConfig` DSL. Link faults
+   compile onto the simulator's fault filters in
+   :mod:`~repro.nemesis.partitions`; the simulation schedules crashes
+   and wrong suspicions itself.
 2. **Online invariants** (:mod:`~repro.nemesis.invariants`) — the four
    atomic-broadcast properties checked as every delivery happens, plus
    a liveness watchdog.
@@ -34,7 +34,6 @@ from repro.nemesis.schedule import (
     named_scenario,
     resolve_faultload,
 )
-from repro.nemesis.suspicion import install_wrong_suspicions
 
 __all__ = [
     "SCENARIOS",
@@ -45,7 +44,6 @@ __all__ = [
     "faultload_to_dict",
     "generate_faultload",
     "install_link_faults",
-    "install_wrong_suspicions",
     "load_faultload",
     "named_scenario",
     "resolve_faultload",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 
 from repro.config import DelaySpike, FaultloadConfig, LinkFaultMode, LossBurst, PartitionEvent
-from repro.net.faults import FaultInjector, FilterDecision
+from repro.net.faults import FaultInjector
 from repro.net.message import NetMessage
 from repro.sim.kernel import Kernel
 
@@ -49,8 +49,6 @@ def install_link_faults(
     Filters are only installed for fault kinds actually present, so a
     plain crash faultload (or a good run) pays nothing.
     """
-    if not (faultload.partitions or faultload.loss_bursts or faultload.delay_spikes):
-        return
     rng = kernel.rng.stream(RNG_STREAM)
     for partition in faultload.partitions:
         injector.add_filter(_partition_filter(partition, kernel, rng))
@@ -63,46 +61,46 @@ def install_link_faults(
 def _partition_filter(
     partition: PartitionEvent, kernel: Kernel, rng: random.Random
 ):
-    def judge(message: NetMessage) -> FilterDecision:
+    def judge(message: NetMessage) -> float | None:
         now = kernel.now
         if not partition.start <= now < partition.heal:
-            return FilterDecision.deliver()
+            return 0.0
         if not partition.severs(message.src, message.dst):
-            return FilterDecision.deliver()
+            return 0.0
         if partition.mode is LinkFaultMode.DROP:
-            return FilterDecision.drop()
+            return None
         hold = (partition.heal - now) + rng.random() * HEAL_JITTER
-        return FilterDecision.deliver(extra_delay=hold)
+        return hold
 
     return judge
 
 
 def _loss_filter(burst: LossBurst, kernel: Kernel, rng: random.Random):
-    def judge(message: NetMessage) -> FilterDecision:
+    def judge(message: NetMessage) -> float | None:
         now = kernel.now
         if not burst.start <= now < burst.end:
-            return FilterDecision.deliver()
+            return 0.0
         if not burst.matches(message.src, message.dst):
-            return FilterDecision.deliver()
+            return 0.0
         if rng.random() >= burst.probability:
-            return FilterDecision.deliver()
+            return 0.0
         if burst.mode is LinkFaultMode.DROP:
-            return FilterDecision.drop()
+            return None
         # One TCP-style retransmission: the message arrives, late.
         retry = burst.retry_delay * (0.5 + rng.random())
-        return FilterDecision.deliver(extra_delay=retry)
+        return retry
 
     return judge
 
 
 def _delay_filter(spike: DelaySpike, kernel: Kernel, rng: random.Random):
-    def judge(message: NetMessage) -> FilterDecision:
+    def judge(message: NetMessage) -> float | None:
         now = kernel.now
         if not spike.start <= now < spike.end:
-            return FilterDecision.deliver()
+            return 0.0
         if not spike.matches(message.src, message.dst):
-            return FilterDecision.deliver()
+            return 0.0
         jitter = rng.random() * spike.jitter if spike.jitter else 0.0
-        return FilterDecision.deliver(extra_delay=spike.extra_delay + jitter)
+        return spike.extra_delay + jitter
 
     return judge

@@ -16,9 +16,10 @@ the vocabulary layer around it:
   both directions are read off the dataclass fields, which is also how
   :mod:`repro.nemesis.swarm` stores a whole replay case.
 
-Everything here is pure data manipulation; compiling a schedule onto the
-simulator's fault hooks lives in :mod:`repro.nemesis.partitions` and
-:mod:`repro.nemesis.suspicion`.
+Everything here is pure data manipulation; link faults compile onto the
+simulator's fault filters in :mod:`repro.nemesis.partitions`, and
+:class:`~repro.experiments.runner.Simulation` schedules crashes and
+wrong suspicions itself.
 """
 
 from __future__ import annotations

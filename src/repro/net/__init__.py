@@ -5,17 +5,14 @@ model (NIC serialization + propagation + per-pair FIFO) plus fault
 injection and message/byte accounting.
 """
 
-from repro.net.faults import FaultInjector, FilterDecision, Verdict, deliver_all
+from repro.net.faults import FaultInjector
 from repro.net.message import NetMessage
 from repro.net.network import Network
 from repro.net.stats import NetworkStats
 
 __all__ = [
     "FaultInjector",
-    "FilterDecision",
     "NetMessage",
     "Network",
     "NetworkStats",
-    "Verdict",
-    "deliver_all",
 ]

@@ -14,55 +14,21 @@ what makes "sender crashes mid-diffusion" scenarios (the reason for the
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.net.message import NetMessage
 
-
-class Verdict(enum.Enum):
-    """Decision of a message filter."""
-
-    DELIVER = "deliver"
-    DROP = "drop"
-
-
-@dataclass(frozen=True, slots=True)
-class FilterDecision:
-    """Outcome of filtering one message."""
-
-    verdict: Verdict
-    extra_delay: float = 0.0
-
-    @classmethod
-    def deliver(cls, extra_delay: float = 0.0) -> "FilterDecision":
-        return cls(Verdict.DELIVER, extra_delay)
-
-    @classmethod
-    def drop(cls) -> "FilterDecision":
-        return cls(Verdict.DROP)
-
-
-#: A message filter inspects a message and decides its fate.
-MessageFilter = Callable[[NetMessage], FilterDecision]
-
-#: Shared "deliver unperturbed" decision: the overwhelmingly common case,
-#: returned as a singleton so fault-free runs allocate nothing per message.
-_DELIVER_CLEAN = FilterDecision(Verdict.DELIVER, 0.0)
-_DROP = FilterDecision(Verdict.DROP, 0.0)
-
-
-def deliver_all(message: NetMessage) -> FilterDecision:  # noqa: ARG001
-    """Default filter: every message is delivered unperturbed."""
-    return FilterDecision.deliver()
+#: A message filter inspects a message and decides its fate: ``None``
+#: drops it, a float is the extra delay in seconds (``0.0`` leaves it
+#: unperturbed).
+MessageFilter = Callable[[NetMessage], "float | None"]
 
 
 class FaultInjector:
     """Composable message filtering plus crash bookkeeping.
 
-    Filters are applied in registration order; the first non-DELIVER
-    verdict wins, and extra delays accumulate across DELIVER verdicts.
+    Filters are applied in registration order; the first ``None`` wins,
+    and extra delays accumulate left to right from ``0.0``.
     """
 
     __slots__ = ("_filters", "_crashed")
@@ -74,28 +40,6 @@ class FaultInjector:
     def add_filter(self, message_filter: MessageFilter) -> None:
         """Register a message filter."""
         self._filters.append(message_filter)
-
-    def drop_matching(self, predicate: Callable[[NetMessage], bool]) -> None:
-        """Drop every message for which *predicate* is true."""
-
-        def _filter(message: NetMessage) -> FilterDecision:
-            if predicate(message):
-                return FilterDecision.drop()
-            return FilterDecision.deliver()
-
-        self.add_filter(_filter)
-
-    def delay_matching(
-        self, predicate: Callable[[NetMessage], bool], extra_delay: float
-    ) -> None:
-        """Add *extra_delay* seconds to every matching message."""
-
-        def _filter(message: NetMessage) -> FilterDecision:
-            if predicate(message):
-                return FilterDecision.deliver(extra_delay)
-            return FilterDecision.deliver()
-
-        self.add_filter(_filter)
 
     def mark_crashed(self, process: int) -> None:
         """Record that *process* has crashed (messages to it are dropped)."""
@@ -110,18 +54,17 @@ class FaultInjector:
         """Set of processes known to have crashed."""
         return frozenset(self._crashed)
 
-    def judge(self, message: NetMessage) -> FilterDecision:
-        """Apply all filters (and crash state) to *message*."""
+    def judge(self, message: NetMessage) -> float | None:
+        """Extra delay of *message* after every filter, or ``None`` to drop it.
+
+        A crashed destination drops the message before any filter runs.
+        """
         if message.dst in self._crashed:
-            return _DROP
-        if not self._filters:
-            return _DELIVER_CLEAN
+            return None
         total_delay = 0.0
         for message_filter in self._filters:
-            decision = message_filter(message)
-            if decision.verdict is Verdict.DROP:
-                return decision
-            total_delay += decision.extra_delay
-        if total_delay == 0.0:
-            return _DELIVER_CLEAN
-        return FilterDecision.deliver(total_delay)
+            extra_delay = message_filter(message)
+            if extra_delay is None:
+                return None
+            total_delay += extra_delay
+        return total_delay

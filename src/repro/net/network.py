@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.config import NetworkConfig
 from repro.errors import NetworkError
-from repro.net.faults import FaultInjector, Verdict
+from repro.net.faults import FaultInjector
 from repro.net.message import NetMessage
 from repro.net.stats import NetworkStats
 from repro.sim.kernel import Kernel
@@ -120,12 +120,12 @@ class Network:
         nic_free[src] = tx_end
 
         arrival = tx_end + self._delay[src][dst]
-        decision = self.faults.judge(message)
-        if decision.verdict is Verdict.DROP:
+        extra_delay = self.faults.judge(message)
+        if extra_delay is None:
             if trace.enabled:
                 trace.record(arrival, "net.drop", dst, message)
             return
-        arrival += decision.extra_delay
+        arrival += extra_delay
 
         row = self._last_arrival[src]
         if arrival < row[dst]:

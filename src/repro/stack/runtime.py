@@ -390,7 +390,6 @@ class ProcessRuntime(StackRuntime):
         "cpu",
         "crashed_at",
         "_crossing_extra",
-        "_sends_until_crash",
         "_last_sent_payload",
         "layer_busy",
         "boundary_busy",
@@ -438,7 +437,6 @@ class ProcessRuntime(StackRuntime):
         #: CPU seconds charged to inter-module boundary crossings.
         self.boundary_busy = 0.0
 
-        self._sends_until_crash: int | None = None
         #: Payload of the previous Send, for serialize-once accounting:
         #: consecutive sends of the same payload object (a broadcast)
         #: only pay the serialization cost on the first copy.
@@ -450,16 +448,6 @@ class ProcessRuntime(StackRuntime):
     def now(self) -> SimTime:
         """Current simulated time (the runtime's time base)."""
         return self.kernel.now
-
-    def crash_after_sends(self, remaining_sends: int) -> None:
-        """Crash this process right after its next *remaining_sends* sends.
-
-        Used by fault tests to crash a sender halfway through a broadcast
-        (the scenario that motivates the paper's §3.3 guard timer).
-        """
-        if remaining_sends < 1:
-            raise ProtocolError("remaining_sends must be >= 1")
-        self._sends_until_crash = remaining_sends
 
     def on_suspicion_change(self, suspects: frozenset[int]) -> None:
         """FD callback: charge one dispatch, then notify every module."""
@@ -554,10 +542,6 @@ class ProcessRuntime(StackRuntime):
             # Looked up per call: tests and the benchmark's probe replace
             # ``network.transmit`` with a spy after construction.
             self.network.transmit(message, done)
-            if self._sends_until_crash is not None:
-                self._sends_until_crash -= 1
-                if self._sends_until_crash == 0:
-                    self.crash()
 
     def _cross(self, module: Microprotocol, target: Microprotocol, event: Event) -> None:
         costs = self.costs

@@ -282,3 +282,25 @@ def never_retiring(module_class: type[BaseConsensus]) -> type[BaseConsensus]:
 
     Reference.__name__ = f"NeverRetiring{module_class.__name__}"
     return Reference
+
+
+def crash_after_sends(sim: Any, pid: int, count: int) -> None:
+    """Crash process *pid* of a :class:`~repro.experiments.runner.Simulation`
+    right after its next *count* protocol sends — halfway through a
+    broadcast, the scenario behind the paper's §3.3 guard timer.
+
+    A spy on ``sim.network.transmit`` counts *pid*'s sends; failure
+    detector traffic (``module == "fd"``) is not counted.
+    """
+    transmit = sim.network.transmit
+    remaining = count
+
+    def spy(message: NetMessage, depart_time: float) -> None:
+        nonlocal remaining
+        transmit(message, depart_time)
+        if message.src == pid and message.module != "fd":
+            remaining -= 1
+            if remaining == 0:
+                sim.runtimes[pid].crash()
+
+    sim.network.transmit = spy

@@ -18,9 +18,12 @@ from repro.config import (
     StackConfig,
     StackKind,
     WorkloadConfig,
+    WrongSuspicion,
 )
 from repro.experiments.runner import Simulation
 from repro.metrics.ordering import OrderingChecker
+
+from tests.harness import crash_after_sends
 
 STACKS = (StackKind.MODULAR, StackKind.MONOLITHIC)
 
@@ -102,7 +105,7 @@ def test_modular_sender_crash_mid_diffusion_preserves_uniform_agreement():
     sim.add_accept_listener(checker.on_abcast)
     sim.add_adeliver_listener(checker.on_adeliver)
     # Crash p1 right after the first send of one of its diffusions.
-    sim.kernel.schedule_at(0.6, lambda: sim.runtimes[1].crash_after_sends(1))
+    sim.kernel.schedule_at(0.6, lambda: crash_after_sends(sim, 1, 1))
 
     def crash_oracle_notice():
         if not sim.runtimes[1].alive:
@@ -141,20 +144,25 @@ def test_wrong_suspicion_of_live_coordinator_is_safe(kind):
     """◇S detectors may be wrong; suspecting the live p0 forces round
     changes while p0 keeps participating. Safety must hold and the
     system must keep delivering."""
+    suspicions = tuple(
+        WrongSuspicion(time=0.6, observer=observer, suspect=0, duration=0.4)
+        for observer in (1, 2)
+    )
     config = faulty_config(kind, load=300.0, duration=1.5).with_changes(
-        failure_detector=FailureDetectorConfig(kind=FailureDetectorKind.SCRIPTED)
+        failure_detector=FailureDetectorConfig(kind=FailureDetectorKind.SCRIPTED),
+        faultload=FaultloadConfig(wrong_suspicions=suspicions),
     )
     sim = Simulation(config, seed=2)
     checker = OrderingChecker(config.n)
     sim.add_accept_listener(checker.on_abcast)
     sim.add_adeliver_listener(checker.on_adeliver)
-    for pid in range(3):
-        sim.detectors[pid].suspect_at(0.6, 0)
-        sim.detectors[pid].unsuspect_at(1.0, 0)
     sim.run(drain=2.0)
     checker.verify(expect_all_delivered=True)
     assert len(checker.sequence(0)) > 200
     assert checker.sequence(0) == checker.sequence(1) == checker.sequence(2)
+    # The suspicions forced round changes: without them no process
+    # ever sends an estimate.
+    assert sim.stats.messages_by_kind["ESTIMATE"] > 0
 
 
 @pytest.mark.parametrize("kind", STACKS)

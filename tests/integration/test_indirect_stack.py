@@ -22,6 +22,8 @@ from repro.config import (
 from repro.experiments.runner import Simulation, run_simulation
 from repro.metrics.ordering import OrderingChecker
 
+from tests.harness import crash_after_sends
+
 
 def indirect_config(**overrides):
     fields = dict(
@@ -106,7 +108,7 @@ def test_sender_crash_mid_diffusion_exercises_fetch():
     checker = OrderingChecker(3)
     sim.add_accept_listener(checker.on_abcast)
     sim.add_adeliver_listener(checker.on_adeliver)
-    sim.kernel.schedule_at(0.6, lambda: sim.runtimes[1].crash_after_sends(1))
+    sim.kernel.schedule_at(0.6, lambda: crash_after_sends(sim, 1, 1))
 
     def notify_oracle():
         if not sim.runtimes[1].alive:

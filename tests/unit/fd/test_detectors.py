@@ -1,13 +1,22 @@
-"""Unit tests for the three failure detector implementations."""
+"""Unit tests for the failure detector implementations."""
 
 import pytest
 
-from repro.config import CpuCosts, NetworkConfig
+from repro.config import (
+    CpuCosts,
+    FailureDetectorConfig,
+    FailureDetectorKind,
+    FaultloadConfig,
+    NetworkConfig,
+    RunConfig,
+    WorkloadConfig,
+    WrongSuspicion,
+)
 from repro.errors import ProtocolError
+from repro.experiments.runner import Simulation
 from repro.fd.base import FailureDetector
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.fd.oracle import OracleFailureDetector
-from repro.fd.scripted import ScriptedFailureDetector
 from repro.net.network import Network
 from repro.sim.kernel import Kernel
 from repro.stack.module import Microprotocol
@@ -98,32 +107,33 @@ def test_oracle_never_suspects_spontaneously():
 # -- scripted -----------------------------------------------------------------
 
 
-def test_scripted_suspicion_schedule():
-    def factory():
-        fd = ScriptedFailureDetector()
-        fd.suspect_at(1.0, 2)
-        fd.unsuspect_at(2.0, 2)
-        return fd
+def test_scripted_group_suspects_only_its_faultload_window():
+    """SCRIPTED is the base detector: it suspects nothing on its own, and
+    only the faultload's wrong suspicions move it."""
+    suspicion = WrongSuspicion(time=1.0, observer=0, suspect=2, duration=1.0)
+    config = RunConfig(
+        n=3,
+        workload=WorkloadConfig(offered_load=50.0, message_size=64),
+        failure_detector=FailureDetectorConfig(kind=FailureDetectorKind.SCRIPTED),
+        faultload=FaultloadConfig(wrong_suspicions=(suspicion,)),
+        duration=2.5,
+        warmup=0.1,
+    )
+    sim = Simulation(config, seed=1)
+    assert all(type(d) is FailureDetector for d in sim.detectors)
+    sim.start()
 
-    kernel, runtimes, detectors, spies = build_group(3, factory)
-    kernel.run(until=1.5)
-    assert detectors[0].suspects() == frozenset({2})
-    kernel.run(until=2.5)
-    assert detectors[0].suspects() == frozenset()
-    assert spies[0].changes == [frozenset({2}), frozenset()]
+    def suspects_at(time):
+        sim.kernel.run(until=time)
+        return [d.suspects() for d in sim.detectors]
 
-
-def test_scripted_wrong_suspicion_of_live_process():
-    def factory():
-        fd = ScriptedFailureDetector()
-        fd.suspect_at(0.5, 0)
-        return fd
-
-    kernel, runtimes, detectors, spies = build_group(2, factory)
-    kernel.run(until=1.0)
-    # p0 is alive yet suspected everywhere, including by itself.
-    assert all(d.suspects() == frozenset({0}) for d in detectors)
-    assert runtimes[0].alive
+    nobody = frozenset()
+    assert suspects_at(0.99) == [nobody] * 3
+    assert suspects_at(1.01) == [frozenset({2}), nobody, nobody]
+    assert suspects_at(1.99) == [frozenset({2}), nobody, nobody]
+    assert suspects_at(2.01) == [nobody] * 3
+    assert all(runtime.alive for runtime in sim.runtimes)
+    assert sim.stats.messages_by_kind["HEARTBEAT"] == 0
 
 
 # -- heartbeat -----------------------------------------------------------------
@@ -154,10 +164,10 @@ def test_heartbeat_unsuspects_after_delayed_messages_resume():
     # Delay heartbeats from p2 between t=0.5 and t=1.0 by routing through
     # a filter window: drop them during that interval.
     network = runtimes[0].network
-    network.faults.drop_matching(
-        lambda m: m.src == 2
-        and m.module == "fd"
-        and 0.5 <= kernel.now <= 1.0
+    network.faults.add_filter(
+        lambda m: None
+        if m.src == 2 and m.module == "fd" and 0.5 <= kernel.now <= 1.0
+        else 0.0
     )
     kernel.run(until=0.95)
     assert 2 in detectors[0].suspects()

@@ -36,8 +36,9 @@ def test_worker_and_matched_simulation_run_the_same_detector(spec):
     built = worker.runtime._fd
     config = matched_run_config(spec).failure_detector
     if spec.fd == "none":
-        # Nothing attached live; simulated, a script with no entries:
-        # neither sends a message nor suspects anyone.
+        # Nothing attached live; simulated, the base detector, which
+        # the faultload alone moves: neither sends a message nor
+        # suspects anyone on its own.
         assert built is None and config.kind is FailureDetectorKind.SCRIPTED
     else:
         assert isinstance(built, HeartbeatFailureDetector)

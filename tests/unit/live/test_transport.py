@@ -370,6 +370,114 @@ class TestReconnect:
         asyncio.run(run())
 
 
+async def dial_tasks_stop_cleanly(transport):
+    """Close *transport* with its dial tasks parked wherever they are:
+    ``close()`` returns, and every task ends cancelled, not failed."""
+    tasks = list(transport._sender_tasks)
+    assert tasks and not any(task.done() for task in tasks)
+    await asyncio.wait_for(transport.close(), timeout=2.0)
+    assert all(task.cancelled() for task in tasks)
+    prefix = f"transport.p{transport.pid}->"
+    assert not [
+        task for task in asyncio.all_tasks()
+        if task.get_name().startswith(prefix) and not task.done()
+    ]
+
+
+async def a_new_transport_delivers_in_order(addresses, received):
+    """A fresh incarnation of p0 reaches p1, every frame once, in order."""
+    received[1].clear()
+    a2 = Transport(0, addresses, received[0].append)
+    await a2.start()
+    try:
+        for seq in range(5):
+            a2.send(message(0, 1, seq))
+        await wait_for(lambda: len(received[1]) == 5)
+    finally:
+        await a2.close()
+    assert [m.payload for m in received[1]] == list(range(5))
+
+
+class TestDialCancellation:
+    """``close()`` cancels the dial task at each of its three awaits."""
+
+    def test_cancelled_inside_create_connection(self):
+        async def run():
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            loop = asyncio.get_running_loop()
+            dialing = asyncio.Event()
+
+            async def never_connects(*args, **kwargs):
+                dialing.set()
+                await loop.create_future()
+
+            loop.create_connection = never_connects
+            a = Transport(0, addresses, received[0].append)
+            await a.start()
+            await asyncio.wait_for(dialing.wait(), timeout=2.0)
+            await dial_tasks_stop_cleanly(a)
+            del loop.create_connection
+            assert a._links[1].writer is None
+            assert a.stats.reconnects == 0
+            b = Transport(1, addresses, received[1].append)
+            await b.start()
+            try:
+                await a_new_transport_delivers_in_order(addresses, received)
+            finally:
+                await b.close()
+
+        asyncio.run(run())
+
+    def test_cancelled_while_connected(self):
+        async def run():
+            received = {0: [], 1: []}
+            a, b = await started_pair(received)
+            try:
+                writer = a._links[1].writer
+                assert writer is not None and not writer.is_closing()
+                await dial_tasks_stop_cleanly(a)  # parked on connection.lost
+                assert writer.is_closing()
+                assert a.stats.reconnects == 0  # closing is no reconnect
+                await a_new_transport_delivers_in_order(a._addresses, received)
+            finally:
+                await b.close()
+
+        asyncio.run(run())
+
+    def test_cancelled_in_the_backoff_sleep(self):
+        async def run():
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+            received = {0: [], 1: []}
+            # The peer listens first, so the one dial under a 30 s backoff
+            # succeeds.
+            b = Transport(1, addresses, received[1].append)
+            await b.start()
+            a = Transport(
+                0, addresses, received[0].append, initial_backoff=30.0, max_backoff=30.0
+            )
+            await a.start()
+            try:
+                a.send(message(0, 1, -1))
+                await wait_for(lambda: received[1])
+                writer = a._links[1].writer
+                await b.close()  # the peer goes away by itself: one reconnect...
+                await wait_for(lambda: a.stats.reconnects == 1)
+                assert writer.is_closing()
+                await dial_tasks_stop_cleanly(a)  # ...then a 30 s backoff sleep
+                assert a.stats.reconnects == 1
+            finally:
+                await a.close()
+            b2 = Transport(1, a._addresses, received[1].append)
+            await b2.start()
+            try:
+                await a_new_transport_delivers_in_order(a._addresses, received)
+            finally:
+                await b2.close()
+
+        asyncio.run(run())
+
+
 class TestBackoff:
     def test_next_backoff_stays_within_decorrelated_jitter_bounds(self):
         rng = random.Random(42)

@@ -6,10 +6,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeploymentError
+from repro.live.faults import check_merged_logs
 from repro.live.wal import (
     WalState,
     WalWriter,
@@ -210,3 +211,85 @@ class TestWalState:
         body = blob[8:]
         assert json.loads(body) == {"t": "accept", "s": 1, "q": 2, "at": 0.5}
         assert b" " not in body
+
+
+# Any JSON a CRC-valid body can hold, including 400-digit integers and
+# the NaN / Infinity that json reads back.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.integers(10**399, 10**400)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+SMALL_INTS = st.integers(-2, 4)
+# Each key is usually shaped like what the worker writes, sometimes not.
+RECORD_FIELDS = {
+    "t": st.sampled_from(["accept", "deliver", "resume", "mystery"]) | JSON_VALUES,
+    "s": SMALL_INTS | JSON_VALUES,
+    "q": SMALL_INTS | JSON_VALUES,
+    "i": SMALL_INTS | JSON_VALUES,
+    "at": st.floats(0.0, 10.0) | JSON_VALUES,
+    "counts": st.dictionaries(
+        st.sampled_from(["0", "1", "-1", "x"]),
+        st.lists(SMALL_INTS, max_size=3) | JSON_VALUES,
+        max_size=2,
+    )
+    | JSON_VALUES,
+    "extra": JSON_VALUES,
+}
+RECORDS = st.lists(
+    st.fixed_dictionaries({}, optional=RECORD_FIELDS), max_size=4
+)
+
+
+class TestMalformedRecords:
+    """Both readers of a log — the restart fold and the merged-log check —
+    take any CRC-valid body and either succeed or refuse it with a
+    DeploymentError; nothing else escapes."""
+
+    @settings(deadline=None)
+    @given(RECORDS)
+    @example([{"t": "accept"}])
+    @example([{"t": "resume", "counts": [1]}])
+    @example([{"t": "deliver", "s": "x", "q": 1}])
+    def test_both_readers_succeed_or_refuse_by_name(self, bodies):
+        blob = b"".join(encode_record(body) for body in bodies)
+        records, valid = decode_records(blob)
+        assert valid == len(blob)
+        with tempfile.TemporaryDirectory() as directory:
+            with open(Path(directory) / "worker-0.wal", "wb") as handle:
+                handle.write(blob)
+            for read in (
+                lambda: WalState.from_records(records),
+                lambda: check_merged_logs(1, directory, check_liveness=True),
+            ):
+                try:
+                    read()
+                except DeploymentError as error:
+                    assert "WAL record" in str(error)
+
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ({"t": "accept"}, "WAL record 0 is missing required key 's'"),
+            ({"t": "resume", "counts": [1]}, "'WAL record 0.counts' must be a JSON object"),
+            ({"t": "deliver", "s": "x", "q": 1}, "'WAL record 0.s' must be a number"),
+            ({"t": "mystery"}, "unknown WAL record type 'mystery' in WAL record 0"),
+            ({"t": "accept", "s": 0, "q": 0}, "WAL record 0 is missing required key 'at'"),
+            ({"t": "accept", "s": 0, "q": 0, "at": 10**400}, "'WAL record 0.at' must be a finite number"),
+        ],
+    )
+    def test_the_two_readers_refuse_the_same_record_alike(self, tmp_path, record, named):
+        good = accept(0, 0)
+        path = tmp_path / "worker-0.wal"
+        path.write_bytes(encode_record(good) + encode_record(record))
+        with pytest.raises(DeploymentError) as fold:
+            WalState.from_records([good, record])
+        with pytest.raises(DeploymentError) as merged:
+            check_merged_logs(1, tmp_path)
+        assert named.replace("record 0", "record 1") in str(fold.value)
+        assert str(fold.value) == str(merged.value)

@@ -7,7 +7,7 @@ from repro.config import (
     LossBurst,
     PartitionEvent,
 )
-from repro.net.faults import FaultInjector, Verdict
+from repro.net.faults import FaultInjector
 from repro.net.message import NetMessage
 from repro.nemesis.partitions import HEAL_JITTER, install_link_faults
 from repro.sim.kernel import Kernel
@@ -42,22 +42,19 @@ def test_hold_partition_delays_severed_messages_until_heal():
     kernel, injector = _installed(FaultloadConfig(partitions=(partition,)))
 
     # Before the partition: untouched.
-    decision = injector.judge(_msg(0, 1))
-    assert decision.verdict is Verdict.DELIVER
-    assert decision.extra_delay == 0.0
+    assert injector.judge(_msg(0, 1)) == 0.0
 
     # During: held until (at least) the heal time.
     _advance(kernel, 0.3)
-    decision = injector.judge(_msg(0, 1))
-    assert decision.verdict is Verdict.DELIVER
-    assert 0.3 <= decision.extra_delay <= 0.3 + HEAL_JITTER
+    delay = injector.judge(_msg(0, 1))
+    assert 0.3 <= delay <= 0.3 + HEAL_JITTER
 
     # During, but within one side: untouched.
-    assert injector.judge(_msg(1, 2)).extra_delay == 0.0
+    assert injector.judge(_msg(1, 2)) == 0.0
 
     # After the heal: untouched.
     _advance(kernel, 0.7)
-    assert injector.judge(_msg(0, 1)).extra_delay == 0.0
+    assert injector.judge(_msg(0, 1)) == 0.0
 
 
 def test_drop_partition_destroys_severed_messages():
@@ -66,8 +63,8 @@ def test_drop_partition_destroys_severed_messages():
     )
     kernel, injector = _installed(FaultloadConfig(partitions=(partition,)))
     _advance(kernel, 0.5)
-    assert injector.judge(_msg(0, 1)).verdict is Verdict.DROP
-    assert injector.judge(_msg(2, 1)).verdict is Verdict.DELIVER
+    assert injector.judge(_msg(0, 1)) is None
+    assert injector.judge(_msg(2, 1)) == 0.0
 
 
 def test_unlisted_processes_form_the_implicit_rest_group():
@@ -78,8 +75,8 @@ def test_unlisted_processes_form_the_implicit_rest_group():
     )
     kernel, injector = _installed(FaultloadConfig(partitions=(partition,)))
     _advance(kernel, 0.5)
-    assert injector.judge(_msg(0, 2)).verdict is Verdict.DROP
-    assert injector.judge(_msg(1, 2)).verdict is Verdict.DELIVER
+    assert injector.judge(_msg(0, 2)) is None
+    assert injector.judge(_msg(1, 2)) == 0.0
 
 
 def test_certain_loss_burst_charges_a_retransmission_delay():
@@ -88,11 +85,10 @@ def test_certain_loss_burst_charges_a_retransmission_delay():
     )
     kernel, injector = _installed(FaultloadConfig(loss_bursts=(burst,)))
     _advance(kernel, 0.5)
-    decision = injector.judge(_msg(0, 1))
-    assert decision.verdict is Verdict.DELIVER
-    assert 0.1 <= decision.extra_delay <= 0.3  # retry_delay * (0.5 + U[0,1))
+    delay = injector.judge(_msg(0, 1))
+    assert 0.1 <= delay <= 0.3  # retry_delay * (0.5 + U[0,1))
     # Other links unaffected.
-    assert injector.judge(_msg(1, 0)).extra_delay == 0.0
+    assert injector.judge(_msg(1, 0)) == 0.0
 
 
 def test_impossible_loss_burst_never_fires():
@@ -100,7 +96,7 @@ def test_impossible_loss_burst_never_fires():
     kernel, injector = _installed(FaultloadConfig(loss_bursts=(burst,)))
     _advance(kernel, 0.5)
     for __ in range(50):
-        assert injector.judge(_msg(0, 1)).extra_delay == 0.0
+        assert injector.judge(_msg(0, 1)) == 0.0
 
 
 def test_drop_loss_burst_destroys_matched_messages():
@@ -109,18 +105,18 @@ def test_drop_loss_burst_destroys_matched_messages():
     )
     kernel, injector = _installed(FaultloadConfig(loss_bursts=(burst,)))
     _advance(kernel, 0.5)
-    assert injector.judge(_msg(0, 1)).verdict is Verdict.DROP
+    assert injector.judge(_msg(0, 1)) is None
 
 
 def test_delay_spike_adds_bounded_extra_delay_only_in_window():
     spike = DelaySpike(start=0.2, end=0.4, extra_delay=0.01, jitter=0.005)
     kernel, injector = _installed(FaultloadConfig(delay_spikes=(spike,)))
-    assert injector.judge(_msg()).extra_delay == 0.0
+    assert injector.judge(_msg()) == 0.0
     _advance(kernel, 0.3)
-    delay = injector.judge(_msg()).extra_delay
+    delay = injector.judge(_msg())
     assert 0.01 <= delay <= 0.015
     _advance(kernel, 0.5)
-    assert injector.judge(_msg()).extra_delay == 0.0
+    assert injector.judge(_msg()) == 0.0
 
 
 def test_link_fault_draws_replay_bit_for_bit_from_the_seed():
@@ -130,7 +126,7 @@ def test_link_fault_draws_replay_bit_for_bit_from_the_seed():
     def delays(seed):
         kernel, injector = _installed(faultload, Kernel(seed=seed))
         _advance(kernel, 0.5)
-        return [injector.judge(_msg()).extra_delay for __ in range(30)]
+        return [injector.judge(_msg()) for __ in range(30)]
 
     assert delays(11) == delays(11)
     assert delays(11) != delays(12)

@@ -90,8 +90,8 @@ def test_crash_after_transmit_but_before_arrival_drops():
 
 def test_fault_filter_can_drop_and_delay():
     kernel, network, arrivals = _network(bandwidth=1e9, propagation=0.0)
-    network.faults.drop_matching(lambda m: m.kind == "DROPME")
-    network.faults.delay_matching(lambda m: m.kind == "SLOW", 2.0)
+    network.faults.add_filter(lambda m: None if m.kind == "DROPME" else 0.0)
+    network.faults.add_filter(lambda m: 2.0 if m.kind == "SLOW" else 0.0)
     network.transmit(_msg(kind="DROPME"), depart_time=0.0)
     network.transmit(_msg(kind="SLOW"), depart_time=0.0)
     kernel.run()

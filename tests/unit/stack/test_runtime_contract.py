@@ -82,7 +82,14 @@ class SimHarness:
         return runtimes[0]
 
     def crash_after_sends(self, runtime, count):
-        runtime.crash_after_sends(count)
+        transmit = self.network.transmit
+
+        def crashing_transmit(message, depart):
+            transmit(message, depart)
+            if len(self.sent) == count:
+                runtime.crash()
+
+        self.network.transmit = crashing_transmit
 
     def run(self):
         self.kernel.run()
