@@ -47,7 +47,7 @@ from repro.stack.actions import (
 )
 from repro.stack.events import AbcastRequest, AdeliverIndication, Event
 from repro.stack.module import Microprotocol, ModuleContext
-from repro.types import AppMessage, MessageId
+from repro.types import AppMessage, DeliveryLedger, MessageId
 
 #: Modelled framing bytes per message inside a parcel (offset table).
 PARCEL_HEADER = 8
@@ -75,7 +75,7 @@ class DistillationLayer(Microprotocol):
         self._timer_armed = False
         self._sealed = 0  # parcels sealed locally (per-sender parcel seq)
         self._unbatched = 0  # parcels delivered (the progress probe)
-        self._delivered: set[MessageId] = set()
+        self._delivered = DeliveryLedger()
         self._outstanding: set[MessageId] = set()  # own submissions in flight
 
     # -- stimuli -----------------------------------------------------------
@@ -147,9 +147,8 @@ class DistillationLayer(Microprotocol):
         return actions
 
     def _deliver_part(self, part: AppMessage) -> list[Action]:
-        if part.msg_id in self._delivered:
+        if not self._delivered.add(part.msg_id):
             return []
-        self._delivered.add(part.msg_id)
         self._outstanding.discard(part.msg_id)
         return [EmitUp(AdeliverIndication(part))]
 

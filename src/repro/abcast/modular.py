@@ -50,7 +50,7 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import Microprotocol, ModuleContext
-from repro.types import AppMessage, Batch, MessageId
+from repro.types import AppMessage, Batch, DeliveryLedger, MessageId
 
 #: Name of the §3.3 correctness guard timer.
 GUARD_TIMER = "guard"
@@ -77,7 +77,7 @@ class ModularAtomicBroadcast(Microprotocol):
         self._arrival_generation: dict[MessageId, int] = {}
         self._guard_generation = 0
         #: Ids already adelivered (cross-batch deduplication).
-        self._adelivered: set[MessageId] = set()
+        self._adelivered = DeliveryLedger()
         #: Next consensus instance to decide (== next to propose).
         self._next_decide = 0
         #: Whether a proposal for ``_next_decide`` is outstanding.
@@ -169,9 +169,8 @@ class ModularAtomicBroadcast(Microprotocol):
         while self._next_decide in self._pending_decisions:
             decided = self._pending_decisions.pop(self._next_decide)
             for message in decided.in_delivery_order():
-                if message.msg_id in self._adelivered:
+                if not self._adelivered.add(message.msg_id):
                     continue
-                self._adelivered.add(message.msg_id)
                 self._unordered.pop(message.msg_id, None)
                 self._arrival_generation.pop(message.msg_id, None)
                 actions.append(EmitUp(AdeliverIndication(message)))

@@ -55,7 +55,7 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import ModuleContext
-from repro.types import AppMessage, Batch, MessageId
+from repro.types import AppMessage, Batch, DeliveryLedger, MessageId
 
 
 class MonolithicAtomicBroadcast(BaseConsensus):
@@ -78,7 +78,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         #: everything diffused, when §4.2 is ablated off).
         self._pool: dict[MessageId, AppMessage] = {}
         #: Ids already adelivered (cross-batch deduplication).
-        self._adelivered: set[MessageId] = set()
+        self._adelivered = DeliveryLedger()
         #: Own message ids already handed to the initial coordinator.
         self._relayed: set[MessageId] = set()
         self._next_decide = 0
@@ -91,8 +91,9 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         self._expecting_combined = False
         #: Decision decided here but not yet announced to the group.
         self._unannounced: tuple[int, int] | None = None
-        #: Instances whose relay-emulated decision we already re-sent.
-        self._rb_seen: set[int] = set()
+        #: Instances whose relay-emulated decision we already re-sent,
+        #: recorded as ids ``(0, k)``: instances are dense from 0 too.
+        self._rb_seen = DeliveryLedger()
         #: Suppresses standalone forwards while handling a COMBINED
         #: (the ack piggyback will carry pending messages instead).
         self._suppress_forward = False
@@ -323,7 +324,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         return actions
 
     def _rb_decision_sends(self, rb: RbDecision) -> list[Action]:
-        self._rb_seen.add(rb.tag.instance)
+        self._rb_seen.add((0, rb.tag.instance))
         relays = relay_set(rb.origin, self.ctx.n)
         rest = [
             p for p in range(self.ctx.n) if p not in relays and p != rb.origin
@@ -337,8 +338,7 @@ class MonolithicAtomicBroadcast(BaseConsensus):
 
     def _on_rb_decision(self, rb: RbDecision) -> list[Action]:
         actions: list[Action] = []
-        if rb.tag.instance not in self._rb_seen:
-            self._rb_seen.add(rb.tag.instance)
+        if self._rb_seen.add((0, rb.tag.instance)):
             if self.ctx.pid in relay_set(rb.origin, self.ctx.n):
                 actions.append(SendToAll("RB_DECISION", rb, rb.wire_size))
         actions.extend(self._on_rdeliver(rb.tag))
@@ -356,9 +356,8 @@ class MonolithicAtomicBroadcast(BaseConsensus):
         while self._next_decide in self._pending_decisions:
             batch = self._pending_decisions.pop(self._next_decide)
             for message in batch.in_delivery_order():
-                if message.msg_id in self._adelivered:
+                if not self._adelivered.add(message.msg_id):
                     continue
-                self._adelivered.add(message.msg_id)
                 self._pool.pop(message.msg_id, None)
                 self._relayed.discard(message.msg_id)
                 actions.append(EmitUp(AdeliverIndication(message)))

@@ -65,7 +65,7 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import Microprotocol, ModuleContext
-from repro.types import AppMessage, Batch, MessageId
+from repro.types import AppMessage, Batch, DeliveryLedger, MessageId
 
 #: Modelled bytes per process id carried in a ring token's vote/learned sets.
 PER_VOTE_OVERHEAD = 4
@@ -114,10 +114,12 @@ class RingAcceptor(BaseConsensus):
 
     def __init__(self, ctx: ModuleContext) -> None:
         super().__init__(ctx)
-        #: Last (votes, learned) forwarded per undecided instance, for
-        #: duplicate suppression and for re-routing on suspicion/guard.
+        #: Last (votes, learned) forwarded or held per undecided
+        #: instance, for duplicate suppression and for re-routing on
+        #: suspicion/guard.
         self._forwarded: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-        #: Successor each undecided instance's token was last sent to.
+        #: Successor each undecided instance's token was last sent to, or
+        #: this process itself while the ring has no room for the token.
         self._forward_dst: dict[int, int] = {}
         #: Cached value last forwarded (re-sent by repair).
         self._forward_value: dict[int, Batch] = {}
@@ -205,18 +207,16 @@ class RingAcceptor(BaseConsensus):
         value: Batch,
         votes: frozenset[int],
         learned: frozenset[int],
+        resend: bool = False,
     ) -> list[Action]:
-        """Forward the token to the ring successor if it still carries news."""
+        """Forward the token to the ring successor if it still carries news
+        (or, with *resend*, whether or not the successor saw it before)."""
         members = self._ring_members()
         if learned >= members:
             return []  # the decision has completed its lap
-        if len(votes) < self.ctx.majority and votes >= members:
-            # Every reachable acceptor voted and it is still short of a
-            # majority: the ring cannot decide; leave the instance to the
-            # suspicion-driven rounds machinery.
-            return []
         k = state.instance
-        if state.decided is None:
+        undecided = state.decided is None
+        if undecided and not resend:
             previous = self._forwarded.get(k)
             if (
                 previous is not None
@@ -225,12 +225,18 @@ class RingAcceptor(BaseConsensus):
             ):
                 return []  # duplicate: nothing the successor has not seen
         successor = self._successor(members)
-        if successor is None:
-            return []
-        if state.decided is None:
+        if len(votes) < self.ctx.majority and votes >= members:
+            # Every reachable acceptor voted and it is still short of a
+            # majority: the ring cannot decide now. Hold the token; the
+            # next suspicion change or guard tick re-sends it, and the
+            # rounds machinery takes over if a suspect really crashed.
+            successor = None
+        if undecided:
             self._forwarded[k] = (votes, learned)
-            self._forward_dst[k] = successor
+            self._forward_dst[k] = self.ctx.pid if successor is None else successor
             self._forward_value[k] = value
+        if successor is None:
+            return self._arm_guard() if undecided else []
         token = RingToken(
             instance=k,
             value=None if successor in votes else value,
@@ -249,12 +255,12 @@ class RingAcceptor(BaseConsensus):
         return actions
 
     def _repair(self, suspects: frozenset[int]) -> list[Action]:
-        """Re-send in-flight tokens whose last hop is now suspected."""
+        """Re-send in-flight tokens whose last hop is now suspected, and
+        held tokens, for which a lifted suspicion may have made room."""
         actions: list[Action] = []
         for k, dst in list(self._forward_dst.items()):
-            if dst not in suspects:
-                continue
-            actions.extend(self._re_forward(k))
+            if dst == self.ctx.pid or dst in suspects:
+                actions.extend(self._re_forward(k))
         return actions
 
     def _re_forward(self, k: int) -> list[Action]:
@@ -266,9 +272,7 @@ class RingAcceptor(BaseConsensus):
         if state.decided is not None:
             return []
         votes, learned = record
-        # Bypass duplicate suppression: the point is to re-send.
-        self._forwarded.pop(k, None)
-        return self._circulate(state, value, votes, learned)
+        return self._circulate(state, value, votes, learned, resend=True)
 
     def handle_timer(self, name: str, payload: Any) -> list[Action]:
         if name == "ring-guard":
@@ -318,10 +322,7 @@ class RingAcceptor(BaseConsensus):
         somewhere, so a gap below the local maximum means the decision
         exists — pull it rather than stalling the learner forever.
         """
-        while (
-            self.has_instance(self._floor)
-            and self._instances[self._floor].decided is not None
-        ):
+        while self.decided_value(self._floor) is not None:
             self._floor += 1
         actions: list[Action] = []
         scanned = 0
@@ -356,9 +357,7 @@ class RingAcceptor(BaseConsensus):
         actions = super()._help_decided(sender, state)
         k = state.instance + 1
         for _ in range(HELP_SPAN):
-            if not self.has_instance(k):
-                break
-            decided = self._instances[k].decided
+            decided = self.decided_value(k)
             if decided is None:
                 break
             response = DecisionValue(k, decided)
@@ -503,7 +502,7 @@ class RingLearner(Microprotocol):
         super().__init__(ctx)
         self._next_deliver = 0
         self._pending: dict[int, Batch] = {}
-        self._adelivered: set[MessageId] = set()
+        self._adelivered = DeliveryLedger()
         self._in_flight: set[MessageId] = set()
 
     @property
@@ -532,9 +531,8 @@ class RingLearner(Microprotocol):
         while self._next_deliver in self._pending:
             decided = self._pending.pop(self._next_deliver)
             for message in decided.in_delivery_order():
-                if message.msg_id in self._adelivered:
+                if not self._adelivered.add(message.msg_id):
                     continue
-                self._adelivered.add(message.msg_id)
                 self._in_flight.discard(message.msg_id)
                 actions.append(EmitUp(AdeliverIndication(message)))
             self._next_deliver += 1

@@ -37,6 +37,7 @@ from repro.stack.events import (
 from repro.stack.module import Microprotocol, ModuleContext
 from repro.net.message import NetMessage
 from repro.net.wire import wire_payload
+from repro.types import DeliveryLedger
 
 #: Modelled bytes of rbcast framing (origin, sequence number).
 RB_CONTROL_OVERHEAD = PER_MESSAGE_OVERHEAD
@@ -92,7 +93,7 @@ class ReliableBroadcast(Microprotocol):
         super().__init__(ctx)
         self.variant = variant
         self._next_seq = 0
-        self._delivered: set[tuple[int, int]] = set()
+        self._delivered = DeliveryLedger()
         #: Per origin: this process's destinations in relay-set-first
         #: order (see module docstring), and whether it relays at all.
         #: Both depend on ``(origin, n, pid)`` only.
@@ -133,9 +134,8 @@ class ReliableBroadcast(Microprotocol):
         if message.kind != "RB":
             return super().handle_message(message)
         rb: RbMessage = message.payload
-        if rb.key in self._delivered:
+        if not self._delivered.add(rb.key):
             return []
-        self._delivered.add(rb.key)
         actions: list[Action] = [
             EmitUp(RdeliverIndication(rb.inner, rb.inner_size, origin=rb.origin))
         ]

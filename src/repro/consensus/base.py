@@ -7,6 +7,8 @@ Both variants (textbook and good-run-optimized Chandra–Toueg) share:
   state lazily when the first local propose or remote message arrives
   and retiring it at the decision (a decided instance keeps its decision
   and nothing else, see :meth:`~repro.consensus.instance.InstanceState.retire`);
+  retired instances ``0..k-1`` leave their state behind altogether and
+  live on as one slot each of a decided-prefix log;
 * rounds ≥ 2 — estimate gathering, max-timestamp selection, proposal,
   acks (these only run after a suspicion, so they are identical in both
   variants);
@@ -70,7 +72,14 @@ class BaseConsensus(Microprotocol):
 
     def __init__(self, ctx: ModuleContext) -> None:
         super().__init__(ctx)
+        #: Every instance with local state that is not in the decided
+        #: prefix below: open, decided out of order, or kept whole
+        #: (see :meth:`InstanceState.retire`).
         self._instances: dict[int, InstanceState] = {}
+        #: The decided prefix: slot k holds the decision of instance k,
+        #: which is retired and owns no InstanceState — or ``None`` while
+        #: instance k is decided but kept whole in ``_instances``.
+        self._decided: list[Batch | None] = []
 
     # -- hooks implemented by variants ---------------------------------
 
@@ -85,16 +94,67 @@ class BaseConsensus(Microprotocol):
     # -- instance bookkeeping -------------------------------------------
 
     def instance(self, k: int) -> InstanceState:
-        """State of instance *k*, created lazily."""
+        """State of instance *k*, created lazily.
+
+        An instance of the decided prefix answers with a fresh retired
+        state that carries its decision: no handler reads anything else
+        of a decided instance, nor writes to a retired one.
+        """
         state = self._instances.get(k)
         if state is None:
+            if 0 <= k < len(self._decided):
+                return InstanceState(
+                    instance=k,
+                    n=self.ctx.n,
+                    proposals=None,
+                    proposal_sent_rounds=None,
+                    acks=None,
+                    estimates=None,
+                    decided=self._decided[k],
+                )
             state = InstanceState(instance=k, n=self.ctx.n)
             self._instances[k] = state
         return state
 
     def has_instance(self, k: int) -> bool:
         """Whether instance *k* has any local state yet."""
-        return k in self._instances
+        return k in self._instances or 0 <= k < len(self._decided)
+
+    def decided_value(self, k: int) -> Batch | None:
+        """The decision of instance *k*, or ``None`` if this process
+        has not learnt one."""
+        state = self._instances.get(k)
+        if state is not None:
+            return state.decided
+        if 0 <= k < len(self._decided):
+            return self._decided[k]
+        return None
+
+    def _retire(self, state: InstanceState) -> None:
+        """Retire *state* if nothing can read its round state again, and
+        move what the decided prefix now covers out of ``_instances``.
+
+        The prefix grows over every decided instance at its head; one
+        that is kept whole gets a ``None`` slot and stays in
+        ``_instances`` until its own late majority retires it.
+        """
+        state.retire()
+        log, instances = self._decided, self._instances
+        k, filed = state.instance, len(log)
+        if k != filed:
+            # Above the head nothing moves; below it, a kept-whole
+            # instance may have retired at last.
+            if 0 <= k < filed and state.retired and instances.pop(k, None) is not None:
+                log[k] = state.decided
+            return
+        while state is not None and state.decided is not None:
+            if state.retired:
+                log.append(state.decided)
+                del instances[k]
+            else:
+                log.append(None)
+            k += 1
+            state = instances.get(k)
 
     # -- stimuli ----------------------------------------------------------
 
@@ -205,8 +265,10 @@ class BaseConsensus(Microprotocol):
         return actions
 
     def _on_ack(self, sender: int, ack: Ack) -> list[Action]:
-        state = self.instance(ack.instance)
-        if not state.record_ack(ack.round, sender):
+        # An instance without state had no proposal of ours, and one in
+        # the decided prefix has none open: nothing to count either for.
+        state = self._instances.get(ack.instance)
+        if state is None or not state.record_ack(ack.round, sender):
             return []  # stray or late: no open proposal of ours to count it for
         return self._maybe_decide(state, ack.round)
 
@@ -218,8 +280,10 @@ class BaseConsensus(Microprotocol):
             return []
         state.decision_sent = True
         actions = self._announce_decision(state, round_number)
-        # The announcement was the last reader of this round's proposal.
-        state.retire()
+        # The announcement was the last reader of this round's proposal
+        # (an instance it decided on the spot has retired in _decide).
+        if not state.retired:
+            self._retire(state)
         return actions
 
     def _announce_decision(self, state: InstanceState, round_number: int) -> list[Action]:
@@ -326,11 +390,11 @@ class BaseConsensus(Microprotocol):
         if state.decided is not None:
             return []
         state.decided = value
-        state.retire()
         actions: list[Action] = []
         if state.awaiting_recovery_round is not None:
             state.awaiting_recovery_round = None
             actions.append(CancelTimer(f"recover-{state.instance}"))
+        self._retire(state)
         actions.extend(self._emit_decision(state, value))
         return actions
 

@@ -4,9 +4,12 @@ An instance has a life cycle: it is born at the first local propose or
 remote message, collects round state (proposals, acks, estimates) while
 undecided, and is *retired* at its decision — :meth:`InstanceState.retire`
 drops the round state, and what remains (``decided``, ``decision_sent``,
-``instance``) is exactly what answers to late traffic need. The atomic
-broadcast reduction runs about a thousand instances a second per
-process, so what a decided instance keeps is what a run keeps.
+``instance``) is exactly what answers to late traffic need. Once the
+instances below it are decided too, the module drops the state itself
+and keeps the decision alone, in its decided-prefix log
+(:class:`~repro.consensus.base.BaseConsensus`). The atomic broadcast
+reduction runs about a thousand instances a second per process, so
+what a decided instance keeps is what a run keeps.
 """
 
 from __future__ import annotations

@@ -351,7 +351,7 @@ class Worker:
         # Own messages accepted by the previous incarnation but still
         # undelivered re-enter the stack (the write-ahead accept made
         # them this incarnation's obligation); receivers dedup via
-        # their _adelivered sets, so a message that did make it out
+        # their _adelivered ledgers, so a message that did make it out
         # before the crash is ordered exactly once.
         for sender, seq, __ in self._wal_state.accepted:
             if sender == self.pid and (sender, seq) not in self._delivered_ids:

@@ -9,7 +9,7 @@ protocol and metrics packages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, NewType
+from typing import Any, Iterable, NamedTuple, NewType
 
 #: Identifier of a process in the group ``{0, 1, ..., n-1}``.
 ProcessId = NewType("ProcessId", int)
@@ -86,3 +86,53 @@ class Batch:
     def __str__(self) -> str:
         inner = ", ".join(str(m.msg_id) for m in self.messages)
         return f"batch(k={self.instance}, [{inner}])"
+
+
+class DeliveryLedger:
+    """The set of ``(sender, seq)`` ids recorded so far, kept as a
+    watermark per sender plus the few ids above it.
+
+    Sequence numbers are per sender and dense from 0, so every id a
+    module ever delivered is, per sender, a prefix ``0..w-1`` plus a few
+    ids above ``w`` that arrived ahead of a gap. The ledger keeps ``w``
+    per sender and a sparse set of the ids above it; an id joins the
+    watermark as soon as the gap below it closes. It answers ``in``
+    exactly as a ``set`` of every recorded id would, for any pair of
+    ints — a negative or huge ``seq`` off the wire, or a sender outside
+    the group, is simply kept in the sparse set.
+    """
+
+    __slots__ = ("_next", "_above")
+
+    def __init__(self) -> None:
+        #: Per sender, the first seq not yet recorded: every seq in
+        #: ``0..next-1`` is.
+        self._next: dict[int, int] = {}
+        #: Recorded ids that are not below their sender's watermark.
+        self._above: set[tuple[int, int]] = set()
+
+    def __contains__(self, msg_id: tuple[int, int]) -> bool:
+        sender, seq = msg_id
+        return 0 <= seq < self._next.get(sender, 0) or msg_id in self._above
+
+    def add(self, msg_id: tuple[int, int]) -> bool:
+        """Record *msg_id*; ``False`` if it was already recorded."""
+        sender, seq = msg_id
+        watermark = self._next.get(sender, 0)
+        if seq == watermark:
+            watermark += 1
+            above = self._above
+            while above and (sender, watermark) in above:
+                above.remove((sender, watermark))
+                watermark += 1
+            self._next[sender] = watermark
+            return True
+        if 0 <= seq < watermark or msg_id in self._above:
+            return False
+        self._above.add(msg_id)
+        return True
+
+    def update(self, ids: Iterable[tuple[int, int]]) -> None:
+        """Record every id of *ids*."""
+        for msg_id in ids:
+            self.add(msg_id)

@@ -1,5 +1,7 @@
 """Unit tests for the Ring Paxos acceptor, learner and stack wiring."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.abcast.ringpaxos import (
@@ -10,6 +12,7 @@ from repro.abcast.ringpaxos import (
     ring_stack,
 )
 from repro.consensus.messages import DecisionValue
+from repro.nemesis.swarm import generate_case, load_case, run_case
 from repro.stack.actions import Send, StartTimer
 from repro.stack.events import (
     AbcastRequest,
@@ -29,6 +32,8 @@ from tests.conftest import (
     sends_to_all,
 )
 from tests.harness import ModulePump
+
+NEMESIS_DATA = Path(__file__).resolve().parents[2] / "data" / "nemesis"
 
 
 def make_pump(n=3):
@@ -156,6 +161,63 @@ def test_guard_timer_re_forwards_a_stalled_token():
     assert (0, "ring-guard") in pump.timers  # re-armed while in flight
     pump.run()
     assert all(decisions(pump, pid) == [(0, value)] for pid in range(3))
+
+
+def test_a_token_no_peer_could_take_is_re_sent_once_a_suspicion_lifts():
+    """The coordinator re-routes its token while it suspects everyone
+    else: the ring has no room, so the lap waits. The wait must outlive
+    the suspicion — once p1 is trusted again the token goes out, or
+    instance 0 never decides at p0."""
+    pump = make_pump(3)
+    value = batch(0, app_message(sender=0))
+    pump.inject(0, ProposeRequest(0, value))
+    pump.drop_next()  # the token 0 -> 1 is lost
+    pump.crash(2)
+    pump.suspect(0, 2)
+    pump.suspect(0, 1)  # wrongly: p0 is alone, the lap cannot go on
+    assert not ring_token(pump)
+    pump.fire_timer(0, "ring-guard")  # still no room: the token stays held
+    assert not ring_token(pump) and (0, "ring-guard") in pump.timers
+    pump.unsuspect(0, 1)
+    assert [(m.src, m.dst) for m in ring_token(pump)] == [(0, 1)]
+    pump.suspect(1, 2)
+    pump.run()
+    assert decisions(pump, 0) == decisions(pump, 1) == [(0, value)]
+
+
+def test_a_proposal_made_while_suspecting_everyone_is_held_not_lost():
+    """Swarm cases ringpaxos/456 and /671: the coordinator proposes
+    while every peer is suspected, so the very first hop has nowhere to
+    go. The token is held and leaves as soon as a suspicion lifts."""
+    pump = make_pump(3)
+    pump.crash(2)
+    pump.suspect(0, 2)
+    pump.suspect(0, 1)
+    value = batch(0, app_message(sender=0))
+    pump.inject(0, ProposeRequest(0, value))
+    assert not ring_token(pump) and (0, "ring-guard") in pump.timers
+    pump.unsuspect(0, 1)
+    assert [(m.src, m.dst) for m in ring_token(pump)] == [(0, 1)]
+    pump.suspect(1, 2)
+    pump.run()
+    assert decisions(pump, 0) == decisions(pump, 1) == [(0, value)]
+
+
+def test_the_shrunk_swarm_stall_replays_clean():
+    """Swarm case ringpaxos/1301, shrunk to its two events: p2 crashes,
+    then p0 wrongly suspects p1 for 0.11 s while p1 has already decided
+    the instance p0 still circulates. Every invariant holds on replay."""
+    result = run_case(load_case(NEMESIS_DATA / "case-ringpaxos-seed1301.json"))
+    assert result.violations == ()
+    assert result.deliveries > 0
+
+
+@pytest.mark.parametrize("seed", [32, 456, 671, 1157])
+def test_swarm_cases_that_stalled_a_held_token_pass(seed):
+    """The other seeds of a 1 500-seed ringpaxos swarm that stalled
+    before the ring held a token it had no room for."""
+    result = run_case(generate_case("ringpaxos", seed, 3))
+    assert result.violations == ()
 
 
 def test_guard_goes_quiet_once_everything_is_decided():

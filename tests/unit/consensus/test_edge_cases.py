@@ -169,9 +169,10 @@ def test_join_for_a_fresh_instance_is_safe():
 # -- traffic for a retired instance ------------------------------------------
 #
 # A decided instance keeps its decision and nothing else (InstanceState
-# .retire). Whatever arrives for it afterwards must be answered as it
-# was when the round state was kept: literally the actions below, and
-# the actions of the never-retiring reference under the same stimulus.
+# .retire, then one slot of the decided prefix). Whatever arrives for it
+# afterwards must be answered as it was when the round state was kept:
+# literally the actions below, and the actions of the never-retiring
+# reference under the same stimulus.
 
 def decided_everywhere(kind, wrap=lambda module_class: module_class):
     """A group of three that ran instance 0 to its decision in a good run."""
@@ -245,7 +246,9 @@ def test_a_retired_instance_answers_late_traffic_as_before(kind, dst):
         assert actions == handle(kept, stimulus), label
         state = module.instance(0)
         assert state.retired and state.decided == value, label
-    assert set(module._instances) == {0}
+    # Instance 0 lives in the decided prefix as its decision alone, and
+    # no late stimulus gave it (or any other instance) state again.
+    assert module._decided == [value] and module._instances == {}
 
 
 def test_stray_acks_are_not_stored_before_or_after_the_decision():

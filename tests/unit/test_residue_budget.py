@@ -6,9 +6,10 @@ a soak or a live worker keeps: resident memory that grows with the
 length of the run, and GC-tracked containers every full collection
 walks again. The rule (``InstanceState.retire``, PROTOCOLS.md "Life
 cycle of a consensus instance") is that a decided instance keeps its
-decision and nothing else, and that the metrics collector forgets a
-message at its first delivery. Like ``test_import_budget.py`` this is
-structural and untimed: it counts objects, not seconds or bytes.
+decision and nothing else — once the decided prefix reaches it, one
+slot of a list that holds the decision — and that the metrics collector
+forgets a message at its first delivery. Like ``test_import_budget.py``
+this is structural and untimed: it counts objects, not seconds or bytes.
 """
 
 import gc
@@ -32,6 +33,7 @@ from repro.config import (
 from repro.consensus.base import BaseConsensus
 from repro.errors import StationarityWarning
 from repro.experiments.runner import Simulation
+from repro.types import Batch
 
 
 def monolithic_good_run(duration):
@@ -61,13 +63,27 @@ def modular_crash_run(duration):
     )
 
 
-def run(config):
-    """Run *config*; returns the simulation and the ids anyone adelivered."""
+def run(config, joined=None):
+    """Run *config*; returns the simulation and the ids anyone adelivered.
+
+    If *joined* is a set, it collects every instance whose round changed
+    anywhere in the group: each round change announces itself with a
+    ``JOIN`` to everyone.
+    """
     simulation = Simulation(config, seed=1)
     delivered = set()
     simulation.add_adeliver_listener(
         lambda pid, message, time: delivered.add(message.msg_id)
     )
+    if joined is not None:
+        transmit = simulation.network.transmit
+
+        def spy(message, depart_time):
+            if message.kind == "JOIN":
+                joined.add(message.payload.instance)
+            transmit(message, depart_time)
+
+        simulation.network.transmit = spy
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StationarityWarning)
         simulation.run()
@@ -110,24 +126,58 @@ def containers_reachable_from(module):
     return counts
 
 
+def tracked_besides_decisions(module):
+    """How many GC-tracked objects *module*'s state holds other than
+    its decided batches and what they carry (the decision is what a
+    decided instance is for; everything else is residue)."""
+    seen, stack, count = {id(module.ctx)}, [module], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (Batch, *NOT_STATE)):
+            continue
+        seen.add(id(obj))
+        count += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def decided_count(module):
+    """Instances *module* has decided: the prefix, and any beyond it."""
+    log = module._decided
+    return len(log) + sum(
+        state.decided is not None and state.instance >= len(log)
+        for state in module._instances.values()
+    )
+
+
 @pytest.mark.parametrize(
     "config", [monolithic_good_run(2.0), modular_crash_run(2.0)], ids=["good", "crash"]
 )
 def test_every_decided_instance_is_retired_unless_its_own_round_is_open(config):
-    simulation, __ = run(config)
+    joined = set()
+    simulation, __ = run(config, joined)
     crashes = bool(config.faultload.crashes)
+    assert bool(joined) == crashes
     for module in consensus_modules(simulation):
-        states = list(module._instances.values())
-        decided = [state for state in states if state.decided is not None]
-        assert len(decided) > 100, "the run is long enough to mean something"
-        kept = [state for state in decided if not state.retired]
+        log = module._decided
+        assert decided_count(module) > 100, "the run is long enough to mean something"
+        kept = [
+            state for state in module._instances.values()
+            if state.decided is not None and not state.retired
+        ]
         # Only a coordinator that decided through someone else's round
-        # keeps its state, so no more instances than changed round.
-        round_changes = sum(state.round > 1 for state in states)
-        assert bool(round_changes) == crashes
-        assert len(kept) <= round_changes
+        # keeps its state, so only an instance that changed round.
+        assert {state.instance for state in kept} <= joined
         for state in kept:
             assert state.proposal_sent_rounds and not state.decision_sent
+        # The prefix owns no InstanceState: its slots hold decisions,
+        # and a kept-whole instance alone is both a slot and an entry.
+        assert [k for k, slot in enumerate(log) if slot is None] == sorted(
+            state.instance for state in kept if state.instance < len(log)
+        )
+        for state in module._instances.values():
+            retired = state.decided is not None and state.retired
+            assert not retired or state.instance > len(log), "decided out of order"
 
 
 @pytest.mark.parametrize(
@@ -146,7 +196,15 @@ def test_containers_kept_do_not_grow_with_the_length_of_a_good_run():
     short, __ = run(monolithic_good_run(1.0))
     long, __ = run(monolithic_good_run(3.0))
     for brief, lengthy in zip(consensus_modules(short), consensus_modules(long)):
-        assert len(lengthy._instances) > 2.5 * len(brief._instances)
-        # The one container that grows is the map of instances itself;
-        # before retirement each decided instance added 3 dicts and 2 sets.
+        decided = decided_count(lengthy) - decided_count(brief)
+        assert decided > 1.5 * decided_count(brief)
+        # Open instances are those in flight, however long the run.
+        assert len(lengthy._instances) <= len(brief._instances) + 1
+        # No decided instance adds a dict or a set (before retirement
+        # each added 3 dicts and 2 sets).
         assert containers_reachable_from(lengthy) == containers_reachable_from(brief)
+        # What grows is one list slot per decided instance, which refers
+        # to the decision: next to that, not one object per hundred
+        # decided instances (the InstanceState shell was one each).
+        residue = tracked_besides_decisions(lengthy) - tracked_besides_decisions(brief)
+        assert residue <= decided / 100
