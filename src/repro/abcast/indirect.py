@@ -23,7 +23,6 @@ inside our calibrated model.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
 
 from repro.abcast.modular import ModularAtomicBroadcast
@@ -44,7 +43,7 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import ModuleContext
-from repro.types import AppMessage, Batch, MessageId
+from repro.types import AppMessage, Batch, MessageId, frozen_record
 
 #: Modelled bytes per message identifier on the wire.
 ID_WIRE_SIZE = 16
@@ -57,7 +56,7 @@ CONTENT_CACHE_SIZE = 4096
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class IdBatch:
     """A consensus value carrying message ids only.
 

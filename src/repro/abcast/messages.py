@@ -18,12 +18,11 @@ on a round change); it is re-exported for compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.consensus.messages import Ack, DecisionTag, JoinRound, Proposal
 from repro.net.wire import wire_payload
 from repro.stack.events import message_wire_size
-from repro.types import AppMessage
+from repro.types import AppMessage, frozen_record
 
 __all__ = [
     "Ack",
@@ -38,7 +37,7 @@ __all__ = [
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CombinedProposal:
     """§4.1: the round-1 proposal of instance k, optionally carrying the
     decision of instance k-1 as a piggybacked tag."""
@@ -55,7 +54,7 @@ class CombinedProposal:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AckWithDiffusion:
     """§4.2: an ack carrying the sender's pending abcast messages."""
 
@@ -68,7 +67,7 @@ class AckWithDiffusion:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Forward:
     """Pending abcast messages sent to the coordinator outside any ack
     (used when the group is idle, so there is no ack to ride)."""
@@ -81,7 +80,7 @@ class Forward:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RbDecision:
     """Decision tag wrapped for the relay-emulated reliable broadcast
     (ablation of §4.3 only)."""

@@ -39,7 +39,6 @@ e.g. while wrongly suspected — can always pull the outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.consensus.base import BaseConsensus
@@ -65,7 +64,7 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import Microprotocol, ModuleContext
-from repro.types import AppMessage, Batch, DeliveryLedger, MessageId
+from repro.types import AppMessage, Batch, DeliveryLedger, MessageId, frozen_record
 
 #: Modelled bytes per process id carried in a ring token's vote/learned sets.
 PER_VOTE_OVERHEAD = 4
@@ -84,7 +83,7 @@ GAP_SCAN_LIMIT = 256
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RingToken:
     """The lap-carrier of one ring consensus instance.
 

@@ -23,7 +23,6 @@ bounds what any fault-tolerant design gives up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 from repro.net.message import NetMessage
@@ -36,14 +35,14 @@ from repro.stack.events import (
     message_wire_size,
 )
 from repro.stack.module import Microprotocol, ModuleContext
-from repro.types import AppMessage
+from repro.types import AppMessage, frozen_record
 
 #: Bytes of sequencing metadata per sequenced message.
 SEQUENCE_OVERHEAD = 12
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Sequenced:
     """A message with its assigned global sequence number."""
 

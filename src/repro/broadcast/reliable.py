@@ -23,7 +23,6 @@ eventually rdeliver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.config import ReliableBroadcastVariant
@@ -37,14 +36,14 @@ from repro.stack.events import (
 from repro.stack.module import Microprotocol, ModuleContext
 from repro.net.message import NetMessage
 from repro.net.wire import wire_payload
-from repro.types import DeliveryLedger
+from repro.types import DeliveryLedger, frozen_record
 
 #: Modelled bytes of rbcast framing (origin, sequence number).
 RB_CONTROL_OVERHEAD = PER_MESSAGE_OVERHEAD
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RbMessage:
     """Wire payload of one reliable-broadcast transmission."""
 

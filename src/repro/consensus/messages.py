@@ -10,18 +10,17 @@ the textbook variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from repro.net.wire import wire_payload
 from repro.stack.events import batch_wire_size
-from repro.types import Batch
+from repro.types import Batch, frozen_record
 
 #: Modelled bytes of consensus control information (instance, round, type).
 CONTROL_OVERHEAD = 24
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class JoinRound:
     """Bad-run hint, broadcast when a process advances its round: a
     round change is underway, so every correct process must catch up and
@@ -40,7 +39,7 @@ class JoinRound:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Estimate:
     """Phase-1 message: a process's current estimate, sent to the round
     coordinator (only in rounds ≥ 2 for the optimized variant)."""
@@ -56,7 +55,7 @@ class Estimate:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Proposal:
     """Phase-2 message: the coordinator's proposed value for a round."""
 
@@ -70,7 +69,7 @@ class Proposal:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Ack:
     """Phase-3 message: acknowledgment of a round's proposal."""
 
@@ -83,7 +82,7 @@ class Ack:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DecisionTag:
     """Optimized decision: names the deciding round instead of carrying
     the value (receivers look the value up in the round's proposal)."""
@@ -97,7 +96,7 @@ class DecisionTag:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DecisionValue:
     """Full decision value; used by the textbook variant and by the
     recovery path of the tag optimization."""
@@ -111,7 +110,7 @@ class DecisionValue:
 
 
 @wire_payload
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RecoveryRequest:
     """Sent by a process that rdelivered a :class:`DecisionTag` without
     holding the corresponding round's proposal (possible only if the

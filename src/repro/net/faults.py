@@ -29,40 +29,37 @@ class FaultInjector:
 
     Filters are applied in registration order; the first ``None`` wins,
     and extra delays accumulate left to right from ``0.0``.
+    ``filters`` and ``crashed`` are public: the network reads both per
+    message, and calls :meth:`judge` only if a filter or a crash is due.
     """
 
-    __slots__ = ("_filters", "_crashed")
+    __slots__ = ("filters", "crashed")
 
     def __init__(self) -> None:
-        self._filters: list[MessageFilter] = []
-        self._crashed: set[int] = set()
+        self.filters: list[MessageFilter] = []
+        self.crashed: set[int] = set()
 
     def add_filter(self, message_filter: MessageFilter) -> None:
         """Register a message filter."""
-        self._filters.append(message_filter)
+        self.filters.append(message_filter)
 
     def mark_crashed(self, process: int) -> None:
         """Record that *process* has crashed (messages to it are dropped)."""
-        self._crashed.add(process)
+        self.crashed.add(process)
 
     def is_crashed(self, process: int) -> bool:
         """Whether *process* has crashed."""
-        return process in self._crashed
-
-    @property
-    def crashed(self) -> frozenset[int]:
-        """Set of processes known to have crashed."""
-        return frozenset(self._crashed)
+        return process in self.crashed
 
     def judge(self, message: NetMessage) -> float | None:
         """Extra delay of *message* after every filter, or ``None`` to drop it.
 
         A crashed destination drops the message before any filter runs.
         """
-        if message.dst in self._crashed:
+        if message.dst in self.crashed:
             return None
         total_delay = 0.0
-        for message_filter in self._filters:
+        for message_filter in self.filters:
             extra_delay = message_filter(message)
             if extra_delay is None:
                 return None

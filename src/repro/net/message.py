@@ -26,8 +26,12 @@ from repro.net.wire import WIRE_FORMAT_VERSION, check_version, decode_value, enc
 
 _MSG_COUNTER = itertools.count()
 
+#: ``uid`` default of :class:`NetMessage`: draw the next uid (``None``
+#: cannot mean that; a wire document may carry it).
+_DRAW_UID: Any = object()
 
-@dataclass(slots=True)
+
+@dataclass(slots=True, init=False)
 class NetMessage:
     """One point-to-point message on the simulated network.
 
@@ -41,7 +45,8 @@ class NetMessage:
             simulator; only its modelled size matters for timing).
         payload_size: Modelled serialized size of the payload in bytes.
         header_size: Modelled framing bytes (transport + module headers).
-        uid: Unique id for tracing and FIFO bookkeeping.
+        uid: Unique id for tracing and FIFO bookkeeping; drawn from a
+            process-wide counter unless given.
         wire_size: Total bytes occupying the link (computed; a plain
             attribute rather than a property because it is read several
             times per message on the simulator's hottest paths).
@@ -54,17 +59,29 @@ class NetMessage:
     payload: Any
     payload_size: int
     header_size: int
-    uid: int = field(default_factory=_MSG_COUNTER.__next__)
+    uid: int
     wire_size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.payload_size < 0:
-            raise NetworkError(f"negative payload size: {self.payload_size}")
-        if self.header_size < 0:
-            raise NetworkError(f"negative header size: {self.header_size}")
-        if self.src == self.dst:
-            raise NetworkError(f"message from {self.src} to itself")
-        self.wire_size = self.payload_size + self.header_size
+    # Hand-written so that building a message, checks included, is one frame.
+    def __init__(
+        self, kind: str, module: str, src: int, dst: int, payload: Any,
+        payload_size: int, header_size: int, uid: int = _DRAW_UID,
+    ) -> None:
+        if payload_size < 0:
+            raise NetworkError(f"negative payload size: {payload_size}")
+        if header_size < 0:
+            raise NetworkError(f"negative header size: {header_size}")
+        if src == dst:
+            raise NetworkError(f"message from {src} to itself")
+        self.kind = kind
+        self.module = module
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.payload_size = payload_size
+        self.header_size = header_size
+        self.uid = next(_MSG_COUNTER) if uid is _DRAW_UID else uid
+        self.wire_size = payload_size + header_size
 
     def __str__(self) -> str:
         return (
@@ -108,6 +125,10 @@ def decode_message(data: bytes) -> NetMessage:
     if not isinstance(document, dict):
         raise NetworkError(f"malformed wire message: {document!r}")
     check_version(document.get("v"))
+    for name in ("payload_size", "header_size"):
+        size = document.get(name, 0)  # a missing one is reported below
+        if type(size) is not int:  # refuses bool, 1.5 and Infinity too
+            raise NetworkError(f"malformed wire message: {name} {size!r} is not an int")
     try:
         return NetMessage(
             kind=document["kind"],
@@ -121,5 +142,3 @@ def decode_message(data: bytes) -> NetMessage:
         )
     except KeyError as exc:
         raise NetworkError(f"wire message missing field {exc}") from exc
-    except TypeError as exc:  # e.g. a size that does not compare to 0
-        raise NetworkError(f"malformed wire message: {exc}") from exc

@@ -61,21 +61,21 @@ class EventQueue:
     :meth:`push`) or a bare callback (from :meth:`post`).
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[SimTime, int, Any]] = []
+        self.heap: list[tuple[SimTime, int, Any]] = []
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, time: SimTime, callback: Callable[[], Any]) -> ScheduledEvent:
         """Schedule *callback* at *time* and return a cancellable handle."""
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(time, seq, callback)
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self.heap, (time, seq, event))
         return event
 
     def post(self, time: SimTime, callback: Callable[[], Any]) -> None:
@@ -86,7 +86,7 @@ class EventQueue:
         """
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, callback))
+        heapq.heappush(self.heap, (time, seq, callback))
 
     def pop(self) -> ScheduledEvent | None:
         """Remove and return the next live event, or ``None`` if empty.
@@ -95,7 +95,7 @@ class EventQueue:
         entries (from :meth:`post`) are wrapped in a fresh handle for a
         uniform return type.
         """
-        heap = self._heap
+        heap = self.heap
         while heap:
             time, seq, item = heapq.heappop(heap)
             if item.__class__ is ScheduledEvent:
@@ -107,7 +107,7 @@ class EventQueue:
 
     def peek_time(self) -> SimTime | None:
         """Time of the next live event without removing it."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             entry = heap[0]
             item = entry[2]

@@ -117,7 +117,7 @@ class Kernel:
         # The loop below is the single hottest function of the whole
         # simulator: peek/pop are fused and operate on the heap directly
         # (no per-event method-call round trips through EventQueue).
-        heap = self._queue._heap
+        heap = self._queue.heap
         heappop = heapq.heappop
         max_events = self._max_events
         executed = self._events_executed

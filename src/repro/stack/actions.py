@@ -9,10 +9,10 @@ the returned actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.stack.events import Event
+from repro.types import frozen_record
 
 
 class Action:
@@ -21,7 +21,7 @@ class Action:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Send(Action):
     """Send a point-to-point message through the network.
 
@@ -40,7 +40,7 @@ class Send(Action):
     payload_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class SendToAll(Action):
     """Send the same message to every other process (not to self).
 
@@ -56,21 +56,21 @@ class SendToAll(Action):
     payload_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class EmitUp(Action):
     """Deliver an event to the module directly above (or the application)."""
 
     event: Event
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class EmitDown(Action):
     """Deliver an event to the module directly below."""
 
     event: Event
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class StartTimer(Action):
     """Arm (or re-arm) a named timer on the emitting module.
 
@@ -84,7 +84,7 @@ class StartTimer(Action):
     payload: Any = None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class CancelTimer(Action):
     """Disarm a named timer. Cancelling a non-armed timer is a no-op."""
 

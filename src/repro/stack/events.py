@@ -10,10 +10,9 @@ cost the paper measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from repro.types import AppMessage, Batch
+from repro.types import AppMessage, Batch, frozen_record
 
 #: Modelled bytes of identification metadata (message id, sizes, flags)
 #: serialized alongside each application message or batch entry.
@@ -26,21 +25,21 @@ class Event:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AbcastRequest(Event):
     """Application → atomic broadcast: order and deliver this message."""
 
     message: AppMessage
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class AdeliverIndication(Event):
     """Atomic broadcast → application: next message in the total order."""
 
     message: AppMessage
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class ProposeRequest(Event):
     """Atomic broadcast → consensus: run instance ``instance`` with this
     initial value (a batch of unordered messages)."""
@@ -49,7 +48,7 @@ class ProposeRequest(Event):
     value: Batch
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DecideIndication(Event):
     """Consensus → atomic broadcast: instance ``instance`` decided."""
 
@@ -57,7 +56,7 @@ class DecideIndication(Event):
     value: Batch
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RbcastRequest(Event):
     """Consensus → reliable broadcast: reliably diffuse this payload."""
 
@@ -65,7 +64,7 @@ class RbcastRequest(Event):
     payload_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class RdeliverIndication(Event):
     """Reliable broadcast → consensus: a reliably broadcast payload."""
 

@@ -113,7 +113,8 @@ class StackRuntime:
         "_modules",
         "_by_name",
         "_height",
-        "_index",
+        "_above",
+        "_below",
         "_send_header",
         "_fd_header",
         "_timers",
@@ -150,9 +151,10 @@ class StackRuntime:
         self._by_name: dict[str, Microprotocol] = {}
         #: Height of each module: bottom module is 0.
         self._height: dict[str, int] = {}
-        #: Stack position of each module (0 = top); avoids list.index()
-        #: scans on the emit hot path.
-        self._index: dict[str, int] = {}
+        #: Each module's neighbour above and below (``None`` past the
+        #: top or the bottom), the targets of its EmitUp and EmitDown.
+        self._above: dict[str, Microprotocol | None] = {}
+        self._below: dict[str, Microprotocol | None] = {}
         #: Precomputed wire header bytes for sends from each module
         #: (base + one per-module header per descended module).
         self._send_header: dict[str, int] = {}
@@ -163,7 +165,8 @@ class StackRuntime:
             self._by_name[module.name] = module
             height = depth - 1 - index
             self._height[module.name] = height
-            self._index[module.name] = index
+            self._above[module.name] = modules[index - 1] if index else None
+            self._below[module.name] = modules[index + 1] if height else None
             self._send_header[module.name] = (
                 net_config.base_header + net_config.per_module_header * (height + 1)
             )
@@ -325,9 +328,26 @@ class StackRuntime:
             elif cls is SendToAll:
                 self._transmit(module, action, module.ctx.others)
             elif cls is EmitUp:
-                self._emit(module, action.event, direction=-1)
+                target = self._above[module.name]
+                if target is not None:
+                    self.boundary_crossings += 1
+                    self._cross(module, target, action.event)
+                elif isinstance(action.event, AdeliverIndication):
+                    self._upcall(action.event)
+                else:
+                    raise ProtocolError(
+                        f"top module emitted unexpected event "
+                        f"{type(action.event).__name__} to the application"
+                    )
             elif cls is EmitDown:
-                self._emit(module, action.event, direction=+1)
+                target = self._below[module.name]
+                if target is None:
+                    raise ProtocolError(
+                        f"module {module.name!r} emitted {type(action.event).__name__} "
+                        "below the bottom of the stack"
+                    )
+                self.boundary_crossings += 1
+                self._cross(module, target, action.event)
             elif cls is StartTimer:
                 self._start_timer(module, action)
             elif cls is CancelTimer:
@@ -338,24 +358,6 @@ class StackRuntime:
                 raise ProtocolError(
                     f"module {module.name!r} returned unknown action {action!r}"
                 )
-
-    def _emit(self, module: Microprotocol, event: Event, *, direction: int) -> None:
-        target_index = self._index[module.name] + direction
-        if direction < 0 and target_index < 0:
-            if not isinstance(event, AdeliverIndication):
-                raise ProtocolError(
-                    f"top module emitted unexpected event {type(event).__name__} "
-                    "to the application"
-                )
-            self._upcall(event)
-            return
-        if target_index >= len(self._modules):
-            raise ProtocolError(
-                f"module {module.name!r} emitted {type(event).__name__} below "
-                "the bottom of the stack"
-            )
-        self.boundary_crossings += 1
-        self._cross(module, self._modules[target_index], event)
 
     def _start_timer(self, module: Microprotocol, action: StartTimer) -> None:
         key = (module.name, action.name)
@@ -472,7 +474,8 @@ class ProcessRuntime(StackRuntime):
                 self._trace.record(
                     done, "abcast.submit", self.pid, event.message.msg_id
                 )
-        self._execute_actions(module, module.handle_event(event))
+        if actions := module.handle_event(event):
+            self._execute_actions(module, actions)
 
     def _receive(self, module: Microprotocol, message: NetMessage) -> None:
         # Same expression as recv_cost(wire) + height*boundary + dispatch,
@@ -552,7 +555,8 @@ class ProcessRuntime(StackRuntime):
         if self._trace.enabled:
             detail = ("boundary", cost, module.name, target.name)
             self._trace.record(done - cost, "span.cross", self.pid, detail)
-        self._execute_actions(target, target.handle_event(event))
+        if actions := target.handle_event(event):
+            self._execute_actions(target, actions)
 
     def _upcall(self, event: AdeliverIndication) -> None:
         cost = self.costs.adeliver
@@ -606,8 +610,9 @@ class ProcessRuntime(StackRuntime):
     # completes; a process that crashed in between never runs them.
 
     def _run_message(self, module: Microprotocol, message: NetMessage) -> None:
-        if self.alive:
-            self._execute_actions(module, module.handle_message(message))
+        # An empty action list (most arrivals) costs no further call.
+        if self.alive and (actions := module.handle_message(message)):
+            self._execute_actions(module, actions)
 
     def _run_timer(self, module: Microprotocol, action: StartTimer) -> None:
         if self.alive:

@@ -8,8 +8,11 @@ protocol and metrics packages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, NewType
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
+from typing import Any, Iterable, NamedTuple, NewType, TypeVar
+
+_T = TypeVar("_T")
 
 #: Identifier of a process in the group ``{0, 1, ..., n-1}``.
 ProcessId = NewType("ProcessId", int)
@@ -37,7 +40,42 @@ class MessageId(NamedTuple):
         return f"m({self.sender}:{self.seq})"
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_record(cls: type[_T]) -> type[_T]:
+    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` sets slots.
+
+    The dataclass's own ``__init__`` assigns each field through
+    ``object.__setattr__``, a generic lookup per field, on records the
+    simulator builds about twenty times per abcast; this one calls each
+    slot's member descriptor. Equality, hashing, ``repr``, ``fields()``,
+    ``replace()``, pickling and the refused assignment are unchanged. It
+    is compiled as file ``<record NAME>``, so a profile keeps one row per
+    class. Fields must be plain (positional, no ``InitVar``, ``ClassVar``
+    or ``default_factory``) and there may be no ``__post_init__``; anything
+    else raises :class:`TypeError` when the class is decorated.
+    """
+    record = dataclass(frozen=True, slots=True, init=False)(cls)
+    plain = fields(record)
+    if (
+        hasattr(record, "__post_init__")
+        or len(plain) != len(record.__dataclass_fields__)
+        or any(f.default_factory is not MISSING or not f.init or f.kw_only for f in plain)
+    ):
+        raise TypeError(f"{cls.__qualname__} is not a plain frozen record")
+    namespace = {f"_set_{f.name}": record.__dict__[f.name].__set__ for f in plain}
+    namespace.update({f"_default_{f.name}": f.default for f in plain})
+    params = "".join(
+        f", {f.name}" + ("" if f.default is MISSING else f"=_default_{f.name}")
+        for f in plain
+    )
+    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in plain) or "\n    pass"
+    source = f"def __init__(self{params}):{body}\n"
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    record.__init__ = namespace["__init__"]  # type: ignore[misc]
+    record.__init__.__qualname__ = f"{record.__qualname__}.__init__"
+    return record
+
+
+@frozen_record
 class AppMessage:
     """An application payload handed to ``abcast``.
 
@@ -60,7 +98,7 @@ class AppMessage:
         return f"{self.msg_id}[{self.size}B]"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class Batch:
     """An ordered batch of application messages decided by one consensus.
 
@@ -69,7 +107,7 @@ class Batch:
     """
 
     instance: int
-    messages: tuple[AppMessage, ...] = field(default=())
+    messages: tuple[AppMessage, ...] = ()
 
     @property
     def size_bytes(self) -> int:
@@ -78,7 +116,7 @@ class Batch:
 
     def in_delivery_order(self) -> tuple[AppMessage, ...]:
         """Messages sorted in the canonical adelivery order."""
-        return tuple(sorted(self.messages, key=lambda m: m.msg_id))
+        return tuple(sorted(self.messages, key=attrgetter("msg_id")))
 
     def __len__(self) -> int:
         return len(self.messages)

@@ -34,7 +34,7 @@ def _advance(kernel, until):
 
 def test_empty_faultload_installs_no_filters():
     __, injector = _installed(FaultloadConfig())
-    assert not injector._filters
+    assert not injector.filters
 
 
 def test_hold_partition_delays_severed_messages_until_heal():

@@ -8,6 +8,7 @@ and the text encoder writes exactly what dumping the structural
 encoding would.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -245,6 +246,52 @@ class TestMalformedFrames:
         for encoded in ({"$t": "bytes", "hex": "zz"}, {"$t": "Ack", "f": 5}, object()):
             with pytest.raises(NetworkError):
                 decode_value(encoded)
+
+
+class TestEnvelopeChecks:
+    """What NetMessage's own ``__init__`` does with what the wire hands it.
+
+    The constructor is written out by hand (one frame per message), so
+    these pin the behaviour of the generated one it replaced.
+    """
+
+    def test_a_null_uid_is_kept_not_drawn(self):
+        assert decode_message(document(uid=None)).uid is None
+
+    def test_a_missing_uid_is_refused(self):
+        fields = json.loads(document())
+        del fields["uid"]
+        with pytest.raises(NetworkError, match="missing field 'uid'"):
+            decode_message(json.dumps(fields).encode("utf-8"))
+
+    @pytest.mark.parametrize("field", ["payload_size", "header_size"])
+    @pytest.mark.parametrize(
+        "value", ["12", None, [12], {"n": 12}, 1.5, 12.0, True, float("inf")]
+    )
+    def test_sizes_that_are_not_integers_are_refused(self, field, value):
+        with pytest.raises(NetworkError, match="is not an int"):
+            decode_message(document(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["payload_size", "header_size"])
+    def test_negative_sizes_are_refused(self, field):
+        with pytest.raises(NetworkError, match="negative"):
+            decode_message(document(**{field: -1}))
+
+    def test_decoded_fields_and_wire_size(self):
+        message = decode_message(GOLDEN_PROPOSAL)
+        assert message == proposal_message()
+        assert message.wire_size == 2072 + 74
+
+    def test_a_local_message_draws_the_next_uid(self):
+        first = NetMessage("k", "m", 0, 1, None, 1, 1)
+        second = NetMessage("k", "m", 0, 1, None, 1, 1)
+        assert second.uid == first.uid + 1
+        assert first != second and repr(first).endswith(f"uid={first.uid})")
+
+    def test_replace_keeps_the_uid_and_recomputes_the_size(self):
+        message = proposal_message()
+        bigger = dataclasses.replace(message, payload_size=3000)
+        assert (bigger.uid, bigger.wire_size) == (42, 3074)
 
 
 class TestFuzz:
