@@ -19,79 +19,51 @@ Quickstart::
     print(result.metrics.latency_mean, result.metrics.throughput)
 """
 
-from repro.analysis import predict_gap as analytical_compare
-from repro.config import (
-    ArrivalProcess,
-    ConsensusVariant,
-    CpuCosts,
-    CrashEvent,
-    DelaySpike,
-    FailureDetectorConfig,
-    FailureDetectorKind,
-    FaultloadConfig,
-    FlowControlConfig,
-    LinkFaultMode,
-    LossBurst,
-    MonolithicOptimizations,
-    NetworkConfig,
-    PartitionEvent,
-    ReliableBroadcastVariant,
-    RunConfig,
-    StackConfig,
-    StackKind,
-    WorkloadConfig,
-    WrongSuspicion,
-    modular_stack,
-    monolithic_stack,
-)
-from repro.errors import (
-    ConfigurationError,
-    OrderingViolation,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-)
-from repro.experiments.runner import RunResult, Simulation, run_simulation
-from repro.metrics.ordering import OrderingChecker
-from repro.types import AppMessage, Batch, MessageId
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AppMessage",
-    "ArrivalProcess",
-    "Batch",
-    "ConfigurationError",
-    "ConsensusVariant",
-    "CpuCosts",
-    "CrashEvent",
-    "DelaySpike",
-    "FailureDetectorConfig",
-    "FailureDetectorKind",
-    "FaultloadConfig",
-    "FlowControlConfig",
-    "LinkFaultMode",
-    "LossBurst",
-    "MessageId",
-    "MonolithicOptimizations",
-    "NetworkConfig",
-    "OrderingChecker",
-    "OrderingViolation",
-    "PartitionEvent",
-    "ProtocolError",
-    "ReliableBroadcastVariant",
-    "ReproError",
-    "RunConfig",
-    "RunResult",
-    "Simulation",
-    "SimulationError",
-    "StackConfig",
-    "StackKind",
-    "WorkloadConfig",
-    "WrongSuspicion",
-    "analytical_compare",
-    "modular_stack",
-    "monolithic_stack",
-    "run_simulation",
-    "__version__",
-]
+# Every name below loads its submodule on first use: ``import repro``
+# alone imports nothing else, and a simulated run never loads the
+# analytical model or the live runtime it does not use.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analysis": ("predict_gap as analytical_compare",),
+        ".config": (
+            "ArrivalProcess",
+            "ConsensusVariant",
+            "CpuCosts",
+            "CrashEvent",
+            "DelaySpike",
+            "FailureDetectorConfig",
+            "FailureDetectorKind",
+            "FaultloadConfig",
+            "FlowControlConfig",
+            "LinkFaultMode",
+            "LossBurst",
+            "MonolithicOptimizations",
+            "NetworkConfig",
+            "PartitionEvent",
+            "ReliableBroadcastVariant",
+            "RunConfig",
+            "StackConfig",
+            "StackKind",
+            "WorkloadConfig",
+            "WrongSuspicion",
+            "modular_stack",
+            "monolithic_stack",
+        ),
+        ".errors": (
+            "ConfigurationError",
+            "OrderingViolation",
+            "ProtocolError",
+            "ReproError",
+            "SimulationError",
+        ),
+        ".experiments.runner": ("RunResult", "Simulation", "run_simulation"),
+        ".metrics.ordering": ("OrderingChecker",),
+        ".types": ("AppMessage", "Batch", "MessageId"),
+    },
+)
+__all__ += ["__version__"]

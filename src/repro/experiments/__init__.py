@@ -17,64 +17,26 @@ Submodules:
   measured operating points.
 """
 
-from repro.experiments.calibration import (
-    CalibrationResult,
-    CalibrationTarget,
-    calibrate,
-)
-from repro.experiments.crossover import (
-    GapPoint,
-    gap_series,
-    peak_gap,
-    saturation_knee,
-)
-from repro.experiments.export import write_sweep_csv
-from repro.experiments.figures import (
-    FigureReport,
-    all_figures,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-)
-from repro.experiments.msc import Arrow, extract_arrows, render_msc
-from repro.experiments.runner import (
-    DEFAULT_DRAIN,
-    RunResult,
-    Simulation,
-    run_simulation,
-)
-from repro.experiments.sweeps import (
-    PointSummary,
-    SweepResult,
-    run_load_sweep,
-    run_size_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_DRAIN",
-    "Arrow",
-    "CalibrationResult",
-    "CalibrationTarget",
-    "FigureReport",
-    "GapPoint",
-    "PointSummary",
-    "RunResult",
-    "Simulation",
-    "SweepResult",
-    "all_figures",
-    "calibrate",
-    "extract_arrows",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "gap_series",
-    "peak_gap",
-    "render_msc",
-    "run_load_sweep",
-    "run_simulation",
-    "saturation_knee",
-    "run_size_sweep",
-    "write_sweep_csv",
-]
+# A name loads its submodule on first use, so a simulated run (which
+# needs only the runner) never loads the figure drivers or calibration.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".calibration": ("CalibrationResult", "CalibrationTarget", "calibrate"),
+        ".crossover": ("GapPoint", "gap_series", "peak_gap", "saturation_knee"),
+        ".export": ("write_sweep_csv",),
+        ".figures": (
+            "FigureReport",
+            "all_figures",
+            "figure8",
+            "figure9",
+            "figure10",
+            "figure11",
+        ),
+        ".msc": ("Arrow", "extract_arrows", "render_msc"),
+        ".runner": ("DEFAULT_DRAIN", "RunResult", "Simulation", "run_simulation"),
+        ".sweeps": ("PointSummary", "SweepResult", "run_load_sweep", "run_size_sweep"),
+    },
+)

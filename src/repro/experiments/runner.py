@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.abcast.factory import build_process, build_stack
 from repro.config import FailureDetectorKind, RunConfig, WrongSuspicion
@@ -34,7 +34,9 @@ from repro.sim.tracing import TraceRecorder
 from repro.stack.runtime import AdeliverListener, ProcessRuntime
 from repro.types import AppMessage, SimTime
 from repro.workload.generator import ArrivalSchedule, FlowControlledSender
-from repro.workload.population import ClientPopulation
+
+if TYPE_CHECKING:  # pragma: no cover - loaded with a configured population
+    from repro.workload.population import ClientPopulation
 
 #: Simulated seconds the kernel keeps running after the measurement
 #: window closes, so in-flight messages finish delivering.
@@ -142,6 +144,8 @@ class Simulation:
         #: Lazy client-population model, when one is configured.
         self.population: ClientPopulation | None = None
         if with_workload and config.workload.population is not None:
+            from repro.workload.population import ClientPopulation
+
             self.population = ClientPopulation(
                 config.workload.population, config.n, self.kernel.rng.stream
             )

@@ -17,7 +17,6 @@ from typing import Callable
 
 from repro.config import RunConfig, StackKind, WorkloadConfig
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import run_simulations
 from repro.experiments.runner import RunResult
 from repro.metrics.stats import (
     ConfidenceInterval,
@@ -219,6 +218,11 @@ def _sweep(
                 )
                 specs.append((n, stack, float(value), config))
     tasks = [(config, seed) for _, _, _, config in specs for seed in seeds]
+    # The process pool (multiprocessing, concurrent.futures) loads when a
+    # sweep runs, not with this module: the canonical-JSON export and a
+    # single simulation import it too.
+    from repro.experiments.parallel import run_simulations
+
     results = run_simulations(tasks, jobs=jobs)
     width = len(seeds)
     points = tuple(

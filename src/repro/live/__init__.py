@@ -7,18 +7,22 @@ network costs; this package executes the *unchanged*
 processes on localhost (or a LAN), matching the paper's Fortika-over-TCP
 testbed methodology:
 
-* :mod:`repro.live.transport` — length-prefixed framing over asyncio TCP
-  with per-peer FIFO streams and reconnect-with-backoff;
+* :mod:`repro.live.framing` — the length-prefixed framing of every live
+  stream, with no event loop;
+* :mod:`repro.live.transport` — per-peer FIFO streams over asyncio TCP
+  with acks and reconnect-with-backoff;
 * :mod:`repro.live.runtime` — :class:`~repro.live.runtime.LiveRuntime`,
   the wall-clock backend of the stack interpreter
   (:class:`~repro.stack.runtime.StackRuntime`);
 * :mod:`repro.live.worker` — one protocol process (spawned as
   ``python -m repro.live.worker``);
-* :mod:`repro.live.deploy` — the orchestrator: spawns workers, drives
-  the open-loop workload, collects samples over a control channel and
-  reduces them to the same schema as the simulator's ``RunResult``; it
-  declares every document of that channel, and each worker's spec, as
-  a dataclass that :func:`repro.config.read_fields` reads back;
+* :mod:`repro.live.deploy` — what a deployment is: it declares every
+  document of the control channel, and each worker's spec, as a
+  dataclass that :func:`repro.config.read_fields` reads back, and
+  reduces the collected samples to the same schema as the simulator's
+  ``RunResult``; it imports no asyncio;
+* :mod:`repro.live.orchestrator` — what runs one: spawns the workers,
+  serves the control channel and watches the run;
 * :mod:`repro.live.wal` — the per-worker write-ahead delivery log
   (CRC-framed, fsync-batched) crash recovery reads back;
 * :mod:`repro.live.faults` — ``nemesis --live``: compile a faultload
@@ -27,23 +31,18 @@ testbed methodology:
 * :mod:`repro.live.compare` — sim-vs-live side-by-side reports.
 """
 
-from repro.live.deploy import LiveSpec, run_live
-from repro.live.faults import LiveNemesisReport, run_nemesis_live
-from repro.live.runtime import LiveRuntime
-from repro.live.transport import FrameDecoder, Transport, encode_frame
-from repro.live.wal import WalState, WalWriter, load_wal_state, read_wal
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FrameDecoder",
-    "LiveNemesisReport",
-    "LiveRuntime",
-    "LiveSpec",
-    "Transport",
-    "WalState",
-    "WalWriter",
-    "encode_frame",
-    "load_wal_state",
-    "read_wal",
-    "run_live",
-    "run_nemesis_live",
-]
+# A name loads its submodule on first use: describing a deployment
+# (``LiveSpec``) must not load asyncio, the transport or the WAL.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".deploy": ("LiveSpec", "run_live"),
+        ".faults": ("LiveNemesisReport", "run_nemesis_live"),
+        ".framing": ("FrameDecoder", "encode_frame"),
+        ".runtime": ("LiveRuntime",),
+        ".transport": ("Transport",),
+        ".wal": ("WalState", "WalWriter", "load_wal_state", "read_wal"),
+    },
+)

@@ -12,8 +12,9 @@ fault event            simulator compilation                      live compilati
                                                                   restart with WAL crash recovery
 ``PartitionEvent``     hold/drop queued messages in the network   transport-level HOLD/DROP link
                        model                                      directives over the control channel
-``DelaySpike``         add latency in the network model           per-frame sleep in the transport
-                                                                  sender loops
+``DelaySpike``         add latency in the network model           one ``call_later`` wait in the
+                                                                  link's ``flush``; the frames queued
+                                                                  during it leave together
 ``LossBurst``          probabilistic per-message loss             *unsupported live* (rejected)
 ``WrongSuspicion``     force, then retract, the observer's FD     *unsupported live* (rejected)
 =====================  =========================================  ====================================
@@ -47,7 +48,8 @@ from pathlib import Path
 
 from repro.config import FaultloadConfig, LinkFaultMode
 from repro.errors import DeploymentError
-from repro.live.deploy import Fault, FaultOp, LiveSpec, _deployment, _reduce, _watch
+from repro.live.deploy import Fault, FaultOp, LiveSpec, _reduce
+from repro.live.orchestrator import _deployment, _watch
 from repro.live.wal import _Accept, _Deliver, _read_records, read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
 from repro.types import AppMessage, MessageId

@@ -23,8 +23,8 @@ it connects, writes the HELLO, waits for the connection to be lost and
 backs off.
 
 Framing: each frame is a 4-byte big-endian length prefix followed by
-the body (see :func:`encode_frame` / :class:`FrameDecoder`; the decoder
-is a plain incremental parser so framing is testable without sockets).
+the body (:mod:`repro.live.framing`, re-exported here; the decoder is a
+plain incremental parser so framing is testable without sockets).
 The first frame on every outgoing connection is a HELLO identifying the
 dialing process and the wire-format version; everything after is an
 encoded :class:`~repro.net.message.NetMessage`.
@@ -62,14 +62,14 @@ from itertools import islice
 from typing import Callable
 
 from repro.errors import NetworkError
+from repro.live.framing import (  # noqa: F401 - FrameDecoder is re-exported
+    MAX_FRAME_SIZE,
+    FrameDecoder,
+    _scan_frames,
+    encode_frame,
+)
 from repro.net.message import NetMessage, decode_message, encode_message
 from repro.net.wire import WIRE_FORMAT_VERSION, check_version, encode_text
-
-#: Refuse frames bigger than this (a corrupt length prefix otherwise
-#: asks the decoder to buffer gigabytes).
-MAX_FRAME_SIZE = 64 * 1024 * 1024
-
-_LENGTH = struct.Struct(">I")
 
 #: Cumulative frame counts exchanged by the ack protocol.
 _COUNT = struct.Struct(">Q")
@@ -121,69 +121,6 @@ def next_backoff(
     expected delay still grows geometrically while the outage lasts.
     """
     return min(cap, rng.uniform(initial, max(initial, previous * 3.0)))
-
-
-def encode_frame(body: bytes) -> bytes:
-    """Length-prefix *body* for the stream."""
-    if len(body) > MAX_FRAME_SIZE:
-        raise NetworkError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_SIZE}")
-    return _LENGTH.pack(len(body)) + body
-
-
-def _scan_frames(
-    view: memoryview, end: int, max_frame: int
-) -> tuple[list[bytes], int, int]:
-    """Split ``view[:end]`` into the complete frames it starts with.
-
-    Returns ``(frames, consumed, need)``: the frame bodies in order, how
-    many bytes they and their prefixes took, and the total size (prefix
-    included) of the incomplete frame that follows — 0 while not even
-    its length prefix is complete.
-    """
-    frames: list[bytes] = []
-    cursor = 0
-    need = 0
-    prefix = _LENGTH.size
-    while end - cursor >= prefix:
-        (length,) = _LENGTH.unpack_from(view, cursor)
-        if length > max_frame:
-            raise NetworkError(f"incoming frame of {length} bytes exceeds {max_frame}")
-        stop = cursor + prefix + length
-        if stop > end:
-            need = prefix + length
-            break
-        frames.append(bytes(view[cursor + prefix : stop]))
-        cursor = stop
-    return frames, cursor, need
-
-
-class FrameDecoder:
-    """Incremental frame parser tolerant of split and coalesced reads.
-
-    TCP is a byte stream: one ``read()`` may return half a frame or
-    twelve frames and a half. Feed whatever arrives; complete frames
-    come out, the remainder stays buffered.
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME_SIZE) -> None:
-        self._buffer = bytearray()
-        self._max_frame = max_frame
-
-    def feed(self, data: bytes | bytearray | memoryview) -> list[bytes]:
-        """Absorb *data*; return every frame it completed, in order."""
-        buffer = self._buffer
-        buffer += data
-        # The view must be gone before the bytearray is resized.
-        with memoryview(buffer) as view:
-            frames, consumed, __ = _scan_frames(view, len(buffer), self._max_frame)
-        if consumed:
-            del buffer[:consumed]
-        return frames
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered waiting for the rest of a frame."""
-        return len(self._buffer)
 
 
 def hello_frame(pid: int, nonce: int = 0) -> bytes:
@@ -715,7 +652,7 @@ class Transport:
             link.delay = (extra, jitter)
 
     def clear_link_delay(self, peers: set[int] | frozenset[int]) -> None:
-        """Remove the extra per-frame delay towards *peers*."""
+        """Remove the delay spike towards *peers*."""
         for link in self._links_to(peers):
             link.delay = None
             link.flush()

@@ -60,10 +60,10 @@ from repro.live.deploy import (
     Stop,
     Telemetry,
     WorkerSpec,
-    control_documents,
     control_frame,
     matched_run_config,
 )
+from repro.live.orchestrator import control_documents
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import Transport, narrate
 from repro.live.wal import WalState, WalWriter, load_wal_state

@@ -22,29 +22,24 @@ compile layer — import :mod:`repro.nemesis.swarm` explicitly to keep
 that edge one-directional.
 """
 
-from repro.nemesis.invariants import InvariantMonitor, Violation
-from repro.nemesis.partitions import install_link_faults
-from repro.nemesis.schedule import (
-    SCENARIOS,
-    dump_faultload,
-    faultload_from_dict,
-    faultload_to_dict,
-    generate_faultload,
-    load_faultload,
-    named_scenario,
-    resolve_faultload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCENARIOS",
-    "InvariantMonitor",
-    "Violation",
-    "dump_faultload",
-    "faultload_from_dict",
-    "faultload_to_dict",
-    "generate_faultload",
-    "install_link_faults",
-    "load_faultload",
-    "named_scenario",
-    "resolve_faultload",
-]
+# A name loads its submodule on first use: the simulator imports the
+# compile layer (``partitions``) for every run, the rest only when used.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".invariants": ("InvariantMonitor", "Violation"),
+        ".partitions": ("install_link_faults",),
+        ".schedule": (
+            "SCENARIOS",
+            "dump_faultload",
+            "faultload_from_dict",
+            "faultload_to_dict",
+            "generate_faultload",
+            "load_faultload",
+            "named_scenario",
+            "resolve_faultload",
+        ),
+    },
+)

@@ -23,33 +23,23 @@ drives traced runs for ``python -m repro profile``;
 :mod:`repro.obs.format` renders trace slices and span tables.
 """
 
-from repro.obs.attribution import LayerAttribution
-from repro.obs.format import format_trace_slice
-from repro.obs.perfetto import (
-    chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.spans import (
-    Span,
-    span_balance,
-    spans_from_serialized,
-    spans_from_trace,
-    validate_spans,
-)
-from repro.obs.telemetry import summarize_telemetry, telemetry_rows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LayerAttribution",
-    "Span",
-    "chrome_trace",
-    "format_trace_slice",
-    "span_balance",
-    "spans_from_serialized",
-    "spans_from_trace",
-    "summarize_telemetry",
-    "telemetry_rows",
-    "validate_chrome_trace",
-    "validate_spans",
-    "write_chrome_trace",
-]
+# A name loads its submodule on first use: every simulated run needs the
+# attribution, few need the Perfetto exporter or the trace formatter.
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".attribution": ("LayerAttribution",),
+        ".format": ("format_trace_slice",),
+        ".perfetto": ("chrome_trace", "validate_chrome_trace", "write_chrome_trace"),
+        ".spans": (
+            "Span",
+            "span_balance",
+            "spans_from_serialized",
+            "spans_from_trace",
+            "validate_spans",
+        ),
+        ".telemetry": ("summarize_telemetry", "telemetry_rows"),
+    },
+)

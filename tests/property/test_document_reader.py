@@ -44,9 +44,9 @@ from repro.live.deploy import (
     Stop,
     Telemetry,
     WorkerSpec,
-    control_documents,
     worker_spec,
 )
+from repro.live.orchestrator import control_documents
 from repro.live.transport import encode_frame
 from repro.nemesis.swarm import NemesisCase
 

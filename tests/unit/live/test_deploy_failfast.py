@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.errors import DeploymentError
-from repro.live.deploy import _watch, _worker_failure
+from repro.live.orchestrator import _watch, _worker_failure
 from repro.live.worker import CRASH_EXIT_CODE
 
 

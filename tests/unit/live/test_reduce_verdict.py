@@ -13,8 +13,9 @@ import time
 import pytest
 
 from repro.errors import OrderingViolation
-from repro.live import deploy
-from repro.live.deploy import Done, LiveSpec, Samples, _ControlServer, _reduce
+from repro.live import deploy, orchestrator
+from repro.live.deploy import Done, LiveSpec, Samples, _reduce
+from repro.live.orchestrator import _ControlServer
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.ordering import OrderingChecker
 from repro.types import MessageId
@@ -107,6 +108,6 @@ def test_run_live_judges_the_run_without_being_asked(monkeypatch):
     async def finished_deployment(spec, expected_dead=frozenset()):
         yield forked, [], time.monotonic() - 3600.0, None
 
-    monkeypatch.setattr(deploy, "_deployment", finished_deployment)
+    monkeypatch.setattr(orchestrator, "_deployment", finished_deployment)
     with pytest.raises(OrderingViolation, match="total-order"):
         deploy.run_live(SPEC)  # no delivery_log, no checker of the caller's

@@ -8,6 +8,7 @@ import pytest
 
 import repro.config
 import repro.live.deploy as deploy
+import repro.live.orchestrator as orchestrator
 import repro.live.transport as transport
 from repro.errors import ConfigurationError
 from repro.live.deploy import LiveSpec
@@ -16,9 +17,9 @@ from repro.live.deploy import LiveSpec
 @pytest.fixture
 def no_spawning(monkeypatch):
     def spawn(document):
-        raise AssertionError(f"worker {document['pid']} spawned for a bad spec")
+        raise AssertionError(f"worker {document.pid} spawned for a bad spec")
 
-    monkeypatch.setattr(deploy, "_spawn_worker", spawn)
+    monkeypatch.setattr(orchestrator, "_spawn_worker", spawn)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sanity checks on the public API surface."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -53,3 +54,42 @@ def test_quickstart_snippet_from_the_readme():
     )
     result = run_simulation(config, seed=1)
     assert result.metrics.throughput > 0
+
+
+#: The packages whose ``__init__`` re-exports lazily (``repro._lazy``).
+LAZY_PACKAGES = [
+    "repro",
+    "repro.experiments",
+    "repro.nemesis",
+    "repro.obs",
+    "repro.live",
+]
+
+
+def defined_in_a_submodule(package: str, name: str, value: object) -> bool:
+    """Whether *value* is the object some submodule of *package* binds to
+    *name* (or to its own ``__name__``, for a re-export under an alias)."""
+    names = {name, getattr(value, "__name__", name)}
+    return any(
+        getattr(module, each, None) is value
+        for key, module in list(sys.modules.items())
+        if key.startswith(package + ".")
+        for each in names
+    )
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_a_lazy_table_resolves_every_name_it_lists(package):
+    mod = importlib.import_module(package)
+    for name in mod.__all__:
+        value = getattr(mod, name)
+        if name != "__version__":
+            assert defined_in_a_submodule(package, name, value), name
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    assert set(mod.__all__) <= star.keys()
+    listed = dir(mod)
+    assert set(mod.__all__) <= set(listed)
+    assert [name for name in listed if not hasattr(mod, name)] == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(mod, "no_such_name")
