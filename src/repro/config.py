@@ -648,22 +648,6 @@ class FaultloadConfig:
             p.mode is LinkFaultMode.HOLD for p in self.partitions
         ) and all(b.mode is LinkFaultMode.HOLD for b in self.loss_bursts)
 
-    def last_disruption_time(self) -> float:
-        """Time after which the network and FDs are quiet again.
-
-        Crashes disrupt forever in one sense, but the protocols are
-        designed to make progress once the crash is *detected*; for the
-        watchdog's purposes a crash's disruption ends at the crash time
-        itself (detection latency is covered by the watchdog bound).
-        """
-        times = [0.0]
-        times.extend(crash.time for crash in self.crashes)
-        times.extend(p.heal for p in self.partitions)
-        times.extend(b.end for b in self.loss_bursts)
-        times.extend(s.end for s in self.delay_spikes)
-        times.extend(s.time + s.duration for s in self.wrong_suspicions)
-        return max(times)
-
     def events(self) -> tuple[Any, ...]:
         """All atomic fault events, in declaration order (for shrinking)."""
         return tuple(

@@ -25,7 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".calibration": ("CalibrationResult", "CalibrationTarget", "calibrate"),
-        ".crossover": ("GapPoint", "gap_series", "peak_gap", "saturation_knee"),
+        ".crossover": ("GapPoint", "gap_series"),
         ".export": ("write_sweep_csv",),
         ".figures": (
             "FigureReport",

@@ -1,17 +1,9 @@
-"""Knee and gap analysis of sweep curves.
+"""Gap analysis of sweep curves.
 
-The paper's prose claims live in curve *features*: "the latency of both
-implementations remains relatively constant above a certain offered
-load" (the flow-control knee, Fig. 8), "the throughput remains constant
-up to messages of size 4096 for n = 7 and 16384 for n = 3" (the size
-knee, Fig. 11), "the difference in latency is up to 50 %" (the peak
-gap). This module extracts those features from sweep results so the
-claims become assertions instead of eyeballing:
-
-* :func:`saturation_knee` — first x beyond which a curve stays within a
-  tolerance band of its final plateau;
-* :func:`gap_series` — the modular-vs-monolithic gap at every x;
-* :func:`peak_gap` — the paper's headline "up to X %" number.
+The paper's headline claims are gaps between two curves: "the
+difference in latency is up to 50 %". :func:`gap_series` extracts the
+modular-vs-monolithic gap at every x of a sweep, so the claims become
+assertions instead of eyeballing.
 """
 
 from __future__ import annotations
@@ -32,34 +24,6 @@ def _series_values(
     if metric not in ("latency", "throughput"):
         raise MetricsError(f"unknown metric {metric!r}")
     return [(point.x, getattr(point, metric).mean) for point in series]
-
-
-def saturation_knee(
-    sweep: SweepResult,
-    n: int,
-    stack: StackKind,
-    metric: str,
-    *,
-    tolerance: float = 0.15,
-) -> float:
-    """Smallest x from which the curve stays within *tolerance* of its
-    final value — the plateau onset (Fig. 8/10) or, read from the other
-    side, the last x before size-degradation (Fig. 9/11).
-
-    Returns the first x of the longest stable suffix; if the curve never
-    stabilizes, returns the final x.
-    """
-    points = _series_values(sweep, n, stack, metric)
-    final = points[-1][1]
-    if final == 0:
-        raise MetricsError("cannot locate a knee on an all-zero curve")
-    knee = points[-1][0]
-    for x, value in reversed(points):
-        if abs(value - final) / abs(final) <= tolerance:
-            knee = x
-        else:
-            break
-    return knee
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,17 +64,3 @@ def gap_series(
             gaps.append(GapPoint(x, cont[x] / base[x] - 1.0))
     return gaps
 
-
-def peak_gap(
-    sweep: SweepResult,
-    n: int,
-    metric: str,
-    *,
-    baseline: StackKind = StackKind.MODULAR,
-    contender: StackKind = StackKind.MONOLITHIC,
-) -> GapPoint:
-    """The paper's headline number: the largest gap along a sweep."""
-    return max(
-        gap_series(sweep, n, metric, baseline=baseline, contender=contender),
-        key=lambda p: p.gap,
-    )

@@ -17,18 +17,18 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.abcast.factory import build_process, build_stack
-from repro.config import FailureDetectorKind, RunConfig, WrongSuspicion
+from repro.config import FailureDetectorKind, RunConfig
 from repro.errors import ConfigurationError, StationarityWarning
 from repro.fd.base import FailureDetector
 from repro.fd.heartbeat import HeartbeatFailureDetector
 from repro.fd.oracle import OracleFailureDetector
 from repro.flowcontrol.window import BacklogWindow
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.nemesis.partitions import install_link_faults
+from repro.nemesis.steps import compile_faultload, install_link_faults
 from repro.net.faults import FaultInjector
 from repro.net.network import Network
 from repro.net.stats import NetworkStats
-from repro.obs.attribution import LayerAttribution, delta_layers
+from repro.obs.attribution import EMPTY_ATTRIBUTION, LayerAttribution, delta_layers
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import TraceRecorder
 from repro.stack.runtime import AdeliverListener, ProcessRuntime
@@ -115,10 +115,11 @@ class Simulation:
         #: with the same signature; the nemesis swarm uses it to inject
         #: deliberately-broken stacks as test fixtures.
         self._stack_factory = stack_factory if stack_factory is not None else build_stack
-        # Link-level faults (partitions, loss, delay) filter messages
-        # from the first transmit on, so they are compiled before any
-        # process is built.
-        install_link_faults(self.faults, config.faultload, self.kernel)
+        #: The faultload as timed steps; link faults (partitions, loss,
+        #: delay) filter messages from the first transmit on, so they are
+        #: installed before any process is built.
+        self.fault_steps = compile_faultload(config.faultload)
+        install_link_faults(self.faults, self.fault_steps, self.kernel)
         self.network = Network(
             self.kernel,
             config.n,
@@ -188,7 +189,7 @@ class Simulation:
         self._boundary_at_warmup: list[tuple[float, int]] = [
             (0.0, 0)
         ] * config.n
-        self._attribution: LayerAttribution | None = None
+        self._attribution = EMPTY_ATTRIBUTION
         self._started = False
 
     # -- wiring -----------------------------------------------------------
@@ -279,33 +280,34 @@ class Simulation:
                 detector.observe_crash(pid)
 
     def _schedule_faultload(self) -> None:
-        faultload = self.config.faultload
-        for crash in faultload.crashes:
-            self.kernel.schedule_at(
-                crash.time, lambda pid=crash.process: self.crash(pid)
-            )
-        for event in faultload.wrong_suspicions:
-            self.kernel.schedule_at(event.time, partial(self._suspect, event))
-            self.kernel.schedule_at(
-                event.time + event.duration, partial(self._retract, event)
-            )
+        """Schedule the crash and wrong-suspicion steps (the link steps
+        are the filters installed at construction)."""
+        for step in self.fault_steps:
+            if step.kind == "crash":
+                action = partial(self.crash, step.process)
+            elif step.kind == "suspect":
+                action = partial(self._suspect, step.process, step.suspect)
+            elif step.kind == "retract":
+                action = partial(self._retract, step.process, step.suspect)
+            else:
+                continue
+            self.kernel.schedule_at(step.at, action)
 
-    def _suspect(self, event: WrongSuspicion) -> None:
-        """Make a live observer suspect *event.suspect*, who may be alive.
+    def _suspect(self, observer: int, suspect: int) -> None:
+        """Make a live *observer* suspect *suspect*, who may be alive.
 
         ◇S permits detectors to be wrong for arbitrary finite periods;
         a heartbeat detector may retract earlier on its own when the
         suspect is next heard from, which is correct ◇S behaviour too.
         """
-        if self.runtimes[event.observer].alive:
-            self.detectors[event.observer].force_suspect(event.suspect)
+        if self.runtimes[observer].alive:
+            self.detectors[observer].force_suspect(suspect)
 
-    def _retract(self, event: WrongSuspicion) -> None:
-        """End *event*'s suspicion unless the suspect really crashed:
+    def _retract(self, observer: int, suspect: int) -> None:
+        """End *observer*'s suspicion unless *suspect* really crashed:
         un-suspecting a dead coordinator would stall liveness."""
-        alive = self.runtimes[event.observer].alive
-        if alive and not self.faults.is_crashed(event.suspect):
-            self.detectors[event.observer].retract_suspicion(event.suspect)
+        if self.runtimes[observer].alive and not self.faults.is_crashed(suspect):
+            self.detectors[observer].retract_suspicion(suspect)
 
     # -- measurement boundaries ------------------------------------------------
 

@@ -16,7 +16,6 @@ from operator import attrgetter
 from typing import Callable
 
 from repro.config import RunConfig, StackKind, WorkloadConfig
-from repro.errors import ConfigurationError
 from repro.experiments.runner import RunResult
 from repro.metrics.stats import (
     ConfidenceInterval,
@@ -241,7 +240,7 @@ def run_load_sweep(
     """The sweep behind Figs. 8 and 10: vary offered load at fixed size.
 
     *grid* is :func:`_sweep`'s ``group_sizes``, ``stacks``, ``seeds``,
-    ``base`` and ``jobs``, here and in the two sweeps below.
+    ``base`` and ``jobs``, here and in :func:`run_size_sweep`.
     """
 
     def vary(workload: WorkloadConfig, load: float) -> WorkloadConfig:
@@ -262,32 +261,3 @@ def run_size_sweep(
         return replace(workload, offered_load=offered_load, message_size=size)
 
     return _sweep("message_size", sizes, vary, **grid)
-
-
-#: Zipf exponents of the client-population skew sweep: uniform through
-#: heavily skewed (s > 1 concentrates most traffic on a few clients).
-PAPER_ZIPF_SKEWS = (0.0, 0.5, 0.8, 1.1, 1.5)
-
-
-def run_zipf_sweep(
-    *, skews: tuple[float, ...] = PAPER_ZIPF_SKEWS, **grid
-) -> SweepResult:
-    """Vary the client population's Zipf activity skew at fixed load.
-
-    The base config must carry a ``workload.population``; each point
-    replaces only its ``zipf_s``. Offered load is held constant, so the
-    curve isolates how concentrating the same traffic onto ever fewer
-    clients moves the latency distribution (p50 vs p999).
-    """
-    base = grid.get("base")
-    if base is None or base.workload.population is None:
-        raise ConfigurationError(
-            "zipf sweep needs a client population on the base config "
-            "(set workload.population)"
-        )
-
-    def vary(workload: WorkloadConfig, skew: float) -> WorkloadConfig:
-        population = replace(workload.population, zipf_s=float(skew))
-        return replace(workload, population=population)
-
-    return _sweep("zipf_s", skews, vary, **grid)

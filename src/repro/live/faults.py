@@ -1,23 +1,27 @@
 """Compile nemesis faultloads onto the live deployment (`nemesis --live`).
 
-The nemesis subsystem (PR 2) injects faults into the *simulator*; this
-module is the second compilation target of the same declarative
-:class:`~repro.config.FaultloadConfig`, so one faultload JSON replays in
-both modes:
+The nemesis subsystem injects faults into the *simulator*; this module
+runs the same declarative :class:`~repro.config.FaultloadConfig` on a
+live deployment, so one faultload JSON replays in both modes. Both read
+it through :func:`~repro.nemesis.steps.compile_faultload`'s timed steps,
+and print the same timeline text for them. A link fault's ``on`` and
+``off`` steps switch its verb:
 
-=====================  =========================================  ====================================
-fault event            simulator compilation                      live compilation
-=====================  =========================================  ====================================
-``CrashEvent``         halt the process model (fail-stop)         timed ``SIGKILL`` + scheduled
-                                                                  restart with WAL crash recovery
-``PartitionEvent``     hold/drop queued messages in the network   transport-level HOLD/DROP link
-                       model                                      directives over the control channel
-``DelaySpike``         add latency in the network model           one ``call_later`` wait in the
-                                                                  link's ``flush``; the frames queued
-                                                                  during it leave together
-``LossBurst``          probabilistic per-message loss             *unsupported live* (rejected)
-``WrongSuspicion``     force, then retract, the observer's FD     *unsupported live* (rejected)
-=====================  =========================================  ====================================
+========================  =========================================  ====================================
+step                      simulator                                  live
+========================  =========================================  ====================================
+``crash``                 halt the process model (fail-stop)         timed ``SIGKILL`` + scheduled
+                                                                     restart with WAL crash recovery
+``hold``, ``drop``        hold/drop severed messages in the network  transport-level HOLD/DROP link
+                          model                                      directives over the control channel
+``delay``                 add latency in the network model           one ``call_later`` wait in the
+                                                                     link's ``flush``; the frames queued
+                                                                     during it leave together
+``lose``                  probabilistic per-message loss             *unsupported live* (rejected as
+                                                                     ``loss_bursts``)
+``suspect``/``retract``   force, then retract, the observer's FD     *unsupported live* (rejected as
+                                                                     ``wrong_suspicions``)
+========================  =========================================  ====================================
 
 One semantic divergence is deliberate: the simulator's crash is
 permanent (fail-stop, the paper's model), while the live compilation
@@ -46,12 +50,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.config import FaultloadConfig, LinkFaultMode
+from repro.config import FaultloadConfig
 from repro.errors import DeploymentError
 from repro.live.deploy import Fault, FaultOp, LiveSpec, _reduce
 from repro.live.orchestrator import _deployment, _watch
 from repro.live.wal import _Accept, _Deliver, _read_records, read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
+from repro.nemesis.steps import compile_faultload
 from repro.types import AppMessage, MessageId
 
 #: Seconds between a scheduled SIGKILL and the victim's restart.
@@ -88,6 +93,15 @@ class LiveFaultAction:
     describe: str = ""
 
 
+#: The transport directives that switch each link verb on and off;
+#: ``lose`` has none.
+_LIVE_OPS = {
+    "hold": (FaultOp.HOLD, FaultOp.RELEASE),
+    "drop": (FaultOp.DROP, FaultOp.UNDROP),
+    "delay": (FaultOp.DELAY, FaultOp.CLEAR_DELAY),
+}
+
+
 def compile_live_faultload(
     faultload: FaultloadConfig,
     n: int,
@@ -101,85 +115,58 @@ def compile_live_faultload(
             compilation (loss bursts, wrong suspicions) or crash times
             that would make kill and restart overlap per victim.
     """
-    unsupported = []
-    if faultload.loss_bursts:
-        unsupported.append("loss_bursts")
-    if faultload.wrong_suspicions:
-        unsupported.append("wrong_suspicions")
+    steps = compile_faultload(faultload)
+    # The fields declaring a step with no live verb, in declaration order.
+    unsupported = {
+        step.source: None
+        for step in steps
+        if step.kind != "crash" and (step.link is None or step.link.verb not in _LIVE_OPS)
+    }
     if unsupported:
         raise DeploymentError(
             f"faultload features unsupported in live mode: {', '.join(unsupported)} "
             "(live supports crashes, partitions and delay spikes)"
         )
     actions: list[LiveFaultAction] = []
-    seen_victims: set[int] = set()
-    for crash in faultload.crashes:
-        if not 0 <= crash.process < n:
-            raise DeploymentError(
-                f"crash victim p{crash.process} outside the group 0..{n - 1}"
-            )
-        if crash.process in seen_victims:
-            raise DeploymentError(
-                f"process {crash.process} is crashed twice; the live runner "
-                "restarts each victim once"
-            )
-        seen_victims.add(crash.process)
-        actions.append(
-            LiveFaultAction(
-                at=crash.time,
-                kind="kill",
-                pid=crash.process,
-                describe=f"SIGKILL worker {crash.process}",
-            )
-        )
-        actions.append(
-            LiveFaultAction(
-                at=crash.time + restart_delay,
-                kind="restart",
-                pid=crash.process,
-                describe=f"restart worker {crash.process} (recover from WAL)",
-            )
-        )
-
-    def link_fault(applies, *phases: tuple[float, str, FaultOp, dict]) -> None:
-        """One action per ``(at, describe, op, extra)`` phase of a link
-        fault: a directive to every process with an affected peer."""
-        cut: dict[int, tuple[int, ...]] = {}
-        for src in range(n):
-            peers = tuple(dst for dst in range(n) if dst != src and applies(src, dst))
-            if peers:
-                cut[src] = peers
-        for at, describe, op, extra in phases:
-            actions.append(
-                LiveFaultAction(
-                    at=at,
-                    kind="fault",
-                    directives=tuple(
-                        (pid, Fault(op, peers, **extra))
-                        for pid, peers in cut.items()
-                    ),
-                    describe=describe,
+    victims: set[int] = set()
+    for step in steps:
+        if step.kind == "crash":
+            pid = step.process
+            if not 0 <= pid < n:
+                raise DeploymentError(f"crash victim p{pid} outside the group 0..{n - 1}")
+            if pid in victims:
+                raise DeploymentError(
+                    f"process {pid} is crashed twice; the live runner "
+                    "restarts each victim once"
                 )
+            victims.add(pid)
+            actions += [
+                LiveFaultAction(step.at, "kill", pid, describe=f"SIGKILL worker {pid}"),
+                LiveFaultAction(
+                    step.at + restart_delay, "restart", pid,
+                    describe=f"restart worker {pid} (recover from WAL)",
+                ),
+            ]
+            continue
+        # A link step: one directive to every process with an affected peer.
+        link = step.link
+        assert link is not None
+        on, off = _LIVE_OPS[link.verb]
+        directives = []
+        for src in range(n):
+            peers = tuple(dst for dst in range(n) if dst != src and link.matches(src, dst))
+            if peers:
+                # ``extra`` and ``jitter`` are zero but for a delay.
+                directive = (
+                    Fault(on, peers, link.extra, link.jitter)
+                    if step.kind == "on"
+                    else Fault(off, peers)
+                )
+                directives.append((src, directive))
+        actions.append(
+            LiveFaultAction(
+                step.at, "fault", directives=tuple(directives), describe=step.text
             )
-
-    for partition in faultload.partitions:
-        held = partition.mode is LinkFaultMode.HOLD
-        op_on, op_off = (
-            (FaultOp.HOLD, FaultOp.RELEASE) if held else (FaultOp.DROP, FaultOp.UNDROP)
-        )
-        groups = "|".join(",".join(map(str, g)) for g in partition.groups)
-        link_fault(
-            partition.severs,
-            (partition.start, f"partition [{groups}] up ({op_on.value})", op_on, {}),
-            (partition.heal, f"partition [{groups}] healed", op_off, {}),
-        )
-    for spike in faultload.delay_spikes:
-        up = f"delay spike +{spike.extra_delay * 1e3:.1f}ms up"
-        shape = {"extra": spike.extra_delay, "jitter": spike.jitter}
-        link_fault(
-            spike.matches,
-            (spike.start, up, FaultOp.DELAY, shape),
-            (spike.end, "delay spike over", FaultOp.CLEAR_DELAY, {}),
         )
     return sorted(actions, key=lambda action: action.at)
 

@@ -112,6 +112,9 @@ class _ControlServer:
             # Loop teardown cancels handlers still waiting for EOF after
             # the run reduced; nothing is lost, exit quietly.
             return
+        finally:
+            # The worker has hung up (after its ``done``) or died.
+            writer.close()
 
     def _dispatch(self, document: Any, writer: asyncio.StreamWriter) -> None:
         if isinstance(document, Ready):
@@ -284,7 +287,6 @@ async def _deployment(
         )
     finally:
         server.close()
-        await server.wait_closed()
         for worker in workers:
             if worker.poll() is None:
                 worker.terminate()
@@ -296,6 +298,12 @@ async def _deployment(
                 worker.wait()
             if worker.stderr is not None:
                 worker.stderr.close()
+        # Closed only now that every worker is gone, so none sees its
+        # control channel close before it reported. Newer Pythons'
+        # ``wait_closed`` also waits for these connections to close.
+        for writer in control.ready.values():
+            writer.close()
+        await server.wait_closed()
 
 
 async def _run_live_async(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.metrics.stats import LatencyHistogram, is_stationary
-from repro.obs.attribution import LayerAttribution
+from repro.obs.attribution import EMPTY_ATTRIBUTION, LayerAttribution
 from repro.types import AppMessage, MessageId, SimTime
 
 
@@ -139,7 +139,7 @@ class MetricsCollector:
         *,
         backpressure_stalls: int = 0,
         active_clients: int = 0,
-        attribution: LayerAttribution | None = None,
+        attribution: LayerAttribution = EMPTY_ATTRIBUTION,
     ) -> RunMetrics:
         """Reduce collected events to a :class:`RunMetrics`."""
         duration = self.window_end - self.window_start
@@ -164,12 +164,8 @@ class MetricsCollector:
             latency_p999=histogram.percentile(0.999),
             latency_histogram=histogram.counts(),
             active_clients=active_clients,
-            layer_busy=attribution.layer_busy if attribution else (),
-            boundary_time=attribution.boundary_time if attribution else 0.0,
-            boundary_crossings=attribution.boundary_crossings
-            if attribution
-            else 0,
-            modularity_overhead=attribution.overhead_fraction
-            if attribution
-            else None,
+            layer_busy=attribution.layer_busy,
+            boundary_time=attribution.boundary_time,
+            boundary_crossings=attribution.boundary_crossings,
+            modularity_overhead=attribution.overhead_fraction,
         )

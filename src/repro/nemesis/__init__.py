@@ -4,10 +4,10 @@ The nemesis subsystem has three layers:
 
 1. **Faultload schedules** (:mod:`~repro.nemesis.schedule`) — named
    scenarios, seeded random generation and a JSON round-trip for the
-   declarative :class:`~repro.config.FaultloadConfig` DSL. Link faults
-   compile onto the simulator's fault filters in
-   :mod:`~repro.nemesis.partitions`; the simulation schedules crashes
-   and wrong suspicions itself.
+   declarative :class:`~repro.config.FaultloadConfig` DSL.
+   :mod:`~repro.nemesis.steps` compiles a faultload, once, into the
+   timed steps that the simulator, the invariant monitor and the live
+   runner all execute.
 2. **Online invariants** (:mod:`~repro.nemesis.invariants`) — the four
    atomic-broadcast properties checked as every delivery happens, plus
    a liveness watchdog.
@@ -25,12 +25,12 @@ that edge one-directional.
 from repro._lazy import lazy_exports
 
 # A name loads its submodule on first use: the simulator imports the
-# compile layer (``partitions``) for every run, the rest only when used.
+# compile layer (``steps``) for every run, the rest only when used.
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".invariants": ("InvariantMonitor", "Violation"),
-        ".partitions": ("install_link_faults",),
+        ".steps": ("install_link_faults",),
         ".schedule": (
             "SCENARIOS",
             "dump_faultload",

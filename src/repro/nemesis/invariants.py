@@ -31,10 +31,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import LivenessViolation, OrderingViolation
 from repro.metrics.ordering import AbcastSpec
+from repro.nemesis.steps import last_disruption_time
 from repro.types import AppMessage, MessageId, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,12 +109,16 @@ class InvariantMonitor:
         self._simulation = simulation
         simulation.add_accept_listener(self.on_abcast)
         simulation.add_adeliver_listener(self.on_adeliver)
-        faultload = simulation.config.faultload
-        self._record_fault_timeline(simulation)
-        if faultload.liveness_safe:
+        steps = simulation.fault_steps
+        for step in steps:
+            # Put each declared fault on the trace as it happens.
+            simulation.kernel.schedule_at(
+                step.at, partial(self._note, step.at, "-", "fault", step.text)
+            )
+        if simulation.config.faultload.liveness_safe:
             self._liveness.armed = True
             first_check = (
-                max(faultload.last_disruption_time(), simulation.config.warmup)
+                max(last_disruption_time(steps), simulation.config.warmup)
                 + self.liveness_bound
             )
             simulation.kernel.schedule_at(first_check, self._liveness_check)
@@ -121,35 +127,6 @@ class InvariantMonitor:
                 0.0, "-", "watchdog", "watchdog disarmed: faultload destroys messages"
             )
         return self
-
-    def _record_fault_timeline(self, simulation: "Simulation") -> None:
-        """Put the declared faults on the trace as they happen."""
-        kernel = simulation.kernel
-        faultload = simulation.config.faultload
-        entries: list[tuple[float, str]] = []
-        for crash in faultload.crashes:
-            entries.append((crash.time, f"crash p{crash.process}"))
-        for p in faultload.partitions:
-            groups = "|".join(",".join(map(str, g)) for g in p.groups)
-            entries.append((p.start, f"partition [{groups}] up"))
-            entries.append((p.heal, f"partition [{groups}] healed"))
-        for b in faultload.loss_bursts:
-            link = f"{b.src if b.src is not None else '*'}->" \
-                   f"{b.dst if b.dst is not None else '*'}"
-            entries.append((b.start, f"loss burst {link} p={b.probability:.2f}"))
-            entries.append((b.end, f"loss burst {link} over"))
-        for s in faultload.delay_spikes:
-            entries.append((s.start, f"delay spike +{s.extra_delay * 1e3:.1f}ms"))
-            entries.append((s.end, "delay spike over"))
-        for w in faultload.wrong_suspicions:
-            entries.append((w.time, f"p{w.observer} wrongly suspects p{w.suspect}"))
-            entries.append(
-                (w.time + w.duration, f"p{w.observer} retracts p{w.suspect}")
-            )
-        for time, text in entries:
-            kernel.schedule_at(
-                time, lambda t=time, x=text: self._note(t, "-", "fault", x)
-            )
 
     # -- event listeners ----------------------------------------------------
 

@@ -16,10 +16,9 @@ the vocabulary layer around it:
   both directions are read off the dataclass fields, which is also how
   :mod:`repro.nemesis.swarm` stores a whole replay case.
 
-Everything here is pure data manipulation; link faults compile onto the
-simulator's fault filters in :mod:`repro.nemesis.partitions`, and
-:class:`~repro.experiments.runner.Simulation` schedules crashes and
-wrong suspicions itself.
+Everything here is pure data manipulation; :mod:`repro.nemesis.steps`
+compiles a faultload into the timed steps the simulator and the live
+runner execute.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ execution bit for bit, held messages, suspicions and all.
 
 Import this module explicitly (``repro.nemesis.swarm``); the package
 ``__init__`` stays clear of it to keep the import edge
-``experiments.runner -> nemesis.partitions`` one-directional.
+``experiments.runner -> nemesis.steps`` one-directional.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.nemesis.schedule import (
     write_json,
 )
 from repro.nemesis.shrink import shrink_faultload
+from repro.nemesis.steps import compile_faultload, last_disruption_time
 from repro.sim.rng import RngRegistry
 
 #: Run shape of every nemesis case. Short on purpose: a sweep runs
@@ -250,7 +251,8 @@ def _spec(stack: str) -> StackSpec:
 
 def _drain_for(config: RunConfig, liveness_bound: float) -> float:
     """Simulated drain long enough for two post-heal watchdog checks."""
-    quiet = max(config.faultload.last_disruption_time(), config.warmup)
+    steps = compile_faultload(config.faultload)
+    quiet = max(last_disruption_time(steps), config.warmup)
     horizon = quiet + 2.0 * liveness_bound + 0.2
     return max(0.5, horizon - config.total_time)
 

@@ -79,17 +79,6 @@ class LayerAttribution:
             return None
         return self.boundary_time / total
 
-    def merge(self, other: "LayerAttribution") -> "LayerAttribution":
-        """Combine two attributions (e.g. across seeds)."""
-        merged = dict(self.layer_busy)
-        for name, seconds in other.layer_busy:
-            merged[name] = merged.get(name, 0.0) + seconds
-        return LayerAttribution.from_totals(
-            merged,
-            self.boundary_time + other.boundary_time,
-            self.boundary_crossings + other.boundary_crossings,
-        )
-
 
 #: The attribution of a window in which nothing ran.
 EMPTY_ATTRIBUTION = LayerAttribution(

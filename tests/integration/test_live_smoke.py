@@ -6,6 +6,9 @@ windows tight — each test costs roughly warmup + duration + drain plus
 interpreter start-up for three workers.
 """
 
+import gc
+import warnings
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -49,6 +52,20 @@ class TestLiveSmoke:
         result = run_live(smoke_spec(stack="modular"))
         assert result["metrics"]["throughput"] > 0
         assert result["instances_decided"] > 0
+
+    def test_a_run_leaves_no_control_connection_open(self):
+        # The orchestrator's end of each worker's control connection is
+        # closed by the run, not left to the garbage collector.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run_live(smoke_spec())
+            gc.collect()
+        unclosed = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert unclosed == []
 
     def test_schema_matches_sim_result(self):
         from repro.config import RunConfig

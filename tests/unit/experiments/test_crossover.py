@@ -1,10 +1,10 @@
-"""Unit tests for the knee/gap curve analysis."""
+"""Unit tests for the gap curve analysis."""
 
 import pytest
 
 from repro.config import StackKind
 from repro.errors import MetricsError
-from repro.experiments.crossover import gap_series, peak_gap, saturation_knee
+from repro.experiments.crossover import gap_series
 from repro.experiments.sweeps import PointSummary, SweepResult
 from repro.metrics.stats import ConfidenceInterval
 
@@ -41,20 +41,6 @@ def synthetic_sweep():
     return SweepResult(parameter="offered_load", points=tuple(points))
 
 
-def test_knee_finds_the_plateau_onset():
-    sweep = synthetic_sweep()
-    knee = saturation_knee(sweep, 3, StackKind.MODULAR, "latency")
-    assert knee == 1000.0
-
-
-def test_knee_of_monotone_curve_is_last_x():
-    points = tuple(
-        point(3, StackKind.MODULAR, float(x), x * 1e-3, x) for x in (1, 2, 4, 8)
-    )
-    sweep = SweepResult(parameter="offered_load", points=points)
-    assert saturation_knee(sweep, 3, StackKind.MODULAR, "latency") == 8.0
-
-
 def test_gap_series_directions():
     sweep = synthetic_sweep()
     latency_gaps = gap_series(sweep, 3, "latency")
@@ -65,17 +51,8 @@ def test_gap_series_directions():
     assert throughput_gaps[-1].gap == pytest.approx(1005 / 805 - 1)
 
 
-def test_peak_gap_is_the_headline_number():
-    sweep = synthetic_sweep()
-    peak = peak_gap(sweep, 3, "latency")
-    assert peak.x == 4000.0  # 1 - 7.0/12.1 edges out the earlier points
-    assert peak.gap == pytest.approx(1 - 7.0 / 12.1)
-
-
 def test_missing_series_raises():
     sweep = synthetic_sweep()
-    with pytest.raises(MetricsError):
-        saturation_knee(sweep, 7, StackKind.MODULAR, "latency")
     with pytest.raises(MetricsError):
         gap_series(sweep, 7, "latency")
 
@@ -83,12 +60,12 @@ def test_missing_series_raises():
 def test_unknown_metric_raises():
     sweep = synthetic_sweep()
     with pytest.raises(MetricsError):
-        saturation_knee(sweep, 3, StackKind.MODULAR, "jitter")
+        gap_series(sweep, 3, "jitter")
 
 
 def test_on_a_real_reduced_sweep():
-    """Wire the analysis to an actual simulation sweep: the knee exists
-    and the peak latency gap is positive (the paper's core claim)."""
+    """Wire the analysis to an actual simulation sweep: the peak latency
+    gap is positive (the paper's core claim)."""
     from repro.config import RunConfig
     from repro.experiments.sweeps import run_load_sweep
 
@@ -99,6 +76,6 @@ def test_on_a_real_reduced_sweep():
         seeds=(1,),
         base=RunConfig(duration=0.4, warmup=0.2),
     )
-    knee = saturation_knee(sweep, 3, StackKind.MODULAR, "throughput")
-    assert knee in (300.0, 1500.0, 4000.0)
-    assert peak_gap(sweep, 3, "latency").gap > 0
+    gaps = gap_series(sweep, 3, "latency")
+    assert [gap.x for gap in gaps] == [300.0, 1500.0, 4000.0]
+    assert max(gap.gap for gap in gaps) > 0

@@ -123,3 +123,19 @@ def test_single_sample_percentiles_collapse():
     collector.on_adeliver(0, m, 1.25)
     metrics = collector.finalize()
     assert metrics.latency_p50 == metrics.latency_p99 == pytest.approx(0.25)
+
+
+def test_no_attribution_reads_as_the_empty_one():
+    from repro.obs.attribution import EMPTY_ATTRIBUTION
+
+    def run(**attribution):
+        collector = MetricsCollector(3, window_start=0.0, window_end=10.0)
+        m = accepted(0, 0, t0=1.0)
+        collector.on_accept(m)
+        collector.on_adeliver(1, m, 1.4)
+        return collector.finalize(**attribution)
+
+    metrics = run()
+    assert metrics == run(attribution=EMPTY_ATTRIBUTION)
+    assert (metrics.layer_busy, metrics.boundary_time) == ((), 0.0)
+    assert (metrics.boundary_crossings, metrics.modularity_overhead) == (0, None)

@@ -5,6 +5,7 @@ import pytest
 from repro.config import CrashEvent, FaultloadConfig, RunConfig
 from repro.errors import LivenessViolation, OrderingViolation
 from repro.nemesis.invariants import InvariantMonitor
+from repro.nemesis.steps import compile_faultload
 from repro.net.faults import FaultInjector
 from repro.sim.kernel import Kernel
 from repro.types import AppMessage, MessageId
@@ -28,6 +29,7 @@ class _StubSimulation:
         self.config = config
         self.kernel = kernel or Kernel(seed=1)
         self.faults = FaultInjector()
+        self.fault_steps = compile_faultload(config.faultload)
         self.accept_listeners = []
         self.adeliver_listeners = []
 

@@ -1,4 +1,8 @@
-"""Unit tests for compiling link faults onto the FaultInjector."""
+"""Unit tests for compiling a faultload into steps, and its readers."""
+
+from pathlib import Path
+
+import pytest
 
 from repro.config import (
     DelaySpike,
@@ -6,10 +10,22 @@ from repro.config import (
     LinkFaultMode,
     LossBurst,
     PartitionEvent,
+    RunConfig,
 )
+from repro.errors import DeploymentError
+from repro.experiments.runner import Simulation
+from repro.live.faults import compile_live_faultload
+from repro.nemesis.invariants import InvariantMonitor
+from repro.nemesis.schedule import SCENARIOS, named_scenario
+from repro.nemesis.swarm import load_case
 from repro.net.faults import FaultInjector
 from repro.net.message import NetMessage
-from repro.nemesis.partitions import HEAL_JITTER, install_link_faults
+from repro.nemesis.steps import (
+    HEAL_JITTER,
+    compile_faultload,
+    install_link_faults,
+    last_disruption_time,
+)
 from repro.sim.kernel import Kernel
 
 
@@ -23,7 +39,7 @@ def _msg(src=0, dst=1):
 def _installed(faultload, kernel=None):
     kernel = kernel or Kernel(seed=3)
     injector = FaultInjector()
-    install_link_faults(injector, faultload, kernel)
+    install_link_faults(injector, compile_faultload(faultload), kernel)
     return kernel, injector
 
 
@@ -130,3 +146,66 @@ def test_link_fault_draws_replay_bit_for_bit_from_the_seed():
 
     assert delays(11) == delays(11)
     assert delays(11) != delays(12)
+
+
+# -- one reading: every consumer executes the same compiled steps -------------
+
+GOLDEN = Path(__file__).resolve().parents[2] / "data" / "nemesis"
+
+#: Every named scenario, plus a saved case that draws all five event kinds.
+FAULTLOADS = {name: named_scenario(name, 3) for name in SCENARIOS}
+FAULTLOADS["case-modular-seed38"] = load_case(
+    GOLDEN / "case-modular-seed38.json"
+).faultload
+
+#: The faultloads whose every step has a live verb.
+LIVE = [
+    name
+    for name, faultload in FAULTLOADS.items()
+    if not (faultload.loss_bursts or faultload.wrong_suspicions)
+]
+
+
+def _in_time_order(steps):
+    return sorted(steps, key=lambda step: step.at)
+
+
+@pytest.mark.parametrize("name", FAULTLOADS)
+def test_the_monitor_notes_every_step_text_in_time_order(name):
+    faultload = FAULTLOADS[name]
+    config = RunConfig(n=3, faultload=faultload, warmup=0.2, duration=1.0)
+    sim = Simulation(config, seed=1, with_workload=False)
+    monitor = InvariantMonitor(3).attach(sim)
+    sim.run()
+    notes = [(t, text) for t, __, layer, text in monitor.trace_slice if layer == "fault"]
+    steps = _in_time_order(compile_faultload(faultload))
+    assert notes == [(step.at, step.text) for step in steps]
+
+
+@pytest.mark.parametrize("name", FAULTLOADS)
+def test_the_last_disruption_is_the_last_step(name):
+    steps = compile_faultload(FAULTLOADS[name])
+    # Each fault is over at its crash, heal, end or retraction.
+    ends = [step.at for step in steps if step.kind in ("crash", "off", "retract")]
+    last = max((step.at for step in steps), default=0.0)
+    assert last_disruption_time(steps) == last == max(ends, default=0.0)
+
+
+@pytest.mark.parametrize("name", LIVE)
+def test_live_actions_carry_the_step_times_and_texts(name):
+    steps = compile_faultload(FAULTLOADS[name])
+    actions = compile_live_faultload(FAULTLOADS[name], 3, restart_delay=0.4)
+    links = [step for step in _in_time_order(steps) if step.kind in ("on", "off")]
+    assert [(a.at, a.describe) for a in actions if a.kind == "fault"] == [
+        (step.at, step.text) for step in links
+    ]
+    crashes = [(step.at, step.process) for step in steps if step.kind == "crash"]
+    assert [(a.at, a.pid) for a in actions if a.kind == "kill"] == crashes
+    assert [(a.at, a.pid) for a in actions if a.kind == "restart"] == [
+        (at + 0.4, pid) for at, pid in crashes
+    ]
+
+
+def test_steps_without_a_live_verb_are_refused_by_field_name():
+    with pytest.raises(DeploymentError, match="live mode: loss_bursts, wrong_suspicions "):
+        compile_live_faultload(FAULTLOADS["case-modular-seed38"], 3)

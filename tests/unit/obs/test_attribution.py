@@ -34,14 +34,6 @@ class TestAlgebra:
         assert EMPTY_ATTRIBUTION.overhead_fraction is None
         assert EMPTY_ATTRIBUTION.total_time == 0.0
 
-    def test_merge_sums_layers_and_boundaries(self):
-        a = LayerAttribution.from_totals({"x": 1.0}, 0.25, 2)
-        b = LayerAttribution.from_totals({"x": 1.0, "y": 3.0}, 0.75, 5)
-        merged = a.merge(b)
-        assert dict(merged.layer_busy) == {"x": 2.0, "y": 3.0}
-        assert merged.boundary_time == 1.0
-        assert merged.boundary_crossings == 7
-
     def test_delta_layers_subtracts_snapshots(self):
         end = {"a": 5.0, "b": 2.0}
         start = {"a": 3.0}
