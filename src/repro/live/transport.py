@@ -390,6 +390,9 @@ class _Connection(asyncio.BufferedProtocol):
                 self.transport.write(_COUNT.pack(owner._delivered[peer]))
                 continue
             message = decode_message(frame)
+            if message.src != peer or message.dst != owner.pid:
+                # A peer speaks only as itself, and only to us.
+                raise NetworkError(f"{message} on the connection from p{peer} to p{owner.pid}")
             owner._delivered[peer] += 1
             owner.stats.messages_received += 1
             owner._on_message(message)
@@ -665,6 +668,8 @@ class Transport:
         Leaves ``_delivered[pid]`` at that incarnation's resume point.
         """
         peer, nonce = parse_hello(frame)
+        if peer not in self._links:
+            raise NetworkError(f"HELLO from p{peer}, which is not a peer of p{self.pid}")
         known = self._peer_nonce.get(peer) == nonce
         narrate(
             "transport",

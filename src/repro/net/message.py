@@ -10,8 +10,9 @@ headers of the composition framework.
 For the live runtime (:mod:`repro.live`) messages must actually cross
 process boundaries: :func:`encode_message` / :func:`decode_message`
 round-trip a :class:`NetMessage` through an explicit, versioned JSON
-wire format (see :mod:`repro.net.wire` — no pickling, unregistered
-payload types are rejected loudly).
+wire format: one array per message, the envelope's fields in a fixed
+order around the payload (see :mod:`repro.net.wire` — no pickling,
+unregistered payload types are rejected loudly).
 """
 
 from __future__ import annotations
@@ -19,12 +20,24 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from repro.errors import NetworkError
 from repro.net.wire import WIRE_FORMAT_VERSION, check_version, decode_value, encode_text
 
 _MSG_COUNTER = itertools.count()
+
+
+@lru_cache(maxsize=256)
+def _head(kind: str, module: str) -> str:
+    """A frame's text up to ``src``; a stack sends a handful of kinds."""
+    return f"[{WIRE_FORMAT_VERSION},{json.dumps(kind)},{json.dumps(module)},"
+
+
+#: Parses one JSON value at an offset into a string: ``json.loads``
+#: without its whitespace skipping, so a frame is exactly one array.
+_scan = json.JSONDecoder().scan_once
 
 #: ``uid`` default of :class:`NetMessage`: draw the next uid (``None``
 #: cannot mean that; a wire document may carry it).
@@ -93,22 +106,23 @@ class NetMessage:
 def encode_message(message: NetMessage, payload_json: str | None = None) -> bytes:
     """Serialize *message* for the live transport (versioned, no pickle).
 
-    ``uid`` travels too: it is only unique per sending process, but the
-    receiving side uses it for tracing, never as a global key.
-    *payload_json*, when given, must be ``encode_text(message.payload)``:
-    a sender addressing one payload to several destinations serializes
-    it once and splices the same text into every envelope.
+    The frame is one JSON array, ``[version, kind, module, src, dst,
+    payload, payload_size, header_size, uid]``. ``uid`` travels too: it
+    is only unique per sending process, but the receiving side uses it
+    for tracing, never as a global key. *payload_json*, when given, must
+    be ``encode_text(message.payload)``: a sender addressing one payload
+    to several destinations serializes it once and splices the same text
+    into every envelope.
     """
     if payload_json is None:
         payload_json = encode_text(message.payload)
-    # Hand-assembled envelope, byte-identical to dumping the equivalent
-    # dict with compact separators (pinned by a golden test).
+    uid = message.uid
+    # Hand-assembled, byte-identical to dumping the equivalent list with
+    # compact separators (pinned by a golden test).
     return (
-        f'{{"v":{WIRE_FORMAT_VERSION},"kind":{json.dumps(message.kind)},'
-        f'"module":{json.dumps(message.module)},"src":{message.src},'
-        f'"dst":{message.dst},"payload":{payload_json},'
-        f'"payload_size":{message.payload_size},'
-        f'"header_size":{message.header_size},"uid":{message.uid}}}'
+        f"{_head(message.kind, message.module)}"
+        f"{message.src},{message.dst},{payload_json},{message.payload_size},"
+        f"{message.header_size},{'null' if uid is None else uid}]"
     ).encode("utf-8")
 
 
@@ -117,28 +131,59 @@ def decode_message(data: bytes) -> NetMessage:
 
     Raises :class:`~repro.errors.NetworkError` — and nothing else — on
     malformed input or a wire-format version this build does not speak.
+    The frame must be exactly one envelope array, and the envelope is
+    checked before anything is built: ``kind`` and ``module`` are
+    strings, ``src``, ``dst`` and both sizes are ``int`` (not ``bool``),
+    and ``uid`` is an ``int`` or ``null``.
     """
     try:
-        document = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        document, end = _scan(text, 0)
     except (ValueError, RecursionError) as exc:
         raise NetworkError(f"malformed wire message: {exc}") from exc
-    if not isinstance(document, dict):
-        raise NetworkError(f"malformed wire message: {document!r}")
-    check_version(document.get("v"))
-    for name in ("payload_size", "header_size"):
-        size = document.get(name, 0)  # a missing one is reported below
-        if type(size) is not int:  # refuses bool, 1.5 and Infinity too
-            raise NetworkError(f"malformed wire message: {name} {size!r} is not an int")
-    try:
-        return NetMessage(
-            kind=document["kind"],
-            module=document["module"],
-            src=document["src"],
-            dst=document["dst"],
-            payload=decode_value(document["payload"]),
-            payload_size=document["payload_size"],
-            header_size=document["header_size"],
-            uid=document["uid"],
-        )
-    except KeyError as exc:
-        raise NetworkError(f"wire message missing field {exc}") from exc
+    except StopIteration:
+        raise NetworkError("malformed wire message: no JSON value") from None
+    if end != len(text) or document.__class__ is not list or len(document) != len(_ENVELOPE):
+        raise NetworkError(_envelope_fault(document, text[end:]))
+    version, kind, module, src, dst, payload, payload_size, header_size, uid = document
+    if (
+        version.__class__ is not int
+        or version != WIRE_FORMAT_VERSION
+        or kind.__class__ is not str
+        or module.__class__ is not str
+        or src.__class__ is not int
+        or dst.__class__ is not int
+        or payload_size.__class__ is not int
+        or header_size.__class__ is not int
+        or (uid is not None and uid.__class__ is not int)
+    ):
+        raise NetworkError(_envelope_fault(document, ""))
+    return NetMessage(
+        kind, module, src, dst, decode_value(payload), payload_size, header_size, uid
+    )
+
+
+#: The envelope's fields in wire order, with the class each must have
+#: (``uid`` may also be ``null``; the payload is checked by its decoder).
+_ENVELOPE = (
+    ("v", int), ("kind", str), ("module", str), ("src", int), ("dst", int),
+    ("payload", None), ("payload_size", int), ("header_size", int), ("uid", int),
+)
+
+
+def _envelope_fault(document: Any, rest: str) -> str:
+    """Why *document*, followed by *rest*, is not one envelope array."""
+    if rest:
+        return f"malformed wire message: {rest!r:.80} after the envelope"
+    if document.__class__ is not list:
+        return f"malformed wire message: {document!r:.80} is not an array"
+    if len(document) != len(_ENVELOPE):
+        if len(document) < len(_ENVELOPE):
+            return f"wire message missing field {_ENVELOPE[len(document)][0]!r}"
+        return f"malformed wire message: {len(document)} fields, not {len(_ENVELOPE)}"
+    check_version(document[0])
+    for (name, wanted), value in zip(_ENVELOPE, document):
+        if wanted not in (None, value.__class__) and not (name == "uid" and value is None):
+            article = "a str" if wanted is str else "an int"
+            return f"malformed wire message: {name} {value!r:.80} is not {article}"
+    raise AssertionError(f"no fault in envelope {document!r:.80}")

@@ -11,6 +11,7 @@ schedules cheaply.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -304,3 +305,34 @@ def crash_after_sends(sim: Any, pid: int, count: int) -> None:
                 sim.runtimes[pid].crash()
 
     sim.network.transmit = spy
+
+
+#: A wire frame's envelope fields in frame order (PROTOCOLS.md, "Wire
+#: format"), written out here so the tests pin the layout.
+ENVELOPE = (
+    "v", "kind", "module", "src", "dst", "payload", "payload_size", "header_size", "uid",
+)
+
+
+def envelope(frame: bytes) -> dict[str, Any]:
+    """The fields of one encoded message, by name."""
+    document = json.loads(frame)
+    assert isinstance(document, list) and len(document) == len(ENVELOPE), document
+    return dict(zip(ENVELOPE, document))
+
+
+def frame_of(fields: dict[str, Any]) -> bytes:
+    """The frame of *fields* in envelope order; a missing field is left
+    out, so the frame is one shorter (the inverse of :func:`envelope`)."""
+    return json.dumps([fields[name] for name in ENVELOPE if name in fields]).encode()
+
+
+def payload_span(frame: bytes) -> slice:
+    """Where the payload's JSON text lies in an encoded message: between
+    the compact text of the fields before it and of those after it."""
+    fields = envelope(frame)
+    compact = {"separators": (",", ":")}
+    head = json.dumps([fields[name] for name in ENVELOPE[:5]], **compact)[:-1] + ","
+    tail = "," + json.dumps([fields[name] for name in ENVELOPE[6:]], **compact)[1:]
+    assert frame.startswith(head.encode()) and frame.endswith(tail.encode()), frame
+    return slice(len(head), len(frame) - len(tail))

@@ -5,10 +5,11 @@ each test owns its loop and closes every transport it opened.
 """
 
 import asyncio
-import json
 import random
 import socket
 import struct
+
+import pytest
 
 from repro.live import transport as transport_module
 from repro.live.transport import (
@@ -20,6 +21,8 @@ from repro.live.transport import (
     parse_hello,
 )
 from repro.net.message import NetMessage, encode_message
+from repro.net.wire import WIRE_FORMAT_VERSION
+from tests.harness import envelope, payload_span
 
 
 def message(src: int, dst: int, seq: int) -> NetMessage:
@@ -591,15 +594,15 @@ async def started_pair(received, **kwargs):
 
 
 def queued_documents(transport, peer):
-    """The JSON documents sitting in *transport*'s queue for *peer*."""
+    """The envelopes, by field name, sitting in *transport*'s queue for *peer*."""
     decoder = FrameDecoder()
     frames = decoder.feed(b"".join(transport._links[peer].queue))
-    return [json.loads(frame) for frame in frames]
+    return [envelope(frame) for frame in frames]
 
 
-def payload_bytes(frame_document_bytes: bytes) -> bytes:
-    start = frame_document_bytes.index(b'"payload":') + len(b'"payload":')
-    return frame_document_bytes[start : frame_document_bytes.index(b',"payload_size"')]
+def payload_bytes(frame: bytes) -> bytes:
+    """The payload's JSON text inside a framed message."""
+    return frame[4:][payload_span(frame[4:])]
 
 
 class TestWriteThrough:
@@ -858,8 +861,8 @@ class TestEncodeOnce:
         assert equal_twin == first and equal_twin is not first
         for payload in (first, second, first, equal_twin):
             transport.send(self.fan_out(payload, uid_base=0)[0])
-        assert [d["payload"]["items"] for d in queued_documents(transport, 1)] == [
-            ["a", 1], ["a", 2], ["a", 1], ["a", 1],
+        assert [d["payload"] for d in queued_documents(transport, 1)] == [
+            ["tuple", "a", 1], ["tuple", "a", 2], ["tuple", "a", 1], ["tuple", "a", 1],
         ]
         assert len(calls) == 4  # identity, not equality; one entry, not a map
 
@@ -869,8 +872,8 @@ class TestEncodeOnce:
             # Each payload dies right after send(); were the cache keyed
             # by a bare id(), a successor could inherit its entry.
             transport.send(self.fan_out([seq], uid_base=0)[0])
-        assert [d["payload"]["items"] for d in queued_documents(transport, 1)] == [
-            [seq] for seq in range(200)
+        assert [d["payload"] for d in queued_documents(transport, 1)] == [
+            ["list", seq] for seq in range(200)
         ]
 
 
@@ -893,8 +896,9 @@ class TestMalformedInbound:
                 return resume, reader, writer
 
             good = [encode_message(message(0, 1, seq)) for seq in range(3)]
-            bad = good[1].replace(b'"payload":1', b'"payload":{"$t":"bytes","hex":"zz"}')
-            assert bad != good[1]
+            span = payload_span(good[1])
+            assert good[1][span] == b"1"
+            bad = good[1][: span.start] + b'["bytes","zz"]' + good[1][span.stop :]
             try:
                 resume, reader, writer = await dial([good[0], bad, good[2]])
                 assert resume == 0
@@ -916,6 +920,61 @@ class TestMalformedInbound:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("forged", [(2, 0), (1, 2)], ids=["src-of-another-peer", "dst-not-us"])
+    def test_a_frame_that_is_not_from_the_dialer_to_us_closes_the_connection(self, forged):
+        async def run():
+            port = free_port()
+            addresses = {pid: ("127.0.0.1", port if pid == 0 else 1) for pid in range(3)}
+            received = []
+            a = Transport(0, addresses, received.append)
+            await a.start()
+
+            async def dial(frames):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_frame(hello_frame(1, nonce=7)))
+                (resume,) = struct.unpack(">Q", await reader.readexactly(8))
+                for frame in frames:
+                    writer.write(encode_frame(frame))
+                await writer.drain()
+                return resume, reader, writer
+
+            good = [encode_message(message(1, 0, seq)) for seq in range(3)]
+            bad = encode_message(message(*forged, 1))
+            try:
+                resume, reader, writer = await dial([good[0], bad, good[2]])
+                assert resume == 0
+                assert (await asyncio.wait_for(reader.read(), 5.0))[-8:] in (
+                    b"", struct.pack(">Q", 1),
+                )
+                writer.close()
+                assert [m.payload for m in received] == [0]
+                resume, reader, writer = await dial(good[1:])
+                assert resume == 1
+                await wait_for(lambda: len(received) == 3)
+                writer.close()
+            finally:
+                await a.close()
+            assert [(m.src, m.payload) for m in received] == [(1, 0), (1, 1), (1, 2)]
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("pid", [7, 1], ids=["unknown", "the-endpoint-itself"])
+    def test_a_hello_from_a_process_that_is_not_a_peer_closes_the_connection(self, pid):
+        async def run():
+            port = free_port()
+            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", port)}
+            b = Transport(1, addresses, lambda m: None)
+            await b.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(encode_frame(hello_frame(pid)))
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+            finally:
+                await b.close()
+
+        asyncio.run(run())
+
     def test_garbage_hello_closes_the_connection(self):
         async def run():
             port = free_port()
@@ -924,7 +983,7 @@ class TestMalformedInbound:
             await b.start()
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                writer.write(encode_frame(b'{"v": 1, "hello": "zero"}'))
+                writer.write(encode_frame(b'{"v": %d, "hello": "zero"}' % WIRE_FORMAT_VERSION))
                 assert await asyncio.wait_for(reader.read(), 5.0) == b""
                 writer.close()
             finally:

@@ -17,6 +17,7 @@ from repro.net.wire import (
     wire_payload,
 )
 from repro.types import AppMessage, Batch, MessageId
+from tests.harness import envelope, frame_of
 
 
 def roundtrip(value):
@@ -92,7 +93,7 @@ class TestValueRoundtrip:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(NetworkError):
-            decode_value({"$t": "NoSuchTag", "f": {}})
+            decode_value(["NoSuchTag"])
 
     def test_wire_payload_rejects_non_dataclass(self):
         with pytest.raises(TypeError):
@@ -142,21 +143,22 @@ class TestMessageRoundtrip:
         with pytest.raises(NetworkError):
             decode_message(b"{not json")
 
-    def test_non_object_rejected(self):
-        with pytest.raises(NetworkError):
-            decode_message(b"[1, 2, 3]")
+    def test_non_envelope_rejected(self):
+        for frame in (b"[1, 2, 3]", b'{"v": 2}', b"2"):
+            with pytest.raises(NetworkError):
+                decode_message(frame)
 
     def test_wrong_version_rejected(self):
-        doc = json.loads(encode_message(self.message()).decode("utf-8"))
+        doc = envelope(encode_message(self.message()))
         doc["v"] = WIRE_FORMAT_VERSION + 1
         with pytest.raises(NetworkError):
-            decode_message(json.dumps(doc).encode("utf-8"))
+            decode_message(frame_of(doc))
 
     def test_missing_field_rejected(self):
-        doc = json.loads(encode_message(self.message()).decode("utf-8"))
+        doc = envelope(encode_message(self.message()))
         del doc["module"]
         with pytest.raises(NetworkError):
-            decode_message(json.dumps(doc).encode("utf-8"))
+            decode_message(frame_of(doc))
 
     def test_no_pickle_on_the_wire(self):
         encoded = encode_message(self.message())

@@ -19,6 +19,7 @@ from repro.consensus.messages import Ack, DecisionTag, Proposal
 from repro.errors import NetworkError
 from repro.live.transport import FrameDecoder, encode_frame
 from repro.net.message import NetMessage, decode_message, encode_message
+from repro.net import wire
 from repro.net.wire import (
     WIRE_FORMAT_VERSION,
     decode_value,
@@ -26,6 +27,7 @@ from repro.net.wire import (
     encode_value,
 )
 from repro.types import AppMessage, Batch, MessageId
+from tests.harness import envelope, frame_of
 
 scalars = st.one_of(
     st.none(),
@@ -101,32 +103,31 @@ def proposal_message() -> NetMessage:
     )
 
 
-#: ``encode_message(proposal_message())`` as produced by the
-#: dict-and-``json.dumps`` encoder this one replaced.
+#: ``encode_message(proposal_message())``, written by hand from the
+#: layout in PROTOCOLS.md ("Wire format"): the envelope array, the
+#: payload's records as ``[tag, fields...]`` in field order.
 GOLDEN_PROPOSAL = (
-    b'{"v":1,"kind":"PROPOSAL","module":"consensus","src":0,"dst":1,'
-    b'"payload":{"$t":"Proposal","f":{"instance":7,"round":1,"value":'
-    b'{"$t":"Batch","f":{"instance":7,"messages":{"$t":"tuple","items":['
-    b'{"$t":"AppMessage","f":{"msg_id":{"$t":"MessageId","f":{"sender":0,'
-    b'"seq":3}},"size":1024,"abcast_time":1.25,"payload":null}},'
-    b'{"$t":"AppMessage","f":{"msg_id":{"$t":"MessageId","f":{"sender":2,'
-    b'"seq":11}},"size":1024,"abcast_time":1.5,"payload":{"$t":"bytes",'
-    b'"hex":"00ff"}}}]}}}}},"payload_size":2072,"header_size":74,"uid":42}'
+    b'[2,"PROPOSAL","consensus",0,1,'
+    b'["Proposal",7,1,["Batch",7,["tuple",'
+    b'["AppMessage",["MessageId",0,3],1024,1.25,null],'
+    b'["AppMessage",["MessageId",2,11],1024,1.5,["bytes","00ff"]]]]],'
+    b"2072,74,42]"
 )
 
-#: A message of containers and awkward strings, same provenance.
+#: A message of containers and awkward strings, same provenance: a dict
+#: is its pairs, a frozenset its items sorted by their JSON text.
 GOLDEN_CONTAINERS = (
-    b'{"v":1,"kind":"x","module":"abcast","src":0,"dst":1,"payload":'
-    b'{"$t":"dict","items":[["k",{"$t":"tuple","items":[1,{"$t":"list",'
-    b'"items":[2.5,null,true]},{"$t":"frozenset","items":["a",3]}]}],'
-    b'[{"$t":"tuple","items":["t",1]},"\\u00e9\\"\\\\"]]},'
-    b'"payload_size":1,"header_size":1,"uid":1}'
+    b'[2,"x","abcast",0,1,'
+    b'["dict",["k",["tuple",1,["list",2.5,null,true],["frozenset","a",3]]],'
+    b'[["tuple","t",1],"\\u00e9\\"\\\\"]],'
+    b"1,1,1]"
 )
 
 
 class TestGoldenBytes:
     def test_wire_format_version_is_still_one(self):
-        assert WIRE_FORMAT_VERSION == 1
+        # The name predates version 2, the positional format.
+        assert WIRE_FORMAT_VERSION == 2
 
     def test_proposal_carrying_a_batch(self):
         assert encode_message(proposal_message()) == GOLDEN_PROPOSAL
@@ -172,52 +173,71 @@ class TestRoundtripProperties:
         assert decode_message(encode_message(message)) == message
 
     @given(net_messages)
-    def test_envelope_matches_a_dumped_dict(self, message):
-        document = {
-            "v": WIRE_FORMAT_VERSION,
-            "kind": message.kind,
-            "module": message.module,
-            "src": message.src,
-            "dst": message.dst,
-            "payload": encode_value(message.payload),
-            "payload_size": message.payload_size,
-            "header_size": message.header_size,
-            "uid": message.uid,
-        }
+    def test_envelope_matches_a_dumped_array(self, message):
+        document = [
+            WIRE_FORMAT_VERSION,
+            message.kind,
+            message.module,
+            message.src,
+            message.dst,
+            encode_value(message.payload),
+            message.payload_size,
+            message.header_size,
+            message.uid,
+        ]
         reference = json.dumps(document, separators=(",", ":")).encode("utf-8")
         assert encode_message(message) == reference
+        assert envelope(encode_message(message))["payload"] == document[5]
 
 
 def document(**overrides) -> bytes:
-    fields = json.loads(encode_message(proposal_message()))
+    fields = envelope(encode_message(proposal_message()))
     fields.update(overrides)
-    return json.dumps(fields).encode("utf-8")
+    return frame_of(fields)
+
+
+#: Each registered record with one field too many and one too few.
+def arity_mismatches():
+    wire._ensure_payloads()
+    for tag, cls in sorted(wire._BY_TAG.items()):
+        arity = len(cls._fields) if issubclass(cls, tuple) else len(dataclasses.fields(cls))
+        for fields in ([0] * (arity + 1), [0] * (arity - 1)):
+            yield pytest.param([tag, *fields], id=f"{tag}-{len(fields)}-of-{arity}")
 
 
 class TestMalformedFrames:
     @pytest.mark.parametrize(
         "frame",
         [
-            document(payload={"$t": "bytes", "hex": "zz"}),
-            document(payload={"$t": "bytes", "hex": 5}),
-            document(payload={"$t": "bytes"}),
+            document(payload=["bytes", "zz"]),
+            document(payload=["bytes", 5]),
+            document(payload=["bytes"]),
             document(payload_size="x"),
             document(header_size=None),
-            document(payload={"$t": "dict", "items": [[{"$t": "list", "items": []}, 1]]}),
-            document(payload={"$t": "dict", "items": [[1, 2, 3]]}),
-            document(payload={"$t": "dict", "items": 5}),
-            document(payload={"$t": "frozenset", "items": [{"$t": "list", "items": []}]}),
-            document(payload={"$t": "tuple"}),
-            document(payload={"$t": ["unhashable"]}),
-            document(payload={"$t": "Ack", "f": [1, 2]}),
-            document(payload={"$t": "Ack", "f": {"instance": 1}}),
-            document(payload={"$t": "Ack", "f": {"instance": 1, "round": 2, "x": 3}}),
-            document(payload={"$t": "MessageId", "f": {"sender": 1}}),
-            document(payload={"no": "tag"}),
+            document(payload=["dict", [["list"], 1]]),
+            document(payload=["dict", [1, 2, 3]]),
+            document(payload=["dict", 5]),
+            document(payload=["frozenset", ["list"]]),
+            document(payload=[]),
+            document(payload=[["unhashable"]]),
+            document(payload=["Ack", [1, 2]]),
+            document(payload=["Ack", 1]),
+            document(payload=["Ack", 1, 2, 3]),
+            document(payload=["MessageId", 1]),
+            document(payload=["no tag"]),
+            document(payload={"$t": "Ack", "f": {"instance": 1, "round": 2}}),
+            document(payload=["Ack", {"n": 1}, 2]),
+            document(payload=["tuple", 1, {}]),
+            document(payload=["dict", [{}, 1]]),
             document(src=3, dst=3),
             document(v=[WIRE_FORMAT_VERSION]),
+            document(v=1),
+            json.dumps(dict(envelope(GOLDEN_PROPOSAL))).encode(),
+            GOLDEN_PROPOSAL + b" ",
+            b" " + GOLDEN_PROPOSAL,
+            GOLDEN_PROPOSAL + b"[]",
             b"[" * 100_000,
-            b'{"v":1,"payload":' + b'{"$t":"list","items":[' * 20_000,
+            b'[2,"k","m",0,1,' + b'["list",' * 20_000,
             b"\xff\xfe",
             b"",
         ],
@@ -226,24 +246,30 @@ class TestMalformedFrames:
         with pytest.raises(NetworkError):
             decode_message(frame)
 
+    @pytest.mark.parametrize("record", arity_mismatches())
+    def test_a_record_of_the_wrong_arity_is_refused(self, record):
+        with pytest.raises(NetworkError, match="malformed wire value"):
+            decode_message(document(payload=record))
+
+    @pytest.mark.parametrize("field", ["kind", "module", "src", "dst", "payload", "uid"])
+    def test_an_object_in_an_envelope_field_is_refused(self, field):
+        with pytest.raises(NetworkError):
+            decode_message(document(**{field: {"n": 1}}))
+
     @pytest.mark.parametrize("depth", [300, 440, 470, 499, 2000])
     def test_well_formed_deep_nesting_decodes_or_is_refused(self, depth):
         # Around the interpreter's recursion limit either the JSON
         # parser or the value decoder gives up first, depending on how
         # deep the caller's own stack is; neither may leak.
-        nested = b'{"$t":"list","items":[' * depth + b"]}" * depth
-        frame = (
-            b'{"v":1,"kind":"k","module":"m","src":0,"dst":1,"payload":'
-            + nested
-            + b',"payload_size":1,"header_size":1,"uid":1}'
-        )
+        nested = b'["list",' * depth + b"1" + b"]" * depth
+        frame = b'[2,"k","m",0,1,' + nested + b",1,1,1]"
         try:
             decode_message(frame)
         except NetworkError:
             pass
 
     def test_decode_value_alone_is_as_strict(self):
-        for encoded in ({"$t": "bytes", "hex": "zz"}, {"$t": "Ack", "f": 5}, object()):
+        for encoded in (["bytes", "zz"], ["Ack", 5], {"$t": "Ack"}, [], object()):
             with pytest.raises(NetworkError):
                 decode_value(encoded)
 
@@ -259,10 +285,10 @@ class TestEnvelopeChecks:
         assert decode_message(document(uid=None)).uid is None
 
     def test_a_missing_uid_is_refused(self):
-        fields = json.loads(document())
+        fields = envelope(document())
         del fields["uid"]
         with pytest.raises(NetworkError, match="missing field 'uid'"):
-            decode_message(json.dumps(fields).encode("utf-8"))
+            decode_message(frame_of(fields))
 
     @pytest.mark.parametrize("field", ["payload_size", "header_size"])
     @pytest.mark.parametrize(
@@ -270,6 +296,23 @@ class TestEnvelopeChecks:
     )
     def test_sizes_that_are_not_integers_are_refused(self, field, value):
         with pytest.raises(NetworkError, match="is not an int"):
+            decode_message(document(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["src", "dst"])
+    @pytest.mark.parametrize("value", ["x", "1", None, True, False, 1.0, [1], {"n": 1}])
+    def test_endpoints_that_are_not_integers_are_refused(self, field, value):
+        with pytest.raises(NetworkError, match=f"{field} .* is not an int"):
+            decode_message(document(**{field: value}))
+
+    @pytest.mark.parametrize("value", ["42", True, 42.0, 4.2, [42], {"n": 42}])
+    def test_a_uid_that_is_neither_an_int_nor_null_is_refused(self, value):
+        with pytest.raises(NetworkError, match="uid .* is not an int"):
+            decode_message(document(uid=value))
+
+    @pytest.mark.parametrize("field", ["kind", "module"])
+    @pytest.mark.parametrize("value", [None, 1, True, ["PROPOSAL"]])
+    def test_names_that_are_not_strings_are_refused(self, field, value):
+        with pytest.raises(NetworkError, match=f"{field} .* is not a str"):
             decode_message(document(**{field: value}))
 
     @pytest.mark.parametrize("field", ["payload_size", "header_size"])
