@@ -17,14 +17,15 @@ testbed methodology:
 * :mod:`repro.live.worker` — one protocol process (spawned as
   ``python -m repro.live.worker``);
 * :mod:`repro.live.deploy` — what a deployment is: it declares every
-  document of the control channel, and each worker's spec, as a
-  dataclass that :func:`repro.config.read_fields` reads back, and
-  reduces the collected samples to the same schema as the simulator's
-  ``RunResult``; it imports no asyncio;
+  document of the control channel (the link fault verbs among them),
+  and each worker's spec, as a dataclass, writes and reads those
+  documents for both ends, and reduces the collected samples to the
+  same schema as the simulator's ``RunResult``; it imports no asyncio;
 * :mod:`repro.live.orchestrator` — what runs one: spawns the workers,
   serves the control channel and watches the run;
 * :mod:`repro.live.wal` — the per-worker write-ahead delivery log
-  (CRC-framed, fsync-batched) crash recovery reads back;
+  (CRC-framed, fsync-batched), one record class per record type, which
+  both crash recovery and the merged-log check read back;
 * :mod:`repro.live.faults` — ``nemesis --live``: compile a faultload
   onto the deployment (SIGKILL + WAL recovery, link directives) and
   check the merged delivery logs against the abcast invariants;

@@ -28,8 +28,11 @@ Sequence:
    uses, and assemble the result dict.
 
 The spec and each of those documents is a dataclass declared below,
-with the reduction of step 6. The steps that run a deployment — the
-control server, the worker processes and their watch — are
+with the one writer (:func:`control_frame`) and reader
+(:func:`control_documents`) of the documents for both ends of the
+channel, and the reduction of step 6. A link fault directive names one
+:class:`LinkVerb` and switches it on or off. The steps that run a
+deployment — the control server, the worker processes and their watch — are
 :mod:`repro.live.orchestrator`, the one module of this pair that needs
 asyncio; :func:`run_live` imports it when called.
 """
@@ -40,7 +43,7 @@ import enum
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, AsyncIterator
 
 # The spec, its detectors, drain and simulator mapping live beside
 # RunConfig; they are re-exported here, where the live API has always
@@ -51,9 +54,11 @@ from repro.config import (  # noqa: F401
     LiveSpec,
     matched_run_config,
     plain,
+    read_fields,
 )
+from repro.errors import ConfigurationError
 from repro.experiments.runner import RunResult
-from repro.live.framing import encode_frame
+from repro.live.framing import FrameDecoder, encode_frame
 from repro.live.results import sim_result_to_dict
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.ordering import OrderingChecker
@@ -62,6 +67,8 @@ from repro.obs.telemetry import summarize_telemetry
 from repro.types import AppMessage, MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - the orchestrator imports this module
+    from asyncio import StreamReader
+
     from repro.live.orchestrator import _ControlServer
 
 
@@ -93,24 +100,23 @@ class Start:
     epoch: float
 
 
-class FaultOp(enum.Enum):
-    """What a :class:`Fault` does to the links towards its peers."""
+class LinkVerb(enum.Enum):
+    """What a link fault does to frames towards its peers while it is on:
+    the verbs of :class:`~repro.nemesis.steps.LinkFault` that run live."""
 
     HOLD = "hold"
-    RELEASE = "release"
     DROP = "drop"
-    UNDROP = "undrop"
     DELAY = "delay"
-    CLEAR_DELAY = "clear_delay"
 
 
 @dataclass(frozen=True, slots=True)
 class Fault:
-    """Orchestrator → worker: a link fault directive; under ``delay`` a
-    link waits ``extra`` plus up to ``jitter`` seconds, then writes every
-    frame queued meanwhile at once."""
+    """Orchestrator → worker: switch the link fault *verb* on or off
+    towards *peers*; under ``delay`` a link waits ``extra`` plus up to
+    ``jitter`` seconds, then writes every frame queued meanwhile at once."""
 
-    op: FaultOp
+    verb: LinkVerb
+    on: bool
     peers: tuple[int, ...]
     extra: float = 0.0
     jitter: float = 0.0
@@ -207,6 +213,25 @@ def control_frame(document: Any) -> bytes:
     """One control document as it travels: length-prefixed JSON."""
     body = {"type": type(document).__name__.lower(), **plain(document)}
     return encode_frame(json.dumps(body).encode("utf-8"))
+
+
+async def control_documents(
+    reader: StreamReader, decoder: FrameDecoder | None = None
+) -> AsyncIterator[Any]:
+    """The control documents arriving on *reader*, until it reaches EOF
+    (:class:`~repro.errors.ConfigurationError` names a malformed one).
+    *decoder* holds any partial frame, for the caller to inspect."""
+    decoder = decoder if decoder is not None else FrameDecoder()
+    while data := await reader.read(64 * 1024):
+        for frame in decoder.feed(data):
+            body = json.loads(frame.decode("utf-8"))
+            kind = body.pop("type", None) if isinstance(body, dict) else None
+            if not isinstance(kind, str) or kind not in CONTROL_TYPES:
+                raise ConfigurationError(
+                    f"unknown control message type {kind!r} "
+                    f"(known: {', '.join(CONTROL_TYPES)})"
+                )
+            yield read_fields(CONTROL_TYPES[kind], body, kind)
 
 
 def _reduce(

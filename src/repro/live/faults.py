@@ -5,19 +5,26 @@ runs the same declarative :class:`~repro.config.FaultloadConfig` on a
 live deployment, so one faultload JSON replays in both modes. Both read
 it through :func:`~repro.nemesis.steps.compile_faultload`'s timed steps,
 and print the same timeline text for them. A link fault's ``on`` and
-``off`` steps switch its verb:
+``off`` steps switch its verb: live, each becomes one
+:class:`~repro.live.deploy.Fault` directive per worker with an affected
+peer, naming the verb (a :class:`~repro.live.deploy.LinkVerb`, the set
+of verbs that run live) and ``on`` or off, which the worker's
+transport applies in one call:
 
 ========================  =========================================  ====================================
 step                      simulator                                  live
 ========================  =========================================  ====================================
 ``crash``                 halt the process model (fail-stop)         timed ``SIGKILL`` + scheduled
                                                                      restart with WAL crash recovery
-``hold``, ``drop``        hold/drop severed messages in the network  transport-level HOLD/DROP link
-                          model                                      directives over the control channel
+``hold``                  hold severed messages in the network       the link queues every frame; off
+                          model                                      flushes the queue
+``drop``                  drop severed messages in the network       the link discards every new frame
+                          model
 ``delay``                 add latency in the network model           one ``call_later`` wait in the
                                                                      link's ``flush``; the frames queued
                                                                      during it leave together
-``lose``                  probabilistic per-message loss             *unsupported live* (rejected as
+``lose``                  probabilistic per-message loss             *unsupported live* (no
+                                                                     ``LinkVerb``; rejected as
                                                                      ``loss_bursts``)
 ``suspect``/``retract``   force, then retract, the observer's FD     *unsupported live* (rejected as
                                                                      ``wrong_suspicions``)
@@ -52,9 +59,9 @@ from pathlib import Path
 
 from repro.config import FaultloadConfig
 from repro.errors import DeploymentError
-from repro.live.deploy import Fault, FaultOp, LiveSpec, _reduce
+from repro.live.deploy import Fault, LinkVerb, LiveSpec, _reduce
 from repro.live.orchestrator import _deployment, _watch
-from repro.live.wal import _Accept, _Deliver, _read_records, read_wal
+from repro.live.wal import Accept, Deliver, read_records, read_wal
 from repro.nemesis.invariants import InvariantMonitor, Violation
 from repro.nemesis.steps import compile_faultload
 from repro.types import AppMessage, MessageId
@@ -86,20 +93,15 @@ class LiveFaultAction:
     #: ``kill`` | ``restart`` | ``fault`` (link directives).
     kind: str
     #: Victim pid for kill/restart actions.
-    pid: int | None = None
+    pid: int = -1
     #: ``(target pid, directive)`` pairs for ``fault`` actions.
     directives: tuple[tuple[int, Fault], ...] = ()
     #: Human-readable form for the report timeline.
     describe: str = ""
 
 
-#: The transport directives that switch each link verb on and off;
-#: ``lose`` has none.
-_LIVE_OPS = {
-    "hold": (FaultOp.HOLD, FaultOp.RELEASE),
-    "drop": (FaultOp.DROP, FaultOp.UNDROP),
-    "delay": (FaultOp.DELAY, FaultOp.CLEAR_DELAY),
-}
+#: The link verbs with a live directive; ``lose`` has none.
+_LIVE_VERBS = {verb.value for verb in LinkVerb}
 
 
 def compile_live_faultload(
@@ -120,7 +122,7 @@ def compile_live_faultload(
     unsupported = {
         step.source: None
         for step in steps
-        if step.kind != "crash" and (step.link is None or step.link.verb not in _LIVE_OPS)
+        if step.kind != "crash" and (step.link is None or step.link.verb not in _LIVE_VERBS)
     }
     if unsupported:
         raise DeploymentError(
@@ -151,18 +153,14 @@ def compile_live_faultload(
         # A link step: one directive to every process with an affected peer.
         link = step.link
         assert link is not None
-        on, off = _LIVE_OPS[link.verb]
+        verb, on = LinkVerb(link.verb), step.kind == "on"
+        # ``extra`` and ``jitter`` are zero but for a delay switched on.
+        extra, jitter = (link.extra, link.jitter) if on else (0.0, 0.0)
         directives = []
         for src in range(n):
             peers = tuple(dst for dst in range(n) if dst != src and link.matches(src, dst))
             if peers:
-                # ``extra`` and ``jitter`` are zero but for a delay.
-                directive = (
-                    Fault(on, peers, link.extra, link.jitter)
-                    if step.kind == "on"
-                    else Fault(off, peers)
-                )
-                directives.append((src, directive))
+                directives.append((src, Fault(verb, on, peers, extra, jitter)))
         actions.append(
             LiveFaultAction(
                 step.at, "fault", directives=tuple(directives), describe=step.text
@@ -224,10 +222,10 @@ def check_merged_logs(
     last_delivery = [0.0] * n
     for pid in range(n):
         records, __ = read_wal(wal_dir / f"worker-{pid}.wal")
-        for record in _read_records(records):
-            if isinstance(record, _Accept):
+        for record in read_records(records):
+            if isinstance(record, Accept):
                 accepts.append((float(record.at), MessageId(record.s, record.q)))
-            elif isinstance(record, _Deliver):
+            elif isinstance(record, Deliver):
                 when = float(record.at)
                 delivers.append((when, pid, MessageId(record.s, record.q)))
                 last_delivery[pid] = max(last_delivery[pid], when)
@@ -274,10 +272,12 @@ async def _run_nemesis_live_async(
     kills = 0
     async with _deployment(spec, expected_dead) as (control, workers, epoch, spawn):
         for action in actions:
-            await _watch(workers, epoch + action.at - time.monotonic(), expected_dead)
+            await _watch(
+                workers, epoch + action.at - time.monotonic(), expected_dead,
+                control=control,
+            )
             timeline.append(f"t={action.at:.2f} {action.describe}")
             if action.kind == "kill":
-                assert action.pid is not None
                 victim = workers[action.pid]
                 if victim.poll() is None:
                     victim.send_signal(signal.SIGKILL)
@@ -285,7 +285,6 @@ async def _run_nemesis_live_async(
                 expected_dead.add(action.pid)
                 kills += 1
             elif action.kind == "restart":
-                assert action.pid is not None
                 old = workers[action.pid]
                 if old.stderr is not None:
                     old.stderr.close()
@@ -311,13 +310,16 @@ async def _run_nemesis_live_async(
                     expected_dead,
                     event=control.recovery_event(pid),
                     what=f"worker {pid} WAL recovery",
+                    control=control,
                 )
             timeline.append(
                 f"t={time.monotonic() - epoch:.2f} all restarted workers recovered"
             )
-            await _watch(workers, _RECOVERY_SETTLE, expected_dead)
+            await _watch(workers, _RECOVERY_SETTLE, expected_dead, control=control)
         total = spec.warmup + spec.duration + spec.drain
-        await _watch(workers, epoch + total - time.monotonic(), expected_dead)
+        await _watch(
+            workers, epoch + total - time.monotonic(), expected_dead, control=control
+        )
 
     result = _reduce(spec, control)
     quiet_time = max([action.at for action in actions], default=0.0)
@@ -328,13 +330,7 @@ async def _run_nemesis_live_async(
         check_liveness=faultload.liveness_safe,
         expect_all_delivered=faultload.liveness_safe,
     )
-    recovered = tuple(
-        sorted(
-            pid
-            for pid, done in control.done.items()
-            if done.recovered
-        )
-    )
+    recovered = tuple(sorted(pid for pid, done in control.done.items() if done.recovered))
     return LiveNemesisReport(
         passed=monitor.passed,
         violations=tuple(monitor.violations),

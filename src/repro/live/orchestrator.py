@@ -23,10 +23,9 @@ import time
 from pathlib import Path
 from typing import Any, AsyncIterator, Callable
 
-from repro.config import LiveSpec, plain, read_fields
-from repro.errors import ConfigurationError, DeploymentError
+from repro.config import LiveSpec, plain
+from repro.errors import ConfigurationError, DeploymentError, NetworkError
 from repro.live.deploy import (
-    CONTROL_TYPES,
     Done,
     Ready,
     Recovered,
@@ -36,6 +35,7 @@ from repro.live.deploy import (
     Telemetry,
     WorkerSpec,
     _reduce,
+    control_documents,
     control_frame,
     worker_spec,
 )
@@ -67,22 +67,6 @@ def reserve_ports(host: str, count: int) -> list[int]:
             sock.close()
 
 
-async def control_documents(reader: asyncio.StreamReader) -> AsyncIterator[Any]:
-    """The control documents arriving on *reader*, until it reaches EOF
-    (:class:`~repro.errors.ConfigurationError` names a malformed one)."""
-    decoder = FrameDecoder()
-    while data := await reader.read(64 * 1024):
-        for frame in decoder.feed(data):
-            body = json.loads(frame.decode("utf-8"))
-            kind = body.pop("type", None) if isinstance(body, dict) else None
-            if not isinstance(kind, str) or kind not in CONTROL_TYPES:
-                raise ConfigurationError(
-                    f"unknown control message type {kind!r} "
-                    f"(known: {', '.join(CONTROL_TYPES)})"
-                )
-            yield read_fields(CONTROL_TYPES[kind], body, kind)
-
-
 class _ControlServer:
     """Accepts worker control connections and buffers their reports."""
 
@@ -93,6 +77,11 @@ class _ControlServer:
         #: Buffered telemetry snapshots, in arrival order.
         self.telemetry: list[Telemetry] = []
         self.done: dict[int, Done] = {}
+        #: Each worker's frame decoder, holding any partial frame.
+        self.decoders: dict[int, FrameDecoder] = {}
+        #: The first control document refused, naming its worker; the
+        #: watch raises it.
+        self.failure: DeploymentError | None = None
         self.all_ready = asyncio.Event()
         self.all_done = asyncio.Event()
         self._recovered_events: dict[int, asyncio.Event] = {}
@@ -103,8 +92,13 @@ class _ControlServer:
         self.epoch: float | None = None
 
     async def handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        decoder = FrameDecoder()
+        pid: int | None = None
         try:
-            async for document in control_documents(reader):
+            async for document in control_documents(reader, decoder):
+                if isinstance(document, Ready):
+                    pid = document.pid
+                    self.decoders[pid] = decoder
                 self._dispatch(document, writer)
         except (ConnectionError, OSError):
             return
@@ -112,6 +106,13 @@ class _ControlServer:
             # Loop teardown cancels handlers still waiting for EOF after
             # the run reduced; nothing is lost, exit quietly.
             return
+        except (ConfigurationError, DeploymentError, NetworkError, ValueError) as error:
+            # A document that does not read, or has no place in the
+            # protocol: the run cannot be judged, so it fails now.
+            who = "a worker not yet ready" if pid is None else f"worker {pid}"
+            self.failure = self.failure or DeploymentError(
+                f"control document from {who} refused: {error}"
+            )
         finally:
             # The worker has hung up (after its ``done``) or died.
             writer.close()
@@ -146,6 +147,19 @@ class _ControlServer:
         actually caught up again.
         """
         return self._recovered_events.setdefault(pid, asyncio.Event())
+
+    def unreported(self) -> str:
+        """Each worker whose ``done`` has not arrived: whether its
+        control connection is open, and the partial frame buffered."""
+        return "; ".join(
+            f"worker {pid} never said ready"
+            if pid not in self.ready
+            else f"worker {pid} sent no done (control connection "
+            f"{'closed' if self.ready[pid].is_closing() else 'open'}, "
+            f"{self.decoders[pid].pending_bytes} bytes of a partial frame buffered)"
+            for pid in range(self.n)
+            if pid not in self.done
+        )
 
     def total(self, counter: str) -> int:
         """Sum of one counter over the workers' final reports."""
@@ -224,11 +238,13 @@ async def _watch(
     expected_dead: frozenset[int] | set[int] = frozenset(),
     event: asyncio.Event | None = None,
     what: str = "",
+    control: _ControlServer | None = None,
 ) -> None:
     """Let *seconds* pass — or wait at most that long for *event* (*what*
-    names it) — watching the workers: an unexpected death aborts the run
-    within one poll (0.1 s asleep, 0.2 s on an event) with the worker's
-    stderr, not when a later report times out.
+    names it) — watching the workers and their *control* channel: an
+    unexpected death, or a refused control document, aborts the run
+    within one poll (0.1 s asleep, 0.2 s on an event), not when a later
+    report times out. A timeout names the workers that never reported.
     """
     during = f"while waiting for {what}" if event else "during the measurement window"
     deadline = time.monotonic() + seconds
@@ -236,11 +252,16 @@ async def _watch(
         failure = _worker_failure(workers, expected_dead)
         if failure is not None:
             raise DeploymentError(f"{during}: {failure}")
+        if control is not None and control.failure is not None:
+            raise control.failure
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             if event is None:
                 return
-            raise DeploymentError(f"timed out waiting for {what}")
+            detail = control.unreported() if control is not None else ""
+            raise DeploymentError(
+                f"timed out waiting for {what}" + (f": {detail}" if detail else "")
+            )
         if event is None:
             await asyncio.sleep(min(0.1, remaining))
         else:
@@ -275,7 +296,8 @@ async def _deployment(
     try:
         workers.extend(spawn(pid) for pid in range(spec.n))
         await _watch(
-            workers, READY_TIMEOUT, event=control.all_ready, what="workers ready"
+            workers, READY_TIMEOUT, event=control.all_ready, what="workers ready",
+            control=control,
         )
         epoch = time.monotonic()
         control.broadcast(Start(epoch))
@@ -283,7 +305,7 @@ async def _deployment(
         control.broadcast(Stop())
         await _watch(
             workers, READY_TIMEOUT, expected_dead,
-            event=control.all_done, what="final worker reports",
+            event=control.all_done, what="final worker reports", control=control,
         )
     finally:
         server.close()
@@ -313,7 +335,7 @@ async def _run_live_async(
 ) -> dict:
     async with _deployment(spec) as (control, workers, epoch, _):
         total = spec.warmup + spec.duration + spec.drain
-        await _watch(workers, epoch + total - time.monotonic())
+        await _watch(workers, epoch + total - time.monotonic(), control=control)
     # Every fault-free run is judged, whether or not the caller asked for
     # the log: all accepts first, then each worker's own delivery order.
     checker = OrderingChecker(spec.n)

@@ -59,9 +59,10 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import NetworkError
+from repro.live.deploy import LinkVerb
 from repro.live.framing import (  # noqa: F401 - FrameDecoder is re-exported
     MAX_FRAME_SIZE,
     FrameDecoder,
@@ -198,13 +199,10 @@ class _Link:
         #: ``resume_writing``: the socket buffer is above its high-water
         #: mark, so frames stay in ``queue`` instead of piling up there.
         self.paused = False
-        #: Fault injection, HOLD-mode partition: frames queue up and flow
-        #: on release.
+        #: The link faults switched on (:meth:`Transport.set_link_fault`):
+        #: ``hold``, ``drop``, and a delay spike's ``(extra, jitter)``.
         self.held = False
-        #: Fault injection, DROP mode: new frames are discarded.
         self.dropped = False
-        #: Fault injection: ``(extra, jitter)`` of a delay spike — each
-        #: write waits ``extra + U(0, jitter)`` seconds first.
         self.delay: tuple[float, float] | None = None
         #: Armed while a delay spike's wait runs; its end flushes.
         self.timer: asyncio.TimerHandle | None = None
@@ -610,55 +608,38 @@ class Transport:
             for peer, count in self._delivered.items()
         }
 
-    # -- fault injection hooks (driven by `repro nemesis --live`) ----------
+    # -- fault injection (driven by `repro nemesis --live`) ----------------
 
-    def _links_to(self, peers: set[int] | frozenset[int]) -> list[_Link]:
-        """The links towards *peers* (other pids are ignored)."""
-        return [link for peer, link in self._links.items() if peer in peers]
-
-    def hold_links(self, peers: set[int] | frozenset[int]) -> None:
-        """Stop transmitting to *peers*; frames queue until release.
-
-        The live form of a HOLD-mode partition: channels stay
-        quasi-reliable (nothing is lost, everything is late), matching
-        the simulator's semantics so the same faultload is comparable.
-        """
-        for link in self._links_to(peers):
-            link.held = True
-
-    def release_links(self, peers: set[int] | frozenset[int]) -> None:
-        """Heal a HOLD: resume transmitting queued frames to *peers*."""
-        for link in self._links_to(peers):
-            link.held = False
-            link.flush()
-
-    def drop_links(self, peers: set[int] | frozenset[int]) -> None:
-        """Silently discard every new frame to *peers* (DROP mode)."""
-        for link in self._links_to(peers):
-            link.dropped = True
-
-    def undrop_links(self, peers: set[int] | frozenset[int]) -> None:
-        """Stop discarding frames to *peers*."""
-        for link in self._links_to(peers):
-            link.dropped = False
-
-    def set_link_delay(
-        self, peers: set[int] | frozenset[int], extra: float, jitter: float = 0.0
+    def set_link_fault(
+        self,
+        peers: Iterable[int],
+        verb: LinkVerb,
+        on: bool,
+        extra: float = 0.0,
+        jitter: float = 0.0,
     ) -> None:
-        """Wait ``extra + U(0, jitter)`` before each write to *peers*.
+        """Switch the link fault *verb* on or off towards *peers* (other
+        pids are ignored); switching one off flushes what it queued.
 
-        Frames queued during one wait leave together after it, so a
-        spike adds latency to every frame without capping the link's
-        rate at one frame per wait.
+        ``hold`` queues every frame (a HOLD-mode partition: nothing is
+        lost, everything is late, as in the simulator); ``drop``
+        discards every new frame; ``delay`` waits ``extra + U(0,
+        jitter)`` seconds before a write, and the frames queued during
+        one wait leave together, so a spike adds latency without capping
+        the link's rate at one frame per wait.
         """
-        for link in self._links_to(peers):
-            link.delay = (extra, jitter)
-
-    def clear_link_delay(self, peers: set[int] | frozenset[int]) -> None:
-        """Remove the delay spike towards *peers*."""
-        for link in self._links_to(peers):
-            link.delay = None
-            link.flush()
+        for peer in peers:
+            link = self._links.get(peer)
+            if link is None:
+                continue
+            if verb is LinkVerb.HOLD:
+                link.held = on
+            elif verb is LinkVerb.DROP:
+                link.dropped = on
+            else:
+                link.delay = (extra, jitter) if on else None
+            if not on:
+                link.flush()
 
     # -- receiving ---------------------------------------------------------
 

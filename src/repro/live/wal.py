@@ -3,19 +3,21 @@
 Each live worker appends its measurement-relevant state transitions to
 one append-only log file so a SIGKILLed worker can be restarted and
 rejoin the group without violating the abcast contract (see
-PROTOCOLS.md, "Crash recovery"). Three record types exist:
+PROTOCOLS.md, "Crash recovery"). Three record types exist, one
+dataclass each, written as their fields plus ``t``, the class name in
+lower case, and read back as the same classes by :func:`read_records`:
 
-* ``accept`` — one of this worker's own messages entered the stack.
+* :class:`Accept` — one of this worker's own messages entered the stack.
   Written *and fsynced before* the matching
   :class:`~repro.stack.events.AbcastRequest` is injected (true
   write-ahead: a message can never be on the wire without its accept
   record being durable — the merged-log integrity check depends on it).
-* ``deliver`` — one message was adelivered locally, with the top
+* :class:`Deliver` — one message was adelivered locally, with the top
   module's next consensus instance after the delivery. Buffered and
   fsynced in batches (the periodic flush), so a crash may lose a
   *suffix* of deliveries — which state transfer re-fetches — but never
   reorders or invents one.
-* ``resume`` — a snapshot of the transport's per-peer delivered frame
+* :class:`Resume` — a snapshot of the transport's per-peer delivered frame
   counts (the reconnect resume points). Last one wins on recovery.
 
 Framing: every record is ``[4-byte BE length][4-byte BE CRC32][JSON
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from repro.config import read_fields
+from repro.config import plain, read_fields
 from repro.errors import ConfigurationError, DeploymentError
 
 _HEADER = struct.Struct(">II")  # (body length, CRC32 of body)
@@ -47,8 +49,15 @@ _HEADER = struct.Struct(">II")  # (body length, CRC32 of body)
 MAX_RECORD_SIZE = 16 * 1024 * 1024
 
 
-def encode_record(record: dict) -> bytes:
-    """Frame one record for the log: length + CRC32 + JSON body."""
+def encode_record(record: Accept | Deliver | Resume | dict) -> bytes:
+    """Frame one record for the log: length + CRC32 + JSON body.
+
+    A record is an :class:`Accept`, :class:`Deliver` or :class:`Resume`,
+    written as its fields plus ``t``, its class name in lower case; a
+    plain dict is written as it is.
+    """
+    if not isinstance(record, dict):
+        record = {"t": type(record).__name__.lower(), **plain(record)}
     body = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
@@ -102,7 +111,7 @@ class WalWriter:
         #: durability cost, surfaced on the control channel).
         self.fsyncs = 0
 
-    def append(self, record: dict, *, sync: bool = False) -> None:
+    def append(self, record: Accept | Deliver | Resume, *, sync: bool = False) -> None:
         """Buffer one record; with ``sync=True``, make it durable now."""
         self._buffer += encode_record(record)
         if sync:
@@ -149,21 +158,15 @@ def recover_wal(path: str | Path) -> tuple[list[dict], int]:
     restarted worker appends new ones — otherwise the next append would
     splice valid frames after garbage and strand them forever.
     """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return [], 0
-    records, valid = decode_records(data)
-    torn = len(data) - valid
+    records, torn = read_wal(path)
     if torn:
         with open(path, "r+b") as handle:
-            handle.truncate(valid)
+            handle.truncate(os.fstat(handle.fileno()).st_size - torn)
     return records, torn
 
 
 @dataclass(frozen=True, slots=True)
-class _Accept:
+class Accept:
     """An ``accept`` record: own message ``(s, q)`` entered the stack at ``at``."""
 
     s: int
@@ -172,7 +175,7 @@ class _Accept:
 
 
 @dataclass(frozen=True, slots=True)
-class _Deliver:
+class Deliver:
     """A ``deliver`` record: ``(s, q)`` was adelivered at ``at``, and the
     top module's next consensus instance was then ``i``."""
 
@@ -183,17 +186,20 @@ class _Deliver:
 
 
 @dataclass(frozen=True, slots=True)
-class _Resume:
-    """A ``resume`` record: ``peer -> [incarnation nonce, frame count]``."""
+class Resume:
+    """A ``resume`` record: ``peer -> [incarnation nonce, frame count]``.
+
+    JSON writes the peers as text, in numeric order (``sort_keys`` sorts
+    the int keys before it converts them)."""
 
     counts: dict[int, tuple[int, int]]
     at: float = 0.0
 
 
-_RECORD_TYPES = {"accept": _Accept, "deliver": _Deliver, "resume": _Resume}
+_RECORD_TYPES = {cls.__name__.lower(): cls for cls in (Accept, Deliver, Resume)}
 
 
-def _read_records(records: list[dict]) -> Iterator[_Accept | _Deliver | _Resume]:
+def read_records(records: list[dict]) -> Iterator[Accept | Deliver | Resume]:
     """Each parsed record as its typed form, in log order.
 
     The one reader behind both readers of a log: the restart fold
@@ -247,10 +253,10 @@ class WalState:
         """Fold a parsed record list into the resumable state."""
         state = cls()
         seen: set[tuple[int, int]] = set()
-        for record in _read_records(records):
-            if isinstance(record, _Accept):
+        for record in read_records(records):
+            if isinstance(record, Accept):
                 state.accepted.append((record.s, record.q, float(record.at)))
-            elif isinstance(record, _Deliver):
+            elif isinstance(record, Deliver):
                 pair = (record.s, record.q)
                 if pair in seen:
                     continue  # re-synced after a partial flush; keep first

@@ -9,24 +9,32 @@ connection (length-prefixed JSON frames, same framing as the data
 plane).
 
 Control protocol (worker perspective), one dataclass of
-:mod:`repro.live.deploy` per document::
+:mod:`repro.live.deploy` per document, which that module also writes
+and reads for both ends::
 
     -> Ready                  after the listener is up
     <- Start                  shared time origin
-    <- Fault                  link fault directives (nemesis --live only)
+    <- Fault                  a link verb on or off (nemesis --live only)
     -> Samples, Telemetry     every ~250 ms
     -> Recovered              a restarted worker has caught up
     <- Stop                   measurement over
-    -> Done                   final counters, then the process exits
+    -> Done                   final counters; the worker closes the
+                              connection, waits until it is closed,
+                              and exits
 
 The deployment's :class:`~repro.live.deploy.LiveSpec` and this worker's
 place in it (pid, addresses, control port, WAL) arrive as one
 :class:`~repro.live.deploy.WorkerSpec` in ``argv[1]`` —
 :func:`~repro.live.deploy.worker_spec` writes it.
 
+A :class:`Worker` is built whole from that spec: its WAL, transport,
+runtime and workload source exist from construction on, and
+:meth:`Worker.run` is its life cycle.
+
 Crash recovery (see PROTOCOLS.md, "Crash recovery in the live
 runtime"): with a ``wal`` in its spec the worker write-ahead-logs
-accepted and delivered messages; with ``recover`` additionally set it
+accepted and delivered messages (one :mod:`repro.live.wal` record class
+each); with ``recover`` additionally set it
 is a restarted incarnation: it reloads the log, resumes the transport
 at the persisted resume points, state-transfers the deliveries it
 missed from a live peer (``SYNC_REQ``/``SYNC_RESP`` on the reserved
@@ -38,6 +46,7 @@ own accepted-but-undelivered messages before rejoining the workload.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import random
@@ -52,7 +61,6 @@ from repro.flowcontrol.window import BacklogWindow
 from repro.live.deploy import (
     Done,
     Fault,
-    FaultOp,
     Ready,
     Recovered,
     Samples,
@@ -60,13 +68,13 @@ from repro.live.deploy import (
     Stop,
     Telemetry,
     WorkerSpec,
+    control_documents,
     control_frame,
     matched_run_config,
 )
-from repro.live.orchestrator import control_documents
 from repro.live.runtime import LiveRuntime
 from repro.live.transport import Transport, narrate
-from repro.live.wal import WalState, WalWriter, load_wal_state
+from repro.live.wal import Accept, Deliver, Resume, WalState, WalWriter, load_wal_state
 from repro.net.message import NetMessage
 from repro.sim.tracing import NullTraceRecorder, TraceRecorder
 from repro.stack.events import AbcastRequest
@@ -91,40 +99,28 @@ SYNC_RETRY_INTERVAL = 0.25
 
 
 class Worker:
-    """Wires one process: transport, runtime, workload, control client."""
+    """One process, wired at construction: WAL, transport, runtime,
+    workload source; :meth:`run` is its life cycle."""
 
     def __init__(self, document: WorkerSpec) -> None:
-        self.spec = document.spec
+        self.spec = spec = document.spec
         #: The spec in the simulator's terms: stack, window, detector,
         #: population — what ``repro live --compare`` simulates.
-        self.config = matched_run_config(self.spec)
-        self.pid = document.pid
-        self.n = self.spec.n
-        self.addresses = document.addresses
+        self.config = config = matched_run_config(spec)
+        self.pid = pid = document.pid
+        self.n = spec.n
         self._control_address = document.control
-        self._wal_path = document.wal
-        self.runtime: LiveRuntime | None = None
-        self.transport: Transport | None = None
-        self.sender: FlowControlledSender | None = None
-        self.wal: WalWriter | None = None
         self._accepts: list[tuple[int, int, int, float]] = []
         self._delivers: list[tuple[int, int, float]] = []
         self._offered_reported = 0
         self._cpu_at_warmup = 0.0
         self._instances_at_warmup = 0
         self._network_at_warmup: dict = {}
-        #: Full local adelivery sequence as (sender, seq) pairs — the
-        #: state served to recovering peers via SYNC_REQ.
-        self._delivered_log: list[tuple[int, int]] = []
-        self._delivered_ids: set[tuple[int, int]] = set()
         self._backpressure_stalls = 0
-        self._unordered_cap: int | None = self.spec.unordered_cap or None
+        self._unordered_cap: int | None = spec.unordered_cap or None
         #: Recovery state: while gating, inbound protocol traffic is
         #: buffered until catch-up completes.
-        self._wal_state = WalState()
-        self._wal_truncated = 0
-        self._recovering = document.recover and bool(self._wal_path)
-        self._gating = False
+        self._gating = document.recover and bool(document.wal)
         self._gated: list[NetMessage] = []
         self._sync_retry: asyncio.TimerHandle | None = None
         self._recovered = False
@@ -136,58 +132,34 @@ class Worker:
         #: Wall-clock span trace (``trace_cap`` in the spec turns it
         #: on); spans ship to the orchestrator in the done document.
         self.trace: TraceRecorder = (
-            TraceRecorder(cap=self.spec.trace_cap)
-            if self.spec.trace_cap
-            else NullTraceRecorder()
+            TraceRecorder(cap=spec.trace_cap) if spec.trace_cap else NullTraceRecorder()
         )
 
-    # -- assembly ----------------------------------------------------------
-
-    def build(self) -> None:
-        """Construct transport + runtime + workload source."""
-        config = self.config
-        if self._wal_path:
-            if self._recovering:
-                self._wal_state, self._wal_truncated = load_wal_state(self._wal_path)
-                self._delivered_log = list(self._wal_state.delivered)
-                self._delivered_ids = set(self._delivered_log)
-            self.wal = WalWriter(self._wal_path)
-        self._gating = self._recovering
-
-        def on_message(message: Any) -> None:
-            assert self.runtime is not None
-            if message.module == RECOVERY_MODULE:
-                self._on_recovery_message(message)
-                return
-            if self._gating:
-                self._gated.append(message)
-                return
-            self.runtime.on_network_message(message)
+        # A restarted incarnation starts from what its log recovers.
+        self._wal_state, self._wal_truncated = WalState(), 0
+        if self._gating:
+            self._wal_state, self._wal_truncated = load_wal_state(document.wal)
+        #: Full local adelivery sequence as (sender, seq) pairs — the
+        #: state served to recovering peers via SYNC_REQ.
+        self._delivered_log: list[tuple[int, int]] = list(self._wal_state.delivered)
+        #: The write-ahead log, when the spec asks for one.
+        self.wal = WalWriter(document.wal) if document.wal else None
 
         self.transport = Transport(
-            self.pid,
-            self.addresses,
-            on_message,
+            pid, document.addresses, self._on_message,
             resume_points=self._wal_state.resume_counts,
-            max_unacked=self.spec.max_unacked or None,
+            max_unacked=spec.max_unacked or None,
         )
 
         def make_runtime(modules: list[Microprotocol]) -> LiveRuntime:
             return LiveRuntime(
-                self.pid,
-                self.n,
-                modules,
-                self.transport,
+                pid, self.n, modules, self.transport,
                 on_crash=lambda: os._exit(CRASH_EXIT_CODE),
                 trace=self.trace if self.trace.enabled else None,
             )
 
         runtime = build_process(
-            config.stack,
-            self.pid,
-            self.n,
-            make_runtime,
-            max_batch=config.flow_control.max_batch,
+            config.stack, pid, self.n, make_runtime, max_batch=config.flow_control.max_batch
         )
         assert isinstance(runtime, LiveRuntime)
         self.runtime = runtime
@@ -203,69 +175,50 @@ class Worker:
             config.workload.message_size,
             on_accept=self._on_accept,
         )
-        if self._recovering:
+        if self._gating:
             # Own sequence numbers must never be reused across
             # incarnations: (sender, seq) is the message identity.
-            self.sender.resume_from(self._wal_state.max_own_seq(self.pid) + 1)
+            self.sender.resume_from(self._wal_state.max_own_seq(pid) + 1)
 
     # -- measurement hooks -------------------------------------------------
 
+    def _on_message(self, message: NetMessage) -> None:
+        if message.module == RECOVERY_MODULE:
+            self._on_recovery_message(message)
+        elif self._gating:
+            self._gated.append(message)
+        else:
+            self.runtime.on_network_message(message)
+
     def _on_accept(self, message: Any) -> None:
+        msg_id = message.msg_id
         if self.wal is not None:
             # Write-ahead: the accept record must be durable before the
             # message can reach any peer, so the merged-log integrity
             # check never sees a delivered-but-never-accepted message.
-            self.wal.append(
-                {
-                    "t": "accept",
-                    "s": message.msg_id.sender,
-                    "q": message.msg_id.seq,
-                    "at": message.abcast_time,
-                },
-                sync=True,
-            )
-        self._accepts.append(
-            (message.msg_id.sender, message.msg_id.seq, message.size, message.abcast_time)
-        )
+            self.wal.append(Accept(msg_id.sender, msg_id.seq, message.abcast_time), sync=True)
+        self._accepts.append((msg_id.sender, msg_id.seq, message.size, message.abcast_time))
 
     def _on_adeliver(self, pid: int, message: Any, when: float) -> None:
-        assert self.runtime is not None
-        pair = (message.msg_id.sender, message.msg_id.seq)
-        self._delivered_ids.add(pair)
-        self._delivered_log.append(pair)
+        sender, seq = message.msg_id
+        self._delivered_log.append((sender, seq))
         if self.wal is not None:
             self.wal.append(
-                {
-                    "t": "deliver",
-                    "s": pair[0],
-                    "q": pair[1],
-                    "at": when,
-                    "i": self.runtime.modules[0].next_instance,
-                }
+                Deliver(sender, seq, when, self.runtime.modules[0].next_instance)
             )
-        self._delivers.append((pair[0], pair[1], when))
-        if pair[0] == self.pid and self.sender is not None:
+        self._delivers.append((sender, seq, when))
+        if sender == self.pid:
             self.sender.on_own_delivery(message)
 
     # -- crash recovery ----------------------------------------------------
 
     def _recovery_send(self, dst: int, kind: str, payload: dict, size: int) -> None:
-        assert self.transport is not None
         self.transport.send(
-            NetMessage(
-                kind=kind,
-                module=RECOVERY_MODULE,
-                src=self.pid,
-                dst=dst,
-                payload=payload,
-                payload_size=size,
-                header_size=66,
-            )
+            NetMessage(kind, RECOVERY_MODULE, self.pid, dst, payload, size, header_size=66)
         )
 
     def _begin_recovery(self) -> None:
         """Start catch-up: ask live peers for the deliveries we missed."""
-        assert self.runtime is not None
         loop = self.runtime.loop
 
         def request() -> None:
@@ -292,7 +245,6 @@ class Worker:
 
     def _serve_sync_request(self, requester: int, payload: dict) -> None:
         """Answer a recovering peer with the deliveries it is missing."""
-        assert self.runtime is not None
         if self._gating:
             return  # recovering ourselves; our log is not a frontier yet
         start = int(payload["from"])
@@ -301,20 +253,12 @@ class Worker:
             return  # we are behind the requester; let someone else help
         entries = [[s, q] for s, q in self._delivered_log[start:]]
         narrate("worker", self.pid, f"answering SYNC_REQ p{requester} with {len(entries)} entries")
-        self._recovery_send(
-            requester,
-            "SYNC_RESP",
-            {
-                "from": start,
-                "entries": entries,
-                "next_instance": self.runtime.modules[0].next_instance,
-            },
-            16 + 12 * len(entries),
-        )
+        next_instance = self.runtime.modules[0].next_instance
+        payload = {"from": start, "entries": entries, "next_instance": next_instance}
+        self._recovery_send(requester, "SYNC_RESP", payload, 16 + 12 * len(entries))
 
     def _apply_sync_response(self, payload: dict) -> None:
         """First matching response wins: apply it and rejoin the stack."""
-        assert self.runtime is not None
         if not self._gating:
             return
         if int(payload["from"]) != len(self._delivered_log):
@@ -322,28 +266,27 @@ class Worker:
             return  # stale response to an earlier request
         next_instance = int(payload["next_instance"])
         now = self.runtime.now
+        delivered = set(self._delivered_log)
         for sender, seq in payload["entries"]:
             pair = (int(sender), int(seq))
-            if pair in self._delivered_ids:
+            if pair in delivered:
                 continue
-            self._delivered_ids.add(pair)
+            delivered.add(pair)
             self._delivered_log.append(pair)
             if self.wal is not None:
-                self.wal.append(
-                    {"t": "deliver", "s": pair[0], "q": pair[1],
-                     "at": now, "i": next_instance}
-                )
+                self.wal.append(Deliver(pair[0], pair[1], now, next_instance))
             self._delivers.append((pair[0], pair[1], now))
-        self._complete_recovery(next_instance)
+        self._complete_recovery(next_instance, delivered)
 
-    def _complete_recovery(self, next_instance: int) -> None:
-        """Fast-forward the stack, replay gated traffic, rejoin."""
-        assert self.runtime is not None
+    def _complete_recovery(
+        self, next_instance: int, delivered: set[tuple[int, int]]
+    ) -> None:
+        """Fast-forward the stack past *delivered*, replay gated traffic,
+        rejoin."""
         if self._sync_retry is not None:
             self._sync_retry.cancel()
             self._sync_retry = None
-        delivered = {MessageId(s, q) for s, q in self._delivered_ids}
-        self.runtime.resume_at(next_instance, delivered)
+        self.runtime.resume_at(next_instance, {MessageId(s, q) for s, q in delivered})
         self._gating = False
         gated, self._gated = self._gated, []
         for message in gated:
@@ -354,16 +297,9 @@ class Worker:
         # their _adelivered ledgers, so a message that did make it out
         # before the crash is ordered exactly once.
         for sender, seq, __ in self._wal_state.accepted:
-            if sender == self.pid and (sender, seq) not in self._delivered_ids:
-                self.runtime.inject(
-                    AbcastRequest(
-                        AppMessage(
-                            msg_id=MessageId(sender, seq),
-                            size=self.spec.size,
-                            abcast_time=self.runtime.now,
-                        )
-                    )
-                )
+            if sender == self.pid and (sender, seq) not in delivered:
+                message = AppMessage(MessageId(sender, seq), self.spec.size, self.runtime.now)
+                self.runtime.inject(AbcastRequest(message))
         if self.wal is not None:
             self.wal.flush()
         self._recovered = True
@@ -380,24 +316,6 @@ class Worker:
             self._control_writer.write(control_frame(Recovered(self.pid)))
         self._start_workload()
 
-    # -- fault directives (nemesis --live) ---------------------------------
-
-    def _apply_fault(self, fault: Fault) -> None:
-        assert self.transport is not None
-        op, peers = fault.op, set(fault.peers)
-        if op is FaultOp.HOLD:
-            self.transport.hold_links(peers)
-        elif op is FaultOp.RELEASE:
-            self.transport.release_links(peers)
-        elif op is FaultOp.DROP:
-            self.transport.drop_links(peers)
-        elif op is FaultOp.UNDROP:
-            self.transport.undrop_links(peers)
-        elif op is FaultOp.DELAY:
-            self.transport.set_link_delay(peers, fault.extra, fault.jitter)
-        else:
-            self.transport.clear_link_delay(peers)
-
     # -- workload ----------------------------------------------------------
 
     def _backpressure_blocked(self) -> bool:
@@ -410,7 +328,6 @@ class Worker:
         a slow consensus pipeline pushes back on the arrival process
         instead of hoarding an unbounded unordered set).
         """
-        assert self.runtime is not None and self.transport is not None
         if self.transport.congested:
             return True
         return (
@@ -432,7 +349,6 @@ class Worker:
         is attributed to a Zipf-sampled client — O(1) per arrival, no
         per-client state beyond the sparse activity counters.
         """
-        assert self.runtime is not None and self.sender is not None
         spec = self.spec
         active = spec.senders or range(self.n)
         if self.pid not in active:
@@ -444,12 +360,8 @@ class Worker:
         sampler = make_gap_sampler(self.config.workload, len(active), rng)
         population = self.config.workload.population
         if population is not None:
-            self._pool = ClientPool(
-                population,
-                self.pid,
-                self.n,
-                random.Random(spec.seed * 1000 + self.pid + 501),
-            )
+            pool_rng = random.Random(spec.seed * 1000 + self.pid + 501)
+            self._pool = ClientPool(population, self.pid, self.n, pool_rng)
 
         # Absolute deadlines, as the simulator's ArrivalSchedule: the
         # next arrival is due one gap after the previous one was *due*,
@@ -461,7 +373,6 @@ class Worker:
 
         def tick() -> None:
             nonlocal due
-            assert self.runtime is not None and self.sender is not None
             if self.runtime.now > stop_at or not self.runtime.alive:
                 return
             if self._pool is not None:
@@ -479,13 +390,11 @@ class Worker:
 
     def _start_workload(self) -> None:
         """Arrivals + warm-up snapshot; runs at start, or after rejoin."""
-        assert self.runtime is not None
         self._schedule_arrivals()
         warmup_in = max(0.0, self.spec.warmup - self.runtime.now)
         self.runtime.loop.call_later(warmup_in, self._at_warmup_end)
 
     def _at_warmup_end(self) -> None:
-        assert self.runtime is not None and self.transport is not None
         self._cpu_at_warmup = time.process_time()
         self._instances_at_warmup = self.runtime.modules[0].next_instance
         self._network_at_warmup = self.transport.stats.snapshot()
@@ -493,7 +402,6 @@ class Worker:
     # -- reporting ---------------------------------------------------------
 
     def _drain_samples(self) -> Samples | None:
-        assert self.sender is not None
         offered_delta = self.sender.offered - self._offered_reported
         if not self._accepts and not self._delivers and offered_delta == 0:
             return None
@@ -505,15 +413,8 @@ class Worker:
 
     def _telemetry_document(self) -> Telemetry:
         """One counter/gauge snapshot."""
-        assert self.runtime is not None and self.transport is not None
-        unacked = max(
-            (
-                self.transport.unacked_to(peer)
-                for peer in range(self.n)
-                if peer != self.pid
-            ),
-            default=0,
-        )
+        peers = [peer for peer in range(self.n) if peer != self.pid]
+        unacked = max(map(self.transport.unacked_to, peers), default=0)
         return Telemetry(
             pid=self.pid,
             queue_depth=self.runtime.modules[0].unordered_count,
@@ -524,17 +425,7 @@ class Worker:
             wal_fsyncs=self.wal.fsyncs if self.wal is not None else 0,
         )
 
-    def _span_rows(self) -> list[tuple[float, str, int, list]]:
-        """Serialize traced spans as ``(time, category, pid, detail)``."""
-        return [
-            (record.time, record.category, record.process, list(record.detail))
-            for record in self.trace.records()
-            if record.category.startswith("span.")
-        ]
-
     def _done_document(self) -> Done:
-        assert self.runtime is not None and self.transport is not None
-        assert self.sender is not None
         duration = self.spec.duration
         network = self.transport.stats.snapshot()
         window_network = {
@@ -542,6 +433,10 @@ class Worker:
             for key in network
         }
         cpu_busy = time.process_time() - self._cpu_at_warmup
+        spans = [  # traced spans as ``(time, category, pid, detail)``
+            (record.time, record.category, record.process, list(record.detail))
+            for record in self.trace.select("span.")
+        ]
         return Done(
             pid=self.pid,
             network=window_network,
@@ -552,38 +447,23 @@ class Worker:
             backpressure_stalls=self._backpressure_stalls,
             recovered=self._recovered,
             wal_truncated_bytes=self._wal_truncated,
-            active_clients=(
-                self._pool.active_clients if self._pool is not None else 0
-            ),
+            active_clients=self._pool.active_clients if self._pool is not None else 0,
             boundary_crossings=self.runtime.boundary_crossings,
-            spans=self._span_rows() if self.trace.enabled else [],
+            spans=spans,
             trace_dropped=self.trace.dropped_records,
         )
 
     def _wal_checkpoint(self) -> None:
         """Snapshot transport resume points and flush batched records."""
-        if self.wal is None or self.transport is None or self.runtime is None:
+        if self.wal is None:
             return
-        self.wal.append(
-            {
-                "t": "resume",
-                "counts": {
-                    str(peer): [nonce, count]
-                    for peer, (nonce, count) in (
-                        self.transport.delivered_counts().items()
-                    )
-                },
-                "at": self.runtime.now,
-            }
-        )
+        self.wal.append(Resume(self.transport.delivered_counts(), self.runtime.now))
         self.wal.flush()
 
     # -- main loop ---------------------------------------------------------
 
     async def run(self) -> int:
         """Execute the worker's whole life cycle; returns an exit code."""
-        self.build()
-        assert self.runtime is not None and self.transport is not None
         await self.transport.start()
 
         reader, writer = await self._connect_control(*self._control_address)
@@ -603,7 +483,10 @@ class Worker:
                     else:
                         self._start_workload()
                 elif isinstance(document, Fault):
-                    self._apply_fault(document)
+                    self.transport.set_link_fault(
+                        document.peers, document.verb, document.on,
+                        document.extra, document.jitter,
+                    )
                 elif isinstance(document, Stop):
                     break
             else:
@@ -625,6 +508,10 @@ class Worker:
             self.wal.close()
         await self.transport.close()
         writer.close()
+        # ``drain`` only brought the buffer under its low-water mark: the
+        # rest of the done document leaves before the loop is closed.
+        with contextlib.suppress(ConnectionError):
+            await writer.wait_closed()
         return 0
 
     async def _connect_control(

@@ -35,7 +35,7 @@ from repro.live.deploy import (
     CONTROL_TYPES,
     Done,
     Fault,
-    FaultOp,
+    LinkVerb,
     LiveSpec,
     Ready,
     Recovered,
@@ -44,9 +44,9 @@ from repro.live.deploy import (
     Stop,
     Telemetry,
     WorkerSpec,
+    control_documents,
     worker_spec,
 )
-from repro.live.orchestrator import control_documents
 from repro.live.transport import encode_frame
 from repro.nemesis.swarm import NemesisCase
 
@@ -139,7 +139,7 @@ VALID = [
     ),
     Ready(1),
     Start(12.5),
-    Fault(FaultOp.DELAY, (0, 2), extra=0.01, jitter=0.002),
+    Fault(LinkVerb.DELAY, True, (0, 2), extra=0.01, jitter=0.002),
     Samples(0, [(0, 1, 64, 0.25)], [(0, 1, 0.5), (2, 0, 0.75)], 3),
     Telemetry(2, 3, 12, True, 1, 0, 17),
     Stop(),
@@ -191,7 +191,7 @@ def test_the_channel_carries_every_control_document():
         ({"type": "ready", "pid": 0, "t": 1.0}, "'t'"),
         ({"type": "recovered"}, "'pid'"),
         ({"type": "start", "epoch": "soon"}, "'start.epoch'"),
-        ({"type": "fault", "op": "explode", "peers": [1]}, "'fault.op'"),
+        ({"type": "fault", "verb": "explode", "on": True, "peers": [1]}, "'fault.verb'"),
         (
             {"type": "samples", "pid": 0, "accepts": [[0, 1, 64, None]],
              "delivers": [], "offered": 1},
@@ -210,6 +210,6 @@ def test_the_channel_refuses_a_malformed_document_by_name(body, named):
     assert named in str(refused.value)
 
 
-def test_an_unknown_fault_op_is_refused_naming_the_choices():
-    with pytest.raises(ConfigurationError, match="hold, release, drop"):
-        channel({"type": "fault", "op": "explode", "peers": [1]})
+def test_an_unknown_fault_verb_is_refused_naming_the_choices():
+    with pytest.raises(ConfigurationError, match="hold, drop, delay"):
+        channel({"type": "fault", "verb": "explode", "on": True, "peers": [1]})

@@ -1,14 +1,19 @@
-"""Worker-death triage: fault-injected kills vs unexpected crashes."""
+"""Worker-death triage: fault-injected kills vs unexpected crashes, and
+a control channel that fails the run when it refuses a document."""
 
 import asyncio
+import contextlib
 import io
+import json
 import signal
 import time
 
 import pytest
 
 from repro.errors import DeploymentError
-from repro.live.orchestrator import _watch, _worker_failure
+from repro.live.deploy import Ready, Stop, control_frame
+from repro.live.framing import encode_frame
+from repro.live.orchestrator import _ControlServer, _watch, _worker_failure
 from repro.live.worker import CRASH_EXIT_CODE
 
 
@@ -103,3 +108,75 @@ class TestWatch:
             [FakeWorker(None), victim], 0.3, {1}, event=event, dies=(victim, -signal.SIGKILL)
         )
         assert outcome[0] >= 0.3 and outcome[1] == error
+
+
+def stand_in_worker(*frames, wait_for="final worker reports", seconds=15.0):
+    """A control server, and one stand-in worker that sends *frames* and
+    then stays connected: ``_watch`` on the final reports (on the
+    measurement window when *wait_for* is None) — how long it took, and
+    its error text if it raised."""
+
+    async def main():
+        control = _ControlServer(1)
+        server = await asyncio.start_server(control.handle, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            for frame in frames:
+                writer.write(frame)
+            await writer.drain()
+            event = control.all_done if wait_for else None
+            await _watch([FakeWorker(None)], seconds, frozenset(), event, wait_for or "", control)
+        finally:
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+
+    started, error = time.monotonic(), None
+    try:
+        asyncio.run(main())
+    except DeploymentError as raised:
+        error = str(raised)
+    return time.monotonic() - started, error
+
+
+MALFORMED_SAMPLES = encode_frame(
+    json.dumps(
+        {"type": "samples", "pid": 0, "accepts": [[0, 1, 64, None]], "delivers": [], "offered": 1}
+    ).encode("utf-8")
+)
+
+
+class TestControlChannel:
+    @pytest.mark.parametrize("wait_for", [None, "final worker reports"])
+    def test_a_refused_document_fails_the_run_within_a_second(self, wait_for):
+        elapsed, error = stand_in_worker(
+            control_frame(Ready(0)), MALFORMED_SAMPLES, wait_for=wait_for
+        )
+        assert error.startswith("control document from worker 0 refused: ")
+        assert "'samples.accepts[0][3]'" in error
+        assert elapsed < 1.0  # not the 15 s asked for
+
+    def test_a_document_with_no_place_in_the_protocol_is_refused(self):
+        elapsed, error = stand_in_worker(control_frame(Ready(0)), control_frame(Stop()))
+        assert error == "control document from worker 0 refused: unexpected control message Stop()"
+        assert elapsed < 1.0
+
+    def test_a_document_before_ready_names_no_worker(self):
+        elapsed, error = stand_in_worker(encode_frame(b"not json"))
+        assert error.startswith("control document from a worker not yet ready refused: ")
+        assert elapsed < 1.0
+
+    def test_a_missing_final_report_names_the_worker_and_its_partial_frame(self):
+        partial = control_frame(Ready(0))[:-2]
+        __, error = stand_in_worker(control_frame(Ready(0)), partial, seconds=0.3)
+        assert error == (
+            "timed out waiting for final worker reports: worker 0 sent no done "
+            f"(control connection open, {len(partial)} bytes of a partial frame buffered)"
+        )
+
+    def test_a_worker_that_never_connected_is_named(self):
+        __, error = stand_in_worker(seconds=0.3)
+        assert error == "timed out waiting for final worker reports: worker 0 never said ready"

@@ -12,9 +12,9 @@ from repro.config import (
     WrongSuspicion,
 )
 from repro.errors import DeploymentError
-from repro.live.deploy import Fault, FaultOp
+from repro.live.deploy import Fault, LinkVerb
 from repro.live.faults import check_merged_logs, compile_live_faultload
-from repro.live.wal import WalWriter
+from repro.live.wal import Accept, Deliver, WalWriter
 
 
 class TestCompile:
@@ -38,11 +38,11 @@ class TestCompile:
         # Every severed direction gets a directive; none cross within a
         # group.
         ops = {pid: doc for pid, doc in up.directives}
-        assert ops[0] == Fault(FaultOp.HOLD, (1, 2))
-        assert ops[1] == Fault(FaultOp.HOLD, (0,))
-        assert ops[2] == Fault(FaultOp.HOLD, (0,))
-        heal_ops = {pid: doc.op for pid, doc in down.directives}
-        assert set(heal_ops.values()) == {FaultOp.RELEASE}
+        assert ops[0] == Fault(LinkVerb.HOLD, True, (1, 2))
+        assert ops[1] == Fault(LinkVerb.HOLD, True, (0,))
+        assert ops[2] == Fault(LinkVerb.HOLD, True, (0,))
+        heal_ops = {pid: (doc.verb, doc.on) for pid, doc in down.directives}
+        assert set(heal_ops.values()) == {(LinkVerb.HOLD, False)}
 
     def test_drop_partition_uses_drop_directives(self):
         faultload = FaultloadConfig(
@@ -53,8 +53,12 @@ class TestCompile:
             )
         )
         up, down = compile_live_faultload(faultload, 3)
-        assert all(doc.op is FaultOp.DROP for __, doc in up.directives)
-        assert all(doc.op is FaultOp.UNDROP for __, doc in down.directives)
+        assert all(
+            doc.verb is LinkVerb.DROP and doc.on for __, doc in up.directives
+        )
+        assert all(
+            doc.verb is LinkVerb.DROP and not doc.on for __, doc in down.directives
+        )
 
     def test_delay_spike_compiles_to_delay_directives(self):
         faultload = FaultloadConfig(
@@ -65,10 +69,10 @@ class TestCompile:
         up, down = compile_live_faultload(faultload, 2)
         assert up.at == 0.3 and down.at == 0.8
         for __, doc in up.directives:
-            assert doc.op is FaultOp.DELAY
-            assert doc.extra == 0.01
-            assert doc.jitter == 0.002
-        assert all(doc.op is FaultOp.CLEAR_DELAY for __, doc in down.directives)
+            assert doc == Fault(LinkVerb.DELAY, True, doc.peers, 0.01, 0.002)
+        assert all(
+            doc == Fault(LinkVerb.DELAY, False, doc.peers) for __, doc in down.directives
+        )
 
     def test_schedule_is_time_sorted_across_fault_kinds(self):
         faultload = FaultloadConfig(
@@ -111,9 +115,9 @@ class TestCompile:
 def write_wal(path, accepts=(), delivers=()):
     writer = WalWriter(path)
     for s, q, at in accepts:
-        writer.append({"t": "accept", "s": s, "q": q, "at": at}, sync=True)
+        writer.append(Accept(s, q, at), sync=True)
     for s, q, at, i in delivers:
-        writer.append({"t": "deliver", "s": s, "q": q, "at": at, "i": i})
+        writer.append(Deliver(s, q, at, i))
     writer.close()
 
 

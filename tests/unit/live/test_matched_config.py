@@ -31,9 +31,7 @@ def test_the_worker_reads_back_the_spec_it_was_handed():
 
 @pytest.mark.parametrize("spec", [LiveSpec(), FLEET], ids=["default", "fleet-no-fd"])
 def test_worker_and_matched_simulation_run_the_same_detector(spec):
-    worker = worker_of(spec)
-    worker.build()
-    built = worker.runtime._fd
+    built = worker_of(spec).runtime._fd
     config = matched_run_config(spec).failure_detector
     if spec.fd == "none":
         # Nothing attached live; simulated, the base detector, which

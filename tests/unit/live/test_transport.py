@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from repro.live import transport as transport_module
+from repro.live.deploy import LinkVerb
 from repro.live.transport import (
     FrameDecoder,
     Transport,
@@ -512,7 +513,18 @@ class TestBackoff:
 
 
 class TestFaultHooks:
-    def test_hold_and_release(self):
+    """``set_link_fault`` over every verb, switched on and then off."""
+
+    @pytest.mark.parametrize(
+        "verb, unacked_while_on, delivered, dropped",
+        [
+            (LinkVerb.HOLD, 3, [0, 1, 2, 3], 0),  # held, not lost
+            (LinkVerb.DROP, 0, [3], 3),  # discarded, never queued
+            (LinkVerb.DELAY, 3, [0, 1, 2, 3], 0),  # late, not lost
+        ],
+        ids=["hold", "drop", "delay"],
+    )
+    def test_on_then_off(self, verb, unacked_while_on, delivered, dropped):
         async def run():
             addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
             received = {0: [], 1: []}
@@ -520,39 +532,20 @@ class TestFaultHooks:
             await a.start()
             await b.start()
             try:
-                a.hold_links({1})
+                a.set_link_fault({1}, verb, True, extra=10.0)
                 for seq in range(3):
                     a.send(message(0, 1, seq))
                 await asyncio.sleep(0.05)
-                assert received[1] == []  # held, not lost
-                assert a.unacked_to(1) == 3
-                a.release_links({1})
-                await wait_for(lambda: len(received[1]) == 3)
+                assert received[1] == []
+                assert a.unacked_to(1) == unacked_while_on
+                a.set_link_fault({1}, verb, False)
+                a.send(message(0, 1, 3))
+                await wait_for(lambda: len(received[1]) == len(delivered))
             finally:
                 await a.close()
                 await b.close()
-            assert [m.payload for m in received[1]] == [0, 1, 2]
-
-        asyncio.run(run())
-
-    def test_drop_discards_and_undrop_restores(self):
-        async def run():
-            addresses = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
-            received = {0: [], 1: []}
-            a, b = make_pair(addresses, received)
-            await a.start()
-            await b.start()
-            try:
-                a.drop_links({1})
-                a.send(message(0, 1, 0))
-                a.undrop_links({1})
-                a.send(message(0, 1, 1))
-                await wait_for(lambda: received[1])
-            finally:
-                await a.close()
-                await b.close()
-            assert [m.payload for m in received[1]] == [1]
-            assert a.stats.messages_dropped == 1
+            assert [m.payload for m in received[1]] == delivered
+            assert a.stats.messages_dropped == dropped
 
         asyncio.run(run())
 
@@ -566,11 +559,11 @@ class TestFaultHooks:
             await b.start()
             try:
                 assert not a.congested
-                a.hold_links({1})  # a slow consumer, in effect
+                a.set_link_fault({1}, LinkVerb.HOLD, True)  # a slow consumer, in effect
                 for seq in range(4):
                     a.send(message(0, 1, seq))
                 assert a.congested  # at the cap: stop offering load
-                a.release_links({1})
+                a.set_link_fault({1}, LinkVerb.HOLD, False)
                 await wait_for(lambda: len(received[1]) == 4)
                 await wait_for(lambda: not a.congested)
             finally:
@@ -627,12 +620,12 @@ class TestWriteThrough:
             received = {0: [], 1: []}
             a, b = await started_pair(received)
             try:
-                a.hold_links({1})
+                a.set_link_fault({1}, LinkVerb.HOLD, True)
                 for seq in range(3):
                     a.send(message(0, 1, seq))
                 await asyncio.sleep(0.02)
                 assert received[1] == []
-                a.release_links({1})
+                a.set_link_fault({1}, LinkVerb.HOLD, False)
                 # Written through at once, ahead of the sender task's
                 # wake-up: the backlog must still go first.
                 for seq in range(3, 6):
@@ -650,12 +643,12 @@ class TestWriteThrough:
             received = {0: [], 1: []}
             a, b = await started_pair(received)
             try:
-                a.set_link_delay({1}, 0.05)
+                a.set_link_fault({1}, LinkVerb.DELAY, True, 0.05)
                 for seq in range(3):
                     a.send(message(0, 1, seq))
                 await asyncio.sleep(0.01)  # the sender task is mid-sleep
                 assert received[1] == []
-                a.clear_link_delay({1})
+                a.set_link_fault({1}, LinkVerb.DELAY, False)
                 for seq in range(3, 6):
                     a.send(message(0, 1, seq))
                 await wait_for(lambda: len(received[1]) == 6)
@@ -672,7 +665,7 @@ class TestWriteThrough:
             received = {0: [], 1: []}
             a, b = await started_pair(received)
             try:
-                a.set_link_delay({1}, 0.03)
+                a.set_link_fault({1}, LinkVerb.DELAY, True, 0.03)
                 for seq in range(20):
                     a.send(message(0, 1, seq))
                 # 20 sleeps in series would take 0.6 s.
@@ -696,16 +689,16 @@ class TestOneGate:
             a, b = await started_pair(received)
             try:
                 link = a._links[1]
-                a.set_link_delay({1}, 0.03)
+                a.set_link_fault({1}, LinkVerb.DELAY, True, 0.03)
                 for seq in range(3):
                     a.send(message(0, 1, seq))
                 cursor = link.next
                 assert link.timer is not None  # one wait for all three
-                a.hold_links({1})
+                a.set_link_fault({1}, LinkVerb.HOLD, True)
                 await wait_for(lambda: link.timer is None)  # the wait ends, held
                 assert link.next == cursor
                 assert received[1] == []
-                a.release_links({1})
+                a.set_link_fault({1}, LinkVerb.HOLD, False)
                 # No await since the release: the backlog waits once more.
                 assert link.timer is not None
                 assert link.next == cursor
@@ -729,13 +722,13 @@ class TestOneGate:
                 return True
 
             try:
-                a.set_link_delay({1}, 0.05)
+                a.set_link_fault({1}, LinkVerb.DELAY, True, 0.05)
                 for seq in range(3):
                     a.send(message(0, 1, seq))
                 assert link.next == link.base + len(link.queue) - 3
-                a.clear_link_delay({1})
+                a.set_link_fault({1}, LinkVerb.DELAY, False)
                 assert link.next == link.base + len(link.queue)  # out at once
-                a.set_link_delay({1}, 0.05)
+                a.set_link_fault({1}, LinkVerb.DELAY, True, 0.05)
                 for seq in range(3, 6):
                     a.send(message(0, 1, seq))
                     cursor_within_queue()
@@ -1274,7 +1267,7 @@ class TestConnectionLostWhileSenderIsSuspended:
             received = {0: [], 1: []}
             a, b = await started_pair(received, initial_backoff=0.01, max_backoff=0.05)
             try:
-                a.set_link_delay({1}, 0.1)
+                a.set_link_fault({1}, LinkVerb.DELAY, True, 0.1)
                 a.send(message(0, 1, 0))
                 await asyncio.sleep(0.02)  # the sender task is mid-sleep
                 await b.close()

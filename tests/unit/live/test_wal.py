@@ -3,6 +3,7 @@
 import json
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 from repro.errors import DeploymentError
 from repro.live.faults import check_merged_logs
 from repro.live.wal import (
+    Accept,
+    Deliver,
+    Resume,
     WalState,
     WalWriter,
     decode_records,
@@ -211,6 +215,49 @@ class TestWalState:
         body = blob[8:]
         assert json.loads(body) == {"t": "accept", "s": 1, "q": 2, "at": 0.5}
         assert b" " not in body
+
+
+def framed(body: bytes) -> bytes:
+    """*body* framed by hand: 4-byte BE length, 4-byte BE CRC32, body."""
+    return struct.pack(">II", len(body), zlib.crc32(body)) + body
+
+
+class TestGoldenBytes:
+    """What a worker writes at n = 3, byte for byte, as each record class
+    encodes it: JSON with sorted keys and no spaces, ``t`` the class name
+    in lower case. ``Resume`` keys its counts by int peer, and
+    ``sort_keys`` sorts those as numbers before writing them as text;
+    they sort alike as text below peer 10, so up to n = 10 the bytes are
+    the ones str keys gave."""
+
+    ACCEPT = framed(b'{"at":0.25,"q":5,"s":0,"t":"accept"}')
+    DELIVER = framed(b'{"at":0.5,"i":3,"q":5,"s":0,"t":"deliver"}')
+    RESUME = framed(b'{"at":0.75,"counts":{"1":[11,4],"2":[12,9]},"t":"resume"}')
+
+    def test_each_record_class_writes_the_golden_bytes(self, tmp_path):
+        writer = WalWriter(tmp_path / "worker-0.wal")
+        writer.append(Accept(0, 5, 0.25), sync=True)
+        writer.append(Deliver(0, 5, 0.5, 3))
+        writer.append(Resume({1: (11, 4), 2: (12, 9)}, 0.75))
+        writer.close()
+        assert (tmp_path / "worker-0.wal").read_bytes() == (
+            self.ACCEPT + self.DELIVER + self.RESUME
+        )
+
+    def test_both_readers_read_the_golden_bytes_back(self, tmp_path):
+        records, valid = decode_records(self.ACCEPT + self.DELIVER + self.RESUME)
+        assert valid == len(self.ACCEPT + self.DELIVER + self.RESUME)
+        state = WalState.from_records(records)
+        assert state.accepted == [(0, 5, 0.25)]
+        assert state.delivered == [(0, 5)]
+        assert state.next_instance == 3
+        assert state.resume_counts == {1: (11, 4), 2: (12, 9)}
+        (tmp_path / "worker-0.wal").write_bytes(self.ACCEPT + self.DELIVER + self.RESUME)
+        for pid in (1, 2):
+            (tmp_path / f"worker-{pid}.wal").write_bytes(self.DELIVER)
+        monitor, accepted = check_merged_logs(3, tmp_path, quiet_time=0.5)
+        assert monitor.passed and accepted == 1
+        assert monitor.delivery_count == 3
 
 
 # Any JSON a CRC-valid body can hold, including 400-digit integers and
