@@ -1,78 +1,12 @@
 """Command-line interface: regenerate any of the paper's experiments.
 
-Usage::
-
-    python -m repro figure8            # early latency vs offered load
-    python -m repro figure9            # early latency vs message size
-    python -m repro figure10           # throughput vs offered load
-    python -m repro figure11           # throughput vs message size
-    python -m repro figures            # all four (sharing sweeps)
-    python -m repro sweep              # both sweeps, no rendering
-    python -m repro analysis           # §5.2 analytical tables + validation
-    python -m repro ablation           # per-optimization ablation (§4)
-    python -m repro predict            # design-time performance prediction
-    python -m repro all                # everything above
-    python -m repro latencydist        # latency-distribution histogram figure
-    python -m repro nemesis            # adversarial sweep (see below)
-    python -m repro live               # run a stack over real TCP (see below)
-    python -m repro profile            # cost-of-modularity profiler (see below)
-
-The ``profile`` command runs one traced simulation per stack at a
-common configuration point and prints where the CPU time went: a
-per-stack/per-layer latency-attribution table, the measured modularity
-overhead (boundary-crossing time over total attributed time) and a
-representative message's critical path. ``--trace-out trace.json``
-additionally writes every span as Chrome-trace/Perfetto JSON — open it
-at https://ui.perfetto.dev::
-
-    python -m repro profile --stacks monolithic,modular
-    python -m repro profile --stacks modular --trace-out trace.json
-
-``--clients N --zipf S --client-arrival {poisson,bursty,diurnal}``
-attach a lazy client-population model (N logical clients, Zipf(S)
-activity skew, the chosen aggregate arrival law) to the workload; see
-:mod:`repro.workload.population`. These, the run-point flags (``--n
---stack --load --size --duration --warmup``) and ``--trace-cap`` take
-their defaults from the :class:`~repro.config.LiveSpec` fields they set.
-
-``--fast`` uses a reduced grid and a single seed (seconds instead of
-minutes); ``--seeds N`` controls the ensemble size; ``--csv DIR`` also
-writes each regenerated figure's data as CSV into DIR.
-
-``--jobs N`` fans the sweep grid (and the nemesis cases) out over N
-worker processes. Results are merged in submission order, so the output
-— including a ``--json-out`` export — is byte-identical for every job
-count; parallelism only changes the wall-clock time.
-
-The ``nemesis`` command sweeps randomized fault schedules across the
-fault-tolerant stacks and checks the four atomic-broadcast properties
-online, plus liveness::
-
-    python -m repro nemesis --seeds 50            # randomized sweep
-    python -m repro nemesis --faultload churn     # one named scenario
-    python -m repro nemesis --faultload fl.json   # schedule from a file
-    python -m repro nemesis --replay ce.json      # re-run a counterexample
-
-On failure it shrinks the schedule to a 1-minimal counterexample,
-writes it as JSON (``--out DIR``) and prints the replay command; the
-exit code is 1 so CI fails loudly.
-
-``nemesis --live`` compiles the *same* faultload onto a real deployment
-(OS processes, TCP): crashes become timed ``SIGKILL`` + restart with
-write-ahead-log recovery, partitions and delay spikes become transport
-link directives. The merged per-worker delivery logs are then checked
-against the same four invariants plus liveness::
-
-    python -m repro nemesis --live --faultload crash-leader --stack modular
-    python -m repro nemesis --live --replay ce.json
-
-The ``live`` command deploys the *same* protocol stacks over real
-asyncio TCP sockets between OS processes on localhost (see
-:mod:`repro.live`)::
-
-    python -m repro live --n 3 --stack monolithic --load 100 --duration 5
-    python -m repro live --stack modular --compare   # sim vs live, side by side
-    python -m repro live --json                      # RunResult-schema JSON
+``python -m repro --help`` lists the commands, and ``python -m repro
+<command> --help`` the flags that command takes; README.md shows them at
+work. :data:`COMMANDS` is the one table of commands: each row names the
+handler that runs the command and the flags the handler reads, and the
+parser and :func:`_dispatch` are both built from it. A handler imports
+what it runs in its own body, so ``--help`` and each command load only
+what they use.
 """
 
 from __future__ import annotations
@@ -82,7 +16,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from repro.config import (
     STACK_LABELS,
@@ -96,8 +30,6 @@ from repro.config import (
     matched_run_config,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.ablation import ablation_table, run_ablation
-from repro.experiments.export import write_sweep_csv, write_sweeps_json
 from repro.experiments.figures import (
     FIGURES,
     SWEEPS,
@@ -107,9 +39,6 @@ from repro.experiments.figures import (
     latency_distribution,
     paper_sweep,
 )
-from repro.experiments.report import TABLE_QUANTITIES, format_table, sweep_table
-from repro.experiments.tables import analytical_table, prediction_table, validation_table
-from repro.nemesis import swarm as nemesis_swarm
 from repro.nemesis.schedule import SCENARIOS, resolve_faultload
 
 #: :class:`LiveSpec`'s fields by name: the type, default and choices of
@@ -127,23 +56,106 @@ class _ShapesPopulation(argparse.Action):
         namespace.population_shaped = True
 
 
-def _spec_option(group, flag: str, text: str, **options) -> None:
-    """Add *flag* for the :class:`LiveSpec` field it sets (named after the
-    flag unless *options* give a ``dest``), with that field's type,
-    default and declared choices."""
-    spec_field = _SPEC_FIELDS[options.setdefault("dest", flag[2:].replace("-", "_"))]
+def _spec_flag(dest: str, text: str, **options) -> dict:
+    """The options of the flag that sets the :class:`LiveSpec` field
+    *dest*: that field's type, default and declared choices."""
+    spec_field = _SPEC_FIELDS[dest]
     if "choices" in spec_field.metadata:
         options.setdefault("choices", spec_field.metadata["choices"])
-    group.add_argument(
-        flag,
-        type=type(spec_field.default),
-        default=spec_field.default,
-        help=f"{text} (default: %(default)s)",
-        **options,
-    )
+    default = spec_field.default
+    return dict(dest=dest, type=type(default), default=default, **options,
+                help=f"{text} (default: %(default)s)")
+
+
+#: Every flag, declared once under the group ``<command> --help`` lists
+#: it in: group → flag → its ``add_argument`` options. A command takes
+#: the flags its :data:`COMMANDS` row names, and no other.
+_FLAGS: dict[str, dict[str, dict]] = {
+    "grid": {
+        "--fast": dict(action="store_true",
+                       help="reduced parameter grid and a single seed"),
+        "--seeds": dict(type=int, metavar="N", help=(
+            "number of seeds per point (default: 3, or 1 with --fast; "
+            "nemesis: 20); profile runs seed N (default: 1)")),
+        "--jobs": dict(type=int, default=1, metavar="N", help=(
+            "worker processes for the grid (default: 1, serial); results "
+            "are identical for any value")),
+        "--stacks": dict(metavar="A,B,...", help=(
+            f"comma-separated stack labels (known: {', '.join(STACK_LABELS)}; "
+            "nemesis also takes 'broken'; default: modular,monolithic, and "
+            "for nemesis every fault-tolerant stack)")),
+    },
+    "export": {
+        "--csv": dict(type=Path, metavar="DIR",
+                      help="also write each regenerated figure's data as CSV into DIR"),
+        "--json-out": dict(type=Path, metavar="PATH", help=(
+            "write the regenerated sweep data as canonical JSON "
+            "(byte-identical across runs and --jobs values)")),
+    },
+    "run point": {
+        "--n": _spec_flag("n", "group size", metavar="N"),
+        "--stack": _spec_flag("stack", "protocol stack", choices=STACK_LABELS),
+        "--load": _spec_flag("load", "offered load across the group", metavar="MSGS/S"),
+        "--size": _spec_flag("size", "message payload size", metavar="BYTES"),
+        "--duration": _spec_flag("duration", "measurement window length",
+                                 metavar="SECONDS"),
+        "--warmup": _spec_flag("warmup", "warm-up before the window opens",
+                               metavar="SECONDS"),
+    },
+    "client population": {
+        "--clients": _spec_flag("clients", "logical clients; 0 attaches no "
+                                "population (latencydist: 100000)", metavar="N"),
+        "--zipf": _spec_flag("zipf_s", "Zipf activity-skew exponent; without "
+                             "--clients, of 100000 clients", metavar="S",
+                             action=_ShapesPopulation),
+        "--client-arrival": _spec_flag("client_arrival", "aggregate arrival law; "
+                                       "without --clients, of 100000 clients",
+                                       action=_ShapesPopulation),
+    },
+    "nemesis": {
+        "--faultload": dict(metavar="SPEC", help=(
+            "fixed faultload instead of randomized schedules: a named "
+            f"scenario ({', '.join(SCENARIOS)}) or a JSON file")),
+        "--replay": dict(type=Path, metavar="CASE.json", help=(
+            "re-run one saved counterexample and report its violations")),
+        "--out": dict(type=Path, default=Path("nemesis-failures"), metavar="DIR",
+                      help="directory for shrunk counterexample JSON files"),
+        "--no-shrink": dict(action="store_true",
+                            help="report failures without shrinking them first"),
+        "--live": dict(action="store_true", help=(
+            "run the faultload against a real TCP deployment (SIGKILL + WAL "
+            "recovery) instead of the simulator; needs --faultload or --replay")),
+        "--restart-delay": dict(type=float, metavar="SECONDS", help=(
+            "delay between a live SIGKILL and the restart (default: 0.4)")),
+    },
+    "live output": {
+        "--compare": dict(action="store_true", help=(
+            "also run the matched simulation and print both side by side")),
+        "--json": dict(action="store_true", help=(
+            "emit the result as RunResult-schema JSON instead of a table")),
+    },
+    "trace": {
+        "--trace-out": dict(type=Path, metavar="PATH", help=(
+            "write causal spans as Chrome-trace/Perfetto JSON (open at "
+            "https://ui.perfetto.dev)")),
+        "--trace-cap": _spec_flag("trace_cap", "span-trace ring-buffer capacity; "
+                                  "the oldest records are evicted (and counted) "
+                                  "beyond N; 0 means 200000 for profile and with "
+                                  "--trace-out, and no trace otherwise", metavar="N"),
+    },
+}
+
+_GRID = tuple(_FLAGS["grid"])
+_EXPORT = tuple(_FLAGS["export"])
+_RUN_POINT = tuple(_FLAGS["run point"])
+_POPULATION = tuple(_FLAGS["client population"])
+_NEMESIS = tuple(_FLAGS["nemesis"])
+_LIVE_OUTPUT = tuple(_FLAGS["live output"])
+_TRACE = tuple(_FLAGS["trace"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per :data:`COMMANDS` row, taking the row's flags."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -151,171 +163,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "Atomic Broadcast' (Rütti et al., DSN 2007)."
         ),
     )
-    parser.add_argument("command", choices=COMMANDS)
     parser.set_defaults(population_shaped=False)
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced parameter grid and a single seed",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="number of seeds per point (default: 3, or 1 with --fast)",
-    )
-    parser.add_argument(
-        "--csv",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also write each regenerated figure's data as CSV into DIR",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for sweep/nemesis grids (default: 1, "
-            "serial); results are identical for any value"
-        ),
-    )
-    parser.add_argument(
-        "--json-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the regenerated sweep data as canonical JSON "
-            "(byte-identical across runs and --jobs values)"
-        ),
-    )
-    parser.add_argument(
-        "--stacks",
-        default=None,
-        metavar="A,B,...",
-        help=(
-            "comma-separated stacks for sweep/figure/nemesis/profile commands "
-            f"(known: {', '.join(nemesis_swarm.STACKS)}; defaults: the "
-            "paper's modular+monolithic for sweeps, figures and profile, "
-            f"{','.join(nemesis_swarm.DEFAULT_STACKS)} for nemesis)"
-        ),
-    )
-    run = parser.add_argument_group(
-        "run point options",
-        "one run of live, nemesis --live, profile and latencydist (--n also "
-        "sizes nemesis); the defaults are repro.config.LiveSpec's",
-    )
-    _spec_option(run, "--n", "group size", metavar="N")
-    _spec_option(run, "--stack", "protocol stack", choices=STACK_LABELS)
-    _spec_option(run, "--load", "offered load across the group", metavar="MSGS/S")
-    _spec_option(run, "--size", "message payload size", metavar="BYTES")
-    _spec_option(run, "--duration", "measurement window length", metavar="SECONDS")
-    _spec_option(
-        run, "--warmup", "warm-up before the window opens", metavar="SECONDS"
-    )
-    population = parser.add_argument_group(
-        "client population options",
-        "a lazy client-population model on the workload of the sweep, "
-        "figure, latencydist, live, nemesis --live and profile commands",
-    )
-    _spec_option(
-        population,
-        "--clients",
-        "logical clients; 0 attaches no population (latencydist: 100000)",
-        metavar="N",
-    )
-    _spec_option(
-        population,
-        "--zipf",
-        "Zipf activity-skew exponent; without --clients, of 100000 clients",
-        metavar="S",
-        dest="zipf_s",
-        action=_ShapesPopulation,
-    )
-    _spec_option(
-        population,
-        "--client-arrival",
-        "aggregate arrival law; without --clients, of 100000 clients",
-        action=_ShapesPopulation,
-    )
-    nemesis = parser.add_argument_group("nemesis options")
-    nemesis.add_argument(
-        "--faultload",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "fixed faultload instead of randomized schedules: a named "
-            f"scenario ({', '.join(SCENARIOS)}) or a JSON file"
-        ),
-    )
-    nemesis.add_argument(
-        "--replay",
-        type=Path,
-        default=None,
-        metavar="CASE.json",
-        help="re-run one saved counterexample and report its violations",
-    )
-    nemesis.add_argument(
-        "--out",
-        type=Path,
-        default=Path("nemesis-failures"),
-        metavar="DIR",
-        help="directory for shrunk counterexample JSON files",
-    )
-    nemesis.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="report failures without shrinking them first",
-    )
-    nemesis.add_argument(
-        "--live",
-        action="store_true",
-        help=(
-            "run the faultload against a real TCP deployment (SIGKILL + "
-            "WAL recovery) instead of the simulator; needs --faultload "
-            "or --replay"
-        ),
-    )
-    nemesis.add_argument(
-        "--restart-delay",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="delay between a live SIGKILL and the restart (default: 0.4)",
-    )
-    live = parser.add_argument_group("live options")
-    live.add_argument(
-        "--compare",
-        action="store_true",
-        help="also run the matched simulation and print both side by side",
-    )
-    live.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the result as RunResult-schema JSON instead of a table",
-    )
-    obs = parser.add_argument_group("observability options")
-    obs.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "write causal spans as Chrome-trace/Perfetto JSON "
-            "(profile and live commands; open at https://ui.perfetto.dev)"
-        ),
-    )
-    _spec_option(
-        obs,
-        "--trace-cap",
-        "span-trace ring-buffer capacity; the oldest records are evicted "
-        "(and counted) beyond N; 0 means 200000 for profile and for live "
-        "with --trace-out, and no trace otherwise",
-        metavar="N",
-    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(
+            name, help=command.help, description=command.help, allow_abbrev=False
+        )
+        for group, flags in _FLAGS.items():
+            taken = [flag for flag in flags if flag in command.flags]
+            if taken:
+                section = sub.add_argument_group(f"{group} options")
+                for flag in taken:
+                    section.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -399,6 +258,8 @@ def _emit(text: object) -> None:
 def _maybe_export(report: FigureReport, csv_dir: Path | None) -> None:
     if csv_dir is None:
         return
+    from repro.experiments.export import write_sweep_csv
+
     csv_dir.mkdir(parents=True, exist_ok=True)
     name = report.figure.lower().replace(" ", "")
     target = csv_dir / f"{name}.csv"
@@ -407,6 +268,8 @@ def _maybe_export(report: FigureReport, csv_dir: Path | None) -> None:
 
 
 def _export_json(sweeps: dict, path: Path) -> None:
+    from repro.experiments.export import write_sweeps_json
+
     write_sweeps_json(sweeps, path)
     print(f"[json] wrote {path}")
 
@@ -429,6 +292,7 @@ def _print_violations(violations: Sequence) -> None:
 
 def _run_nemesis_live(args: argparse.Namespace) -> int:
     from repro.live.faults import DEFAULT_RESTART_DELAY, run_nemesis_live
+    from repro.nemesis import swarm as nemesis_swarm
 
     spec = _live_spec(args)
     if args.replay is not None:
@@ -473,6 +337,8 @@ def _run_nemesis_live(args: argparse.Namespace) -> int:
 def _run_nemesis(args: argparse.Namespace) -> int:
     if args.live:
         return _run_nemesis_live(args)
+    from repro.nemesis import swarm as nemesis_swarm
+
     if args.replay is not None:
         case = nemesis_swarm.load_case(args.replay)
         print(f"replaying {case.describe()}")
@@ -524,6 +390,7 @@ def _run_nemesis(args: argparse.Namespace) -> int:
 
 
 def _live_summary(result: dict, observability: dict | None = None) -> str:
+    from repro.experiments.report import format_table
     from repro.live.compare import result_rows
     from repro.obs.telemetry import telemetry_rows
 
@@ -610,6 +477,8 @@ def _run_profile(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     """Run the load and size sweeps without the figure rendering."""
+    from repro.experiments.report import TABLE_QUANTITIES, sweep_table
+
     grid = _grid(args)
     sweeps = {p: paper_sweep(p, **grid) for p in SWEEPS}
     if args.json_out is not None:
@@ -625,7 +494,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     ]
     texts = []
     for parameter, quantity in blocks:
-        *_, x_label, axis = SWEEPS[parameter]
+        _, _, x_label, axis = SWEEPS[parameter]
         caption, _, _ = TABLE_QUANTITIES[quantity]
         table = sweep_table(sweeps[parameter], quantity, x_label=x_label)
         texts.append(f"{x_label} sweep: {caption} by {axis}\n{table}")
@@ -693,12 +562,16 @@ def _run_figures(args: argparse.Namespace) -> int:
 
 
 def _run_predict(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import prediction_table
+
     print("Design-time prediction (no simulation; repro.analysis.predict_gap):")
     _emit(prediction_table())
     return 0
 
 
 def _run_analysis(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import analytical_table, validation_table
+
     print("Analytical evaluation (paper §5.2):")
     _emit(analytical_table())
     print("Simulator validation (measured vs closed-form, steady state):")
@@ -707,6 +580,8 @@ def _run_analysis(args: argparse.Namespace) -> int:
 
 
 def _run_ablation(args: argparse.Namespace) -> int:
+    from repro.experiments.ablation import ablation_table, run_ablation
+
     print("Ablation of the monolithic optimizations (n=3, 16 KiB, loaded):")
     rows = run_ablation(seeds=(1,) if args.fast else (1, 2))
     _emit(ablation_table(rows))
@@ -719,25 +594,69 @@ def _run_all(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Every command, in the order ``--help`` lists them, and what runs it:
-#: the parser's choices and :func:`_dispatch` both read this table.
-COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
-    **dict.fromkeys(FIGURES, _run_figures),
-    "figures": _run_figures,
-    "sweep": _run_sweep,
-    "analysis": _run_analysis,
-    "ablation": _run_ablation,
-    "predict": _run_predict,
-    "all": _run_all,
-    "latencydist": _run_latencydist,
-    "nemesis": _run_nemesis,
-    "live": _run_live,
-    "profile": _run_profile,
+class Command(NamedTuple):
+    """One command: its handler, the flags the handler reads, its help line."""
+
+    run: Callable[[argparse.Namespace], int]
+    flags: tuple[str, ...]
+    help: str
+
+
+_FIGURE_FLAGS = _GRID + _EXPORT + _POPULATION
+
+#: Every command, in the order ``--help`` lists them: the parser and
+#: :func:`_dispatch` both read this table.
+COMMANDS: dict[str, Command] = {
+    **{
+        name: Command(_run_figures, _FIGURE_FLAGS, title)
+        for name, (*_, title) in FIGURES.items()
+    },
+    "figures": Command(
+        _run_figures, _FIGURE_FLAGS, "all four figures, sharing their two sweeps"
+    ),
+    "sweep": Command(
+        _run_sweep,
+        _GRID + ("--json-out",) + _POPULATION,
+        "both sweeps as tables or canonical JSON, without the figures",
+    ),
+    "analysis": Command(
+        _run_analysis, (), "§5.2 analytical tables and simulator validation"
+    ),
+    "ablation": Command(
+        _run_ablation, ("--fast",), "per-optimization ablation of the monolithic stack"
+    ),
+    "predict": Command(
+        _run_predict, (), "design-time performance prediction (no simulation)"
+    ),
+    "all": Command(
+        _run_all, _FIGURE_FLAGS, "the four figures, then predict, analysis and ablation"
+    ),
+    "latencydist": Command(
+        _run_latencydist,
+        ("--fast", "--seeds", "--jobs", "--json-out") + _RUN_POINT + _POPULATION,
+        "latency histogram of one simulated run point",
+    ),
+    "nemesis": Command(
+        _run_nemesis,
+        ("--seeds", "--jobs", "--stacks") + _RUN_POINT + _POPULATION + _NEMESIS,
+        "faultloads, randomized or fixed, checked against the abcast invariants",
+    ),
+    "live": Command(
+        _run_live,
+        _RUN_POINT + _POPULATION + _LIVE_OUTPUT + _TRACE,
+        "one run over real TCP between worker processes on localhost",
+    ),
+    "profile": Command(
+        _run_profile,
+        ("--stacks", "--seeds", "--n", "--load", "--size", "--duration", "--warmup")
+        + _POPULATION + _TRACE,
+        "where each stack's time goes, from traced simulations",
+    ),
 }
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    return COMMANDS[args.command](args)
+    return COMMANDS[args.command].run(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -753,7 +672,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _dispatch(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"run '{parser.prog} --help' for usage", file=sys.stderr)
+        print(f"run '{parser.prog} {args.command} --help' for usage", file=sys.stderr)
         return 2
 
 

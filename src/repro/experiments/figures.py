@@ -19,31 +19,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.config import StackKind
-from repro.experiments.report import gap_summary, histogram_table, sweep_table
-from repro.experiments.sweeps import (
-    DEFAULT_SEEDS,
-    PAPER_LOADS,
-    PAPER_SIZES,
-    SweepResult,
-    run_load_sweep,
-    run_size_sweep,
-)
+
+# The sweep and report modules load when a figure is drawn, not with this
+# table of figures: the command line builds its parser from FIGURES.
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.sweeps import SweepResult
 
 #: Reduced parameters for quick regeneration (CLI ``--fast`` and benches).
 FAST_LOADS = (500, 1000, 2000, 4000, 7000)
 FAST_SIZES = (64, 1024, 4096, 16384, 32768)
 FAST_SEEDS = (1,)
 
-#: The paper's two sweeps by swept parameter: the runner, the keyword
-#: and the full and ``--fast`` grids of its swept values, the header of
-#: the x column, and the axis label of table captions.
+#: The paper's two sweeps by swept parameter: the runner's keyword and
+#: ``--fast`` grid of its swept values (its default is the full grid),
+#: the header of the x column, and the axis label of table captions.
 SWEEPS = {
-    "offered_load": (run_load_sweep, "loads", PAPER_LOADS, FAST_LOADS,
-                     "load", "offered load (msgs/s)"),
-    "message_size": (run_size_sweep, "sizes", PAPER_SIZES, FAST_SIZES,
-                     "size", "message size (bytes)"),
+    "offered_load": ("loads", FAST_LOADS, "load", "offered load (msgs/s)"),
+    "message_size": ("sizes", FAST_SIZES, "size", "message size (bytes)"),
 }
 
 #: The paper's four figures: the sweep, the plotted quantity (an interval
@@ -90,8 +85,12 @@ def paper_sweep(
     grid and *seeds* to the three-seed ensemble, one seed when *fast*;
     *options* are the runner's own (``jobs``, ``stacks``, ``base``, …).
     """
-    run, keyword, full, reduced, _, _ = SWEEPS[parameter]
-    options.setdefault(keyword, reduced if fast else full)
+    from repro.experiments.sweeps import DEFAULT_SEEDS, run_load_sweep, run_size_sweep
+
+    run = {"offered_load": run_load_sweep, "message_size": run_size_sweep}[parameter]
+    keyword, reduced, _, _ = SWEEPS[parameter]
+    if fast:
+        options.setdefault(keyword, reduced)
     return run(seeds=seeds or (FAST_SEEDS if fast else DEFAULT_SEEDS), **options)
 
 
@@ -104,8 +103,10 @@ def figure(name: str, sweep: SweepResult | None = None, **grid) -> FigureReport:
     ones, for each group size present — skipped when a custom stack
     selection omits either of the two paper stacks.
     """
+    from repro.experiments.report import gap_summary, sweep_table
+
     parameter, quantity, headline_xs, title = FIGURES[name]
-    _, _, _, _, x_label, _ = SWEEPS[parameter]
+    _, _, x_label, _ = SWEEPS[parameter]
     sweep = sweep or paper_sweep(parameter, **grid)
     headlines: tuple[str, ...] = ()
     if {StackKind.MODULAR, StackKind.MONOLITHIC} <= {p.stack for p in sweep.points}:
@@ -145,6 +146,8 @@ def latency_distribution(
     point defaults to the highest-x point of the first (n, stack) curve
     present; pass *n*, *stack* and *x* to select another.
     """
+    from repro.experiments.report import histogram_table
+
     if not sweep.points:
         raise ValueError("latency distribution of an empty sweep")
     candidates = [

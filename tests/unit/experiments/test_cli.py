@@ -3,6 +3,8 @@
 import pytest
 
 import repro.cli as cli
+import repro.experiments.ablation as ablation
+import repro.experiments.tables as tables
 
 
 class FakeReport:
@@ -44,16 +46,16 @@ def test_figures_command_prints_all(monkeypatch, capsys):
 
 
 def test_analysis_command(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "analytical_table", lambda: "ANALYTICAL")
-    monkeypatch.setattr(cli, "validation_table", lambda: "VALIDATION")
+    monkeypatch.setattr(tables, "analytical_table", lambda: "ANALYTICAL")
+    monkeypatch.setattr(tables, "validation_table", lambda: "VALIDATION")
     cli.main(["analysis"])
     out = capsys.readouterr().out
     assert "ANALYTICAL" in out and "VALIDATION" in out
 
 
 def test_ablation_command(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_ablation", lambda seeds: ["row"])
-    monkeypatch.setattr(cli, "ablation_table", lambda rows: "ABLATION TABLE")
+    monkeypatch.setattr(ablation, "run_ablation", lambda seeds: ["row"])
+    monkeypatch.setattr(ablation, "ablation_table", lambda rows: "ABLATION TABLE")
     cli.main(["ablation", "--fast"])
     assert "ABLATION TABLE" in capsys.readouterr().out
 
@@ -311,10 +313,10 @@ def test_profile_runs_the_command_lines_spec(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["sweep", "figure8", "nemesis", "profile"])
 def test_one_stacks_reader_for_every_command(command, capsys):
-    assert cli.main([command, "--fast", "--stacks", "no-such-stack"]) == 2
+    assert cli.main([command, "--stacks", "no-such-stack"]) == 2
     err = capsys.readouterr().err
     assert "error: unknown stack label(s): no-such-stack (known: " in err
-    assert cli.main([command, "--fast", "--stacks", ","]) == 2
+    assert cli.main([command, "--stacks", ","]) == 2
     assert "--stacks must name at least one stack" in capsys.readouterr().err
 
 
@@ -322,13 +324,41 @@ def test_one_table_of_commands_feeds_the_parser_and_the_dispatch(monkeypatch, ca
     parser = cli._build_parser()
     (command,) = [a for a in parser._actions if a.dest == "command"]
     assert list(command.choices) == list(cli.COMMANDS)
+    for name, subparser in command.choices.items():
+        taken = [
+            flag
+            for action in subparser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        ]
+        assert sorted(taken) == sorted(cli.COMMANDS[name].flags), name
     monkeypatch.setattr(cli, "all_figures", lambda **grid: [FakeReport()])
-    monkeypatch.setattr(cli, "prediction_table", lambda: "PREDICTION")
-    monkeypatch.setattr(cli, "analytical_table", lambda: "ANALYTICAL")
-    monkeypatch.setattr(cli, "validation_table", lambda: "VALIDATION")
-    monkeypatch.setattr(cli, "run_ablation", lambda seeds: ["row"])
-    monkeypatch.setattr(cli, "ablation_table", lambda rows: "ABLATION")
+    monkeypatch.setattr(tables, "prediction_table", lambda: "PREDICTION")
+    monkeypatch.setattr(tables, "analytical_table", lambda: "ANALYTICAL")
+    monkeypatch.setattr(tables, "validation_table", lambda: "VALIDATION")
+    monkeypatch.setattr(ablation, "run_ablation", lambda seeds: ["row"])
+    monkeypatch.setattr(ablation, "ablation_table", lambda rows: "ABLATION")
     assert cli.main(["all", "--fast"]) == 0
     out = capsys.readouterr().out
     marks = ["FAKE FIGURE REPORT", "PREDICTION", "ANALYTICAL", "VALIDATION", "ABLATION"]
     assert [out.index(mark) for mark in marks] == sorted(out.index(m) for m in marks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--n", "7"],
+        ["analysis", "--live"],
+        ["live", "--fast"],
+        ["figure8", "--trace-out", "t.json"],
+        ["nemesis", "--compare"],
+        # Not read as an abbreviation of --stacks, which profile takes.
+        ["profile", "--stack", "modular"],
+    ],
+    ids=" ".join,
+)
+def test_a_flag_the_command_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 2
+    assert argv[1] in capsys.readouterr().err

@@ -43,6 +43,19 @@ from repro.live.results import sim_result_to_dict
 
 ONE_RUN = "value = Simulation(config, seed=1).run().metrics.throughput"
 
+#: ``python -m repro --help``, short of printing it: the parser of every
+#: command is built and the top-level help formatted.
+CLI_HELP = """
+from repro.cli import _build_parser
+value = len(_build_parser().format_help())
+"""
+
+#: What building the command line runs none of: the sweeps, the nemesis
+#: swarm, the process pool and the live runtime's event loop.
+NOT_PARSED = (
+    "repro.experiments.sweeps", "repro.nemesis.swarm", "multiprocessing", "asyncio",
+)
+
 #: What a simulation never runs: the live runtime's event loop (and the
 #: TLS library asyncio loads with it) and the sweep's process pool.
 NOT_SIMULATED = ("asyncio", "ssl", "multiprocessing", "concurrent.futures")
@@ -68,16 +81,18 @@ def fresh_interpreter(body: str) -> dict:
 
 
 #: Each case with its module budget, ≈ 1.05 x the modules it loads on
-#: CPython 3.11 (the report's own ``json`` included): 110, 248, 183 and
-#: 193. Before the package ``__init__``s re-exported lazily, ``import
+#: CPython 3.11 (the report's own ``json`` included): 110, 248, 183, 193
+#: and 134. Before the package ``__init__``s re-exported lazily, ``import
 #: repro`` alone loaded 225 (268 with the live worker, 278 for the
 #: simulated repetition, asyncio and the process pool among them); with
-#: scipy it was 1038.
+#: scipy it was 1038. Before each command imported what it runs, the
+#: command line's help loaded 237.
 CASES = {
     "import-repro": ("import repro", 116),
     "import-live-worker": ("import repro.live.worker", 260),
     "one-short-simulation": (SHORT_RUN + ONE_RUN, 192),
     "simulated-repetition": (SIMULATED_REPETITION + SHORT_RUN + ONE_RUN, 203),
+    "cli-help": (CLI_HELP, 141),
 }
 
 
@@ -97,6 +112,12 @@ def test_a_simulated_run_loads_no_event_loop_and_no_process_pool(body):
     report = fresh_interpreter(body)
     assert report["value"] > 0.0
     assert set(NOT_SIMULATED) & set(report["modules"]) == set()
+
+
+def test_the_command_line_help_loads_no_command():
+    report = fresh_interpreter(CLI_HELP)
+    assert report["value"] > 0
+    assert set(NOT_PARSED) & set(report["modules"]) == set()
 
 
 def test_import_repro_loads_no_subpackage_it_only_names():
